@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a ratio past its proven bound, 2 infeasible,
-3 oracle refusal, 64 bad usage, 65 unreadable or invalid input.
+3 oracle refusal, 64 bad usage, 65 unreadable or invalid input, 70 an
+internal error of the solver stack.
 """
 
 from __future__ import annotations
@@ -14,8 +15,13 @@ from .errors import (
     GuardExceededError,
     InfeasibleInstanceError,
     InvalidQueryError,
+    JainProgressError,
+    LpInfeasibleError,
+    LpResourceError,
+    OracleContractError,
     OracleRefusalError,
     ParseError,
+    SolverError,
     UnknownEdgeError,
     UnsupportedInstanceError,
     ValidationError,
@@ -42,6 +48,7 @@ EX_INFEASIBLE = 2
 EX_REFUSED = 3
 EX_USAGE = 64
 EX_DATA = 65
+EX_SOFTWARE = 70
 
 REPORT_KINDS = ("fgc-q1", "fgc-p1", "fst", "ncfgc")
 
@@ -53,6 +60,14 @@ _DATA_ERRORS = (
     UnsupportedInstanceError,
     WrongRegimeError,
     GuardExceededError,
+)
+
+_INTERNAL_ERRORS = (
+    LpResourceError,
+    LpInfeasibleError,
+    SolverError,
+    JainProgressError,
+    OracleContractError,
 )
 
 
@@ -295,6 +310,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
 
 
 if __name__ == "__main__":

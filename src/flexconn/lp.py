@@ -4,12 +4,16 @@ A cut LP here is: minimize sum(cost_e * x_e) subject to generated rows of the
 form sum(x_e for e in ids) >= rhs, bounds 0 <= x <= 1, and a partial 0/1
 fixing.  Rows come from a separation oracle that inspects candidate solutions.
 
-Substituting x = 1 - y turns every row into a packing row sum(y) <= cap whose
-all-slack basis is feasible, so a single-phase bounded simplex suffices.  The
-float tableau drives the search; the answer handed back is always rebuilt in
-exact rational arithmetic from the final basis and certified optimal through
-an exact dual feasibility check, with a full exact-arithmetic simplex as the
-fallback.  Identical inputs produce identical row sequences and solutions.
+Substituting x = 1 - y turns every row into a packing row sum(y) <= cap.  One
+float tableau lives for the whole row generation: it has a row per active cut
+and handles 0 <= y <= 1 by bound flips rather than extra rows.  It starts with
+every y at its upper bound, which is dual feasible because costs are
+nonnegative; each new row is reduced against the current basis and appended,
+and dual simplex pivots restore primal feasibility.  The answer handed back is
+always rebuilt in exact rational arithmetic from the final basis and certified
+optimal through an exact dual feasibility check, with a full exact-arithmetic
+simplex as the fallback.  Identical inputs produce identical row sequences and
+solutions.
 """
 
 from __future__ import annotations
@@ -24,16 +28,16 @@ from .errors import (
     LpInfeasibleError,
     LpResourceError,
     OracleContractError,
+    SolverError,
     ValidationError,
 )
 
-# Tolerance ledger.  Float arithmetic appears only inside the simplex and the
-# violation prefilter; every returned solution is exact.
-EPS_SEP = 1e-7                     # cut violation below this does not drive the float stage
+# Tolerance ledger.  Float arithmetic appears only inside the float tableau;
+# every returned solution is exact.
 EPS_ROUND = Fraction(1, 10**6)     # slack under 1/2 when choosing edges to round up
-EPS_BOUNDS = 1e-9                  # float-stage bound drift considered numerical noise
 
-_FLOAT_TOL = 1e-9
+_FLOAT_TOL = 1e-9                  # primal infeasibility and pivot size
+_TIE = 1e-12                       # ratios this close count as a tie
 
 
 @dataclass(frozen=True)
@@ -64,23 +68,132 @@ class _SimplexStall(Exception):
     """Internal: the float tableau hit its pivot cap or went numerically bad."""
 
 
+class _DualTableau:
+    """Bounded-variable float tableau for max costs.y s.t. sum(y[cols]) <= cap.
+
+    Columns are [y_0..y_{k-1} | s_0..s_{R-1}] with s_r the slack of row r, so
+    row r of the tableau starts out as row r of the system.  `tab` is B^-1 A,
+    `beta` the basic values with every nonbasic at its bound, and `d` the
+    reduced costs of minimizing -costs.y.  A nonbasic y sits at 0 or at 1
+    (`at_upper`); a nonbasic slack sits at 0.
+    """
+
+    def __init__(self, k: int, costs: Sequence[float]):
+        self.k = k
+        self.tab = np.zeros((0, k))
+        self.beta = np.zeros(0)
+        self.d = -np.asarray(costs, dtype=np.float64)
+        self.at_upper = np.ones(k, dtype=bool)
+        self.is_basic = np.zeros(k, dtype=bool)
+        self.basis: list[int] = []
+
+    @property
+    def rows(self) -> int:
+        return len(self.basis)
+
+    def add_row(self, cols: Sequence[int], cap: float) -> None:
+        """Append sum(y[cols]) + s = cap with s basic, reduced against the
+        current basis; the basis stays dual feasible."""
+        width = self.k + self.rows
+        cols = list(cols)
+        row = np.zeros(width + 1)
+        row[cols] = 1.0
+        row[width] = 1.0
+        value = np.where(self.at_upper, 1.0, 0.0)
+        if self.basis:
+            row[:width] -= row[self.basis] @ self.tab
+            value[self.basis] = self.beta
+        self.tab = np.vstack([np.hstack([self.tab, np.zeros((self.rows, 1))]), row])
+        self.beta = np.append(self.beta, cap - value[cols].sum())
+        self.d = np.append(self.d, 0.0)
+        self.at_upper = np.append(self.at_upper, False)
+        self.is_basic = np.append(self.is_basic, True)
+        self.basis.append(width)
+
+    def solve(self) -> tuple[list[float], list[int]]:
+        """Dual simplex to a primal feasible basis.
+
+        The leaving row is the most infeasible (ties to the smallest row), the
+        entering column the minimum |d_j / alpha_rj| (ties to the smallest
+        column).  Returns the y values and the basis in the layout of
+        `_simplex`: [y | s | t] with t_j = 1 - y_j, R + k entries.
+        """
+        k = self.k
+        if not self.basis:
+            return self._result()
+        upper = np.where(np.arange(k + self.rows) < k, 1.0, np.inf)
+        for _ in range(max(2000, 80 * (self.rows + k))):
+            excess = np.maximum(-self.beta, self.beta - upper[self.basis])
+            r = int(np.argmax(excess))
+            if excess[r] <= _FLOAT_TOL:
+                return self._result()
+            # A basic value below 0 rises to 0 and one above 1 falls to 1;
+            # the entering column must move it that way from its bound.
+            raise_it = self.beta[r] < 0
+            alpha = self.tab[r] if raise_it else -self.tab[r]
+            ok = ~self.is_basic & np.where(
+                self.at_upper, alpha > _FLOAT_TOL, alpha < -_FLOAT_TOL
+            )
+            if not ok.any():
+                raise _SimplexStall
+            size = np.where(ok, np.abs(alpha), 1.0)
+            ratio = np.where(ok, np.abs(self.d) / size, np.inf)
+            q = int(np.argmax(ratio <= ratio.min() + _TIE))
+            self._pivot(r, q, to_upper=not raise_it)
+        raise _SimplexStall
+
+    def _pivot(self, r: int, q: int, *, to_upper: bool) -> None:
+        tab, beta = self.tab, self.beta
+        if self.at_upper[q]:
+            beta += tab[:, q]
+            self.at_upper[q] = False
+        piv = tab[r, q]
+        tab[r] /= piv
+        beta[r] /= piv
+        col = tab[:, q].copy()
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        beta -= col * beta[r]
+        self.d -= self.d[q] * tab[r]
+        leave = self.basis[r]
+        self.basis[r] = q
+        self.is_basic[q] = True
+        self.is_basic[leave] = False
+        tab[:, q] = 0.0
+        tab[r, q] = 1.0
+        self.d[q] = 0.0
+        if to_upper:
+            self.at_upper[leave] = True
+            beta -= tab[:, leave]
+
+    def _result(self) -> tuple[list[float], list[int]]:
+        k, big_r = self.k, self.rows
+        y = np.where(self.at_upper[:k], 1.0, 0.0)
+        for r, b in enumerate(self.basis):
+            if b < k:
+                y[b] = self.beta[r]
+        basis = list(self.basis)
+        # y at 1 keeps y basic in the full layout; y at 0 or basic keeps t.
+        basis += [j if self.at_upper[j] else k + big_r + j for j in range(k)]
+        return y.tolist(), basis
+
+
 def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exact: bool):
-    """Minimize -costs.y  s.t.  sum(y[cols]) <= cap per row, 0 <= y <= 1.
+    """Minimize -costs.y  s.t.  sum(y[cols]) <= cap per row, 0 <= y <= 1,
+    in exact rational arithmetic.
 
     Starts from the all-slack basis (y = 0), pivots by Bland's rule, and
     returns (y values, basis column per tableau row).  Columns are laid out as
     [y_0..y_{k-1} | s_0..s_{R-1} | t_0..t_{k-1}] with t the bound slacks.
+    The arithmetic is always exact; `exact` stays in the signature for
+    callers that wrap this function, and the float stage is `_DualTableau`.
     """
     big_r = len(rows)
     nrows = big_r + k
     ncols = k + big_r + k
-    dtype = object if exact else np.float64
-    one = Fraction(1) if exact else 1.0
-    tab = np.zeros((nrows, ncols + 1), dtype=dtype)
-    obj = np.zeros(ncols + 1, dtype=dtype)
-    if exact:
-        tab[:, :] = Fraction(0)
-        obj[:] = Fraction(0)
+    zero, one = Fraction(0), Fraction(1)
+    tab = np.full((nrows, ncols + 1), zero, dtype=object)
+    obj = np.full(ncols + 1, zero, dtype=object)
     for r, (cols, cap) in enumerate(rows):
         for j in cols:
             tab[r, j] = one
@@ -94,33 +207,25 @@ def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exac
         obj[j] = -costs[j]
     basis = [k + r for r in range(big_r)] + [k + big_r + j for j in range(k)]
 
-    tol = 0 if exact else _FLOAT_TOL
-    tie = 0 if exact else 1e-12
     cap_pivots = max(2000, 80 * nrows)
     pivots = 0
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < -tol:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
             break
         best_ratio = None
         for r in range(nrows):
             a = tab[r, enter]
-            if a > tol:
+            if a > 0:
                 ratio = tab[r, ncols] / a
                 if best_ratio is None or ratio < best_ratio:
                     best_ratio = ratio
         if best_ratio is None:
-            if exact:
-                raise LpResourceError("unbounded pivot in a bounded system")
-            raise _SimplexStall
+            raise LpResourceError("unbounded pivot in a bounded system")
         leave = -1
         for r in range(nrows):
             a = tab[r, enter]
-            if a > tol and tab[r, ncols] / a <= best_ratio + tie:
+            if a > 0 and tab[r, ncols] / a == best_ratio:
                 if leave < 0 or basis[r] < basis[leave]:
                     leave = r
         piv = tab[leave, enter]
@@ -131,17 +236,15 @@ def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exac
         factor = obj[enter]
         if factor != 0:
             obj = obj - factor * tab[leave]
-        tab[:, enter] = Fraction(0) if exact else 0.0
+        tab[:, enter] = zero
         tab[leave, enter] = one
-        obj[enter] = Fraction(0) if exact else 0.0
+        obj[enter] = zero
         basis[leave] = enter
         pivots += 1
         if pivots > cap_pivots:
-            if exact:
-                raise LpResourceError(f"simplex exceeded {cap_pivots} pivots")
-            raise _SimplexStall
+            raise LpResourceError(f"simplex exceeded {cap_pivots} pivots")
 
-    y = [Fraction(0) if exact else 0.0] * k
+    y = [zero] * k
     for r, b in enumerate(basis):
         if b < k:
             y[b] = tab[r, ncols]
@@ -353,46 +456,51 @@ def solve_cut_lp(
     for row in initial_rows:
         register(row)
 
+    tableau: _DualTableau | None = None
     while True:
+        # Float stage: feed every new active row to the live tableau and
+        # re-solve until the oracle has nothing new to say about its vertex.
         basis = None
         if k > 0:
-            float_rows = [(cols, float(cap)) for cols, cap in active]
-            float_costs = [float(c) for c in cvec]
+            if tableau is None:
+                tableau = _DualTableau(k, [float(c) for c in cvec])
+            for cols, cap in active[tableau.rows:]:
+                tableau.add_row(cols, float(cap))
             try:
-                y_float, basis = _simplex(k, float_rows, float_costs, exact=False)
+                y_float, basis = tableau.solve()
+                basis_rows = tableau.rows
             except _SimplexStall:
-                basis = None
+                tableau = None
         else:
-            y_float, basis = [], []
+            y_float, basis, basis_rows = [], [], 0
 
-        go_exact = basis is None
-        if not go_exact:
+        if basis is not None:
             x_map = {e: Fraction(v) for e, v in fixed.items()}
             for j, e in enumerate(var_ids):
                 x_map[e] = Fraction(min(1.0, max(0.0, 1.0 - y_float[j])))
             cut = oracle(x_map)
-            if cut is None:
-                go_exact = True
-            else:
-                viol = violation(cut, x_map)
-                if viol <= 0:
+            if cut is not None:
+                if violation(cut, x_map) <= 0:
                     raise OracleContractError(
                         f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"
                     )
-                fresh = register(cut)
-                if not fresh or viol <= EPS_SEP:
-                    go_exact = True
-                else:
+                if register(cut):
                     continue
 
         # Exact stage: rebuild the vertex from the basis and certify it, or
         # fall back to the exact-arithmetic simplex.
         y_exact = None
         if basis is not None:
+            if basis_rows != len(active) or len(basis) != len(active) + k:
+                raise SolverError(
+                    f"float basis of {len(basis)} columns over {basis_rows} rows "
+                    f"read against {len(active)} rows and {k} variables"
+                )
             y_exact = _primal_from_basis(k, active, basis)
             if y_exact is not None and not _dual_certifies(k, active, cvec, basis):
                 y_exact = None
         if y_exact is None:
+            tableau = None
             y_exact, _ = _simplex(k, active, cvec, exact=True)
 
         x_exact = {e: Fraction(v) for e, v in fixed.items()}

@@ -10,14 +10,12 @@ could ignore.
 
 Among equal-cost optima the one with the lexicographically smallest sorted
 edge-id tuple is returned, by both search strategies, so results are
-reproducible and thread-count independent.
+reproducible.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -28,23 +26,6 @@ from .flows import edge_connectivity
 from .fst import FstInstance, solve_fst, verify_fst
 from .jain import SndpInstance
 from .ncfgc import NcFgcInstance, solve_p_ncfgc, verify_ncfgc
-
-_ENUM_CHUNK = 4096
-
-
-def worker_count() -> int:
-    """Thread pool width, capped by the FLEXCONN_THREADS variable."""
-    limit = os.environ.get("FLEXCONN_THREADS")
-    if limit is not None:
-        try:
-            parsed = int(limit)
-        except ValueError:
-            raise ValidationError(f"FLEXCONN_THREADS must be an integer, got {limit!r}")
-        if parsed < 1:
-            raise ValidationError("FLEXCONN_THREADS must be at least 1")
-        return parsed
-    return min(os.cpu_count() or 1, 8)
-
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -155,35 +136,18 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
             f"{2 ** len(order)} subsets exceed the {budget.max_checks} check budget"
         )
     meter = _Meter(budget)
-
-    def chunk_best(start: int, stop: int):
-        local = None
-        for mask in range(start, stop):
-            subset = frozenset(
-                order[b] for b in range(len(order)) if mask >> b & 1
-            )
-            meter.tick()
-            if not predicate(subset):
-                continue
-            key = _key(sum((costs[e] for e in subset), Fraction(0)), subset)
-            if local is None or key < local:
-                local = key
-        return local
-
-    total = 2 ** len(order)
-    spans = [
-        (lo, min(lo + _ENUM_CHUNK, total)) for lo in range(0, total, _ENUM_CHUNK)
-    ]
-    if len(spans) <= 1:
-        results = [chunk_best(lo, hi) for lo, hi in spans]
-    else:
-        with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-            results = list(pool.map(lambda span: chunk_best(*span), spans))
-    keys = [k for k in results if k is not None]
-    if not keys:
+    best = None
+    for mask in range(2 ** len(order)):
+        subset = frozenset(order[b] for b in range(len(order)) if mask >> b & 1)
+        meter.tick()
+        if not predicate(subset):
+            continue
+        key = _key(sum((costs[e] for e in subset), Fraction(0)), subset)
+        if best is None or key < best:
+            best = key
+    if best is None:
         return OptResult(False, None, None)
-    cost, edges = min(keys)[0], frozenset(min(keys)[1])
-    return OptResult(True, cost, edges)
+    return OptResult(True, best[0], frozenset(best[1]))
 
 
 def _sndp_feasible(inst: SndpInstance, subset: frozenset[int]) -> bool:

@@ -135,6 +135,27 @@ def test_unreadable_or_malformed_input_exits_65(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "error",
+    ["LpResourceError", "LpInfeasibleError", "SolverError",
+     "JainProgressError", "OracleContractError"],
+)
+def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch, error):
+    import flexconn.cli as cli
+    import flexconn.errors as errors
+
+    def broken(inst):
+        raise getattr(errors, error)("solver stack broke")
+
+    monkeypatch.setattr(cli, "solve_fgc", broken)
+    instance = gen_one(tmp_path, "fgc-q1")
+    capsys.readouterr()
+    assert main(["solve", str(instance)]) == cli.EX_SOFTWARE == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: solver stack broke\n"
+
+
 def test_gen_is_deterministic(tmp_path):
     a = gen_one(tmp_path / "a", "ncfgc", seed=9)
     b = gen_one(tmp_path / "b", "ncfgc", seed=9)

@@ -27,6 +27,23 @@ def static_oracle(rows):
     return oracle
 
 
+@pytest.fixture
+def exact_fallbacks(monkeypatch):
+    """Records every `_simplex(exact=True)` call, i.e. every vertex the float
+    tableau failed to deliver in certifiable form."""
+    from flexconn import lp
+
+    calls = []
+    real = lp._simplex
+
+    def spy(k, rows, costs, exact):
+        calls.append(exact)
+        return real(k, rows, costs, exact)
+
+    monkeypatch.setattr(lp, "_simplex", spy)
+    return calls
+
+
 def test_triangle_cover_has_half_integral_vertex():
     # cover three overlapping pairs; the optimum sits at x = 1/2 everywhere
     rows = [
@@ -117,7 +134,7 @@ def _random_problem(rng):
     return ids, costs, rows, fixed, satisfiable
 
 
-def test_matches_reference_lp_solver():
+def test_matches_reference_lp_solver(exact_fallbacks):
     import numpy as np
 
     rng = random.Random(20)
@@ -155,6 +172,7 @@ def test_matches_reference_lp_solver():
         assert abs(float(sol.objective) - reference) < 1e-7
         compared += 1
     assert compared > 50
+    assert exact_fallbacks == []
 
 
 def test_deterministic_resolve():
@@ -166,6 +184,11 @@ def test_deterministic_resolve():
         a = solve_cut_lp(costs, fixed, static_oracle(rows))
         b = solve_cut_lp(costs, fixed, static_oracle(rows))
         assert a.x == b.x and a.objective == b.objective
+    for seed in range(20):
+        ids, costs, rows = _thirds_problem(random.Random(seed))
+        a = solve_cut_lp(costs, {}, static_oracle(rows))
+        b = solve_cut_lp(costs, {}, static_oracle(rows))
+        assert a.x == b.x and a.rows == b.rows
 
 
 @given(st.integers(0, 10_000))
@@ -178,3 +201,129 @@ def test_single_row_closed_form(seed):
     sol = solve_cut_lp(costs, {}, static_oracle([row]))
     cheapest = sorted(costs.values())[:need]
     assert sol.objective == sum(cheapest, Fraction(0))
+
+
+def test_basis_read_against_other_rows_is_an_error(monkeypatch):
+    from flexconn import SolverError, lp
+
+    solve = lp._DualTableau.solve
+
+    def short_basis(self):
+        y, basis = solve(self)
+        return y, basis[:-1]
+
+    monkeypatch.setattr(lp._DualTableau, "solve", short_basis)
+    rows = [CutRow(frozenset({0, 1}), Fraction(1))]
+    with pytest.raises(SolverError):
+        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, {}, static_oracle(rows))
+
+
+def _thirds_problem(rng):
+    """Rows with thirds on the right, so vertices have thirds that no float
+    holds exactly."""
+    k = rng.randint(3, 8)
+    ids = list(range(k))
+    costs = {i: Fraction(rng.randint(1, 4)) for i in ids}
+    rows = []
+    for _ in range(rng.randint(2, 8)):
+        size = rng.randint(2, min(4, k))
+        members = frozenset(rng.sample(ids, size))
+        rows.append(CutRow(members, Fraction(rng.randint(1, 3 * size - 1), 3)))
+    return ids, costs, rows
+
+
+def _tight_rows(ids, x):
+    """Every row over two or more ids that holds with equality at `x` and has
+    a fractional right-hand side."""
+    import itertools
+
+    out = []
+    for size in range(2, len(ids) + 1):
+        for s in itertools.combinations(ids, size):
+            rhs = sum(x[e] for e in s)
+            if rhs.denominator > 1:
+                out.append(CutRow(frozenset(s), rhs))
+    return out
+
+
+def _highs_objective(ids, costs, rows):
+    import numpy as np
+
+    res = scipy_opt.linprog(
+        np.array([float(costs[i]) for i in ids]),
+        A_ub=np.array([[-1.0 if i in r.edge_ids else 0.0 for i in ids] for r in rows]),
+        b_ub=np.array([-float(r.rhs) for r in rows]),
+        bounds=[(0, 1)] * len(ids), method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def test_rows_one_at_a_time_match_reference(exact_fallbacks):
+    # The second solve of each problem also meets rows that are tight at its
+    # optimal vertex; at the float vertex they can read as violated by a
+    # rounding error, and each such fresh row must go to the live tableau
+    # rather than send a stale basis to exact recovery.
+    barely_violated = 0
+    for seed in range(60):
+        rng = random.Random(seed)
+        ids, costs, rows = _thirds_problem(rng)
+        first = solve_cut_lp(costs, {}, static_oracle(rows))
+        assert abs(float(first.objective) - _highs_objective(ids, costs, rows)) < 1e-7
+        pool = rows + _tight_rows(ids, first.x)
+
+        def oracle(x):
+            nonlocal barely_violated
+            for r in pool:
+                gap = r.rhs - sum(x[e] for e in r.edge_ids)
+                if gap > 0:
+                    barely_violated += gap < Fraction(1, 10**7)
+                    return r
+            return None
+
+        sol = solve_cut_lp(costs, {}, oracle)
+        assert sol.objective == first.objective
+        assert all(sum(sol.x[e] for e in r.edge_ids) >= r.rhs for r in pool)
+    assert barely_violated > 0
+    assert exact_fallbacks == []
+
+
+def test_shared_row_pool_as_in_branch_and_bound(exact_fallbacks):
+    # one pool serves every branch, the way the ncfgc rooted solver shares it
+    compared = 0
+    for seed in range(30):
+        rng = random.Random(100 + seed)
+        ids, costs, rows = _thirds_problem(rng)
+        oracle = static_oracle(rows)
+        root = solve_cut_lp(costs, {}, oracle)
+        pool = root.rows
+        for e in ids:
+            for value in (0, 1):
+                try:
+                    cold = solve_cut_lp(costs, {e: value}, oracle)
+                except LpInfeasibleError:
+                    with pytest.raises(LpInfeasibleError):
+                        solve_cut_lp(costs, {e: value}, oracle, initial_rows=pool)
+                    continue
+                warm = solve_cut_lp(costs, {e: value}, oracle, initial_rows=pool)
+                assert warm.objective == cold.objective
+                assert warm.rows[:len(pool)] == pool
+                assert warm.x[e] == value
+                compared += 1
+    assert compared > 100
+    assert exact_fallbacks == []
+
+
+def test_fgc_instances_never_take_the_exact_fallback(exact_fallbacks):
+    # Two of these seeds meet a fresh cut that the float vertex violates by
+    # less than 1e-7; a float basis read against the row set one row longer
+    # than the one it was computed for sends them to the exact simplex.
+    from flexconn.fgc import solve_fgc
+    from flexconn.generators import GenConfig, gen_fgc
+
+    cfg = GenConfig(nodes=(12, 12), extra_edges=(12, 12), pairs=(3, 3),
+                    max_p=2, max_q=2)
+    for seed in range(12):
+        result = solve_fgc(gen_fgc(seed, regime="q1", cfg=cfg))
+        assert result.cost <= 2 * result.lp_objective
+    assert exact_fallbacks == []

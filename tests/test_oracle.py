@@ -17,7 +17,7 @@ from flexconn import (
     ratio_report,
 )
 from flexconn.generators import gen_instance
-from flexconn.oracle import exact_opt, worker_count
+from flexconn.oracle import exact_opt
 
 BOTH = (OracleBudget(strategy="bnb"), OracleBudget(strategy="enumerate"))
 
@@ -134,36 +134,21 @@ def test_time_budget_refusal():
         )
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("FLEXCONN_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("FLEXCONN_THREADS", "zero")
-    with pytest.raises(ValidationError):
-        worker_count()
-    monkeypatch.setenv("FLEXCONN_THREADS", "0")
-    with pytest.raises(ValidationError):
-        worker_count()
-    monkeypatch.delenv("FLEXCONN_THREADS")
-    assert worker_count() >= 1
-
-
-def test_enumeration_is_thread_count_independent(monkeypatch):
-    ids = list(range(13))          # enough subsets for several chunks
+def test_enumeration_over_many_subsets_matches_bnb():
+    ids = list(range(13))
     costs = {eid: Fraction(eid % 3) for eid in ids}
 
     def pred(subset):
         return sum(eid for eid in subset) >= 40
 
-    results = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("FLEXCONN_THREADS", threads)
-        results.append(
-            minimum_cost_subset(
-                ids, costs, pred,
-                budget=OracleBudget(max_checks=10**5, strategy="enumerate"),
-            )
+    results = [
+        minimum_cost_subset(
+            ids, costs, pred,
+            budget=OracleBudget(max_checks=10**5, strategy=strategy),
         )
-    assert results[0] == results[1]
+        for strategy in ("enumerate", "enumerate", "bnb")
+    ]
+    assert results[0] == results[1] == results[2]
 
 
 def test_exact_opt_dispatch():
