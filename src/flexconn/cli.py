@@ -12,16 +12,12 @@ import sys
 from pathlib import Path
 
 from .errors import (
+    FlexconnError,
     GuardExceededError,
     InfeasibleInstanceError,
     InvalidQueryError,
-    JainProgressError,
-    LpInfeasibleError,
-    LpResourceError,
-    OracleContractError,
     OracleRefusalError,
     ParseError,
-    SolverError,
     UnknownEdgeError,
     UnsupportedInstanceError,
     ValidationError,
@@ -61,15 +57,6 @@ _DATA_ERRORS = (
     WrongRegimeError,
     GuardExceededError,
 )
-
-_INTERNAL_ERRORS = (
-    LpResourceError,
-    LpInfeasibleError,
-    SolverError,
-    JainProgressError,
-    OracleContractError,
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """Usage problems exit with 64 instead of argparse's default 2, which is
@@ -310,7 +297,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
-    except _INTERNAL_ERRORS as exc:
+    except FlexconnError as exc:
+        # Every other library error is a failure inside the solver stack.
         print(f"internal error: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 

@@ -3,16 +3,31 @@
 Capacities may be ints, exact rationals, or None for unbounded.  All arithmetic
 is exact, augmenting paths are found by BFS in arc insertion order, and the
 reported min cut side is always the set of nodes residual-reachable from s.
+
+The separation oracles run on Python ints: `integral` multiplies rational
+capacities by their common denominator.  That is still exact, and it finds
+the same paths and the same cut side, since BFS only asks which residuals
+are positive and every push is scaled by the same positive factor.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .errors import InvalidQueryError, UnboundedFlowError
 from .graphs import Cut, Digraph, MultiGraph
+
+K = TypeVar("K")
+
+
+def integral(values: Mapping[K, object]) -> tuple[int, dict[K, int]]:
+    """Common denominator `scale` of rational values, and each value times it."""
+    fracs = {k: Fraction(v) for k, v in values.items()}
+    scale = math.lcm(*(f.denominator for f in fracs.values()))
+    return scale, {k: f.numerator * (scale // f.denominator) for k, f in fracs.items()}
 
 
 class Network:

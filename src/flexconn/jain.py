@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
-from .flows import edge_connectivity, max_flow_min_cut
+from .flows import Network, edge_connectivity, integral, max_flow_min_cut
 from .graphs import MultiGraph
 from .lp import EPS_ROUND, CutRow, FractionalSolution, solve_cut_lp
 
@@ -82,35 +82,37 @@ def separation(
 ) -> CutRow | None:
     """Most violated cut under capacities x (chosen edges count as 1).
 
-    Ties break toward the smaller cut side, then lexicographic node order.
-    The returned row demands the largest requirement separated by the cut, so
-    it is at least as strong as the violated pair's own constraint.
+    The flows run on one network whose capacities are x scaled to ints by
+    their common denominator, which keeps them exact.  Ties break toward the
+    smaller cut side, then lexicographic node order.  The returned row
+    demands the largest requirement separated by the cut, so it is at least
+    as strong as the violated pair's own constraint.
     """
-    caps: dict[int, Fraction] = {}
+    scale, caps = integral({
+        e.eid: 1 if e.eid in residual.chosen else x.get(e.eid, 0)
+        for e in graph.edges
+    })
+    net = Network(graph.n)
     for e in graph.edges:
-        if e.eid in residual.chosen:
-            caps[e.eid] = Fraction(1)
-        else:
-            caps[e.eid] = Fraction(x.get(e.eid, 0))
+        net.add_pair(e.u, e.v, caps[e.eid], caps[e.eid])
+    base = net.cap
     best = None
     pairs = sorted((p, r) for p, r in residual.requirements.items() if r >= 1)
     for (i, j), r in pairs:
-        value, cut = max_flow_min_cut(graph, caps, i, j)
-        viol = Fraction(r) - value
+        net.cap = base.copy()
+        viol = r * scale - net.max_flow(i, j)
         if viol <= 0:
             continue
-        rank = (-viol, len(cut.side), tuple(sorted(cut.side)))
+        side = net.reachable_from(i)
+        rank = (-viol, len(side), tuple(sorted(side)))
         if best is None or rank < best[0]:
-            best = (rank, cut)
+            best = (rank, side)
     if best is None:
         return None
-    cut = best[1]
-    rhs = max(
-        r
-        for (i, j), r in pairs
-        if (i in cut.side) != (j in cut.side)
-    )
-    return CutRow(cut.boundary, Fraction(rhs))
+    side = best[1]
+    boundary = frozenset(e.eid for e in graph.edges if (e.u in side) != (e.v in side))
+    rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
+    return CutRow(boundary, Fraction(rhs))
 
 
 def _met(graph: MultiGraph, requirements, chosen) -> bool:

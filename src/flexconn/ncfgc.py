@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedInstanceError,
     ValidationError,
 )
-from .flows import Network, edge_connectivity
+from .flows import Network, edge_connectivity, integral
 from .graphs import Digraph, MultiGraph, inflate_safe_nodes, to_antiparallel_digraph
 from .lp import CutRow, solve_cut_lp
 
@@ -71,6 +71,21 @@ class NcFgcInstance:
         return [v for v in range(self.graph.n) if v not in self.safe_nodes]
 
 
+def _split_network(n: int, caps, ends, arcs) -> Network:
+    """Flow network on 2n nodes with every node split into an in/out pair.
+
+    Node v becomes the arc 2v -> 2v+1 with capacity caps.get(v), unbounded
+    for the nodes in `ends`; each (u, v, cap) in `arcs` runs from u's out
+    half 2u+1 to v's in half 2v.  Node v's arc has index 2v.
+    """
+    net = Network(2 * n)
+    for v in range(n):
+        net.add_pair(2 * v, 2 * v + 1, None if v in ends else caps.get(v), 0)
+    for u, v, cap in arcs:
+        net.add_pair(2 * u + 1, 2 * v, cap, 0)
+    return net
+
+
 def q_connectivity(
     g: MultiGraph,
     caps,
@@ -88,15 +103,12 @@ def q_connectivity(
     """
     if s == t:
         raise InvalidQueryError("s and t must differ")
-    net = Network(2 * g.n)
-    for v in range(g.n):
-        cap = None if v in (s, t) else caps.get(v)
-        net.add_pair(2 * v, 2 * v + 1, cap, 0)
     ids = sorted(g.edge_ids) if edge_ids is None else sorted(set(edge_ids))
+    arcs = []
     for eid in ids:
         e = g.edge(eid)
-        net.add_pair(2 * e.u + 1, 2 * e.v, 1, 0)
-        net.add_pair(2 * e.v + 1, 2 * e.u, 1, 0)
+        arcs += [(e.u, e.v, 1), (e.v, e.u, 1)]
+    net = _split_network(g.n, caps, (s, t), arcs)
     return net.max_flow(2 * s + 1, 2 * t, cutoff=cutoff)
 
 
@@ -226,14 +238,9 @@ def rooted_q_flow(
     """Max root-to-t flow with unit arcs and capacitated intermediate nodes."""
     if root == t:
         raise InvalidQueryError("root and t must differ")
-    net = Network(2 * dg.n)
-    for v in range(dg.n):
-        cap = None if v in (root, t) else caps.get(v)
-        net.add_pair(2 * v, 2 * v + 1, cap, 0)
     ids = sorted(dg.arc_ids) if arc_ids is None else sorted(set(arc_ids))
-    for aid in ids:
-        a = dg.arc(aid)
-        net.add_pair(2 * a.tail + 1, 2 * a.head, 1, 0)
+    arcs = [(dg.arc(aid).tail, dg.arc(aid).head, 1) for aid in ids]
+    net = _split_network(dg.n, caps, (root, t), arcs)
     return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
@@ -254,48 +261,44 @@ class RootedQConnInstance:
             raise ValidationError("negative requirement")
 
 
-def _rooted_cut(dg, caps, root, t, x):
-    """Flow network for one sink under fractional arc values, with the
-    node-arc and purchasable-arc endpoints kept for cut extraction."""
-    net = Network(2 * dg.n)
-    node_arcs: list[tuple[int, int, int]] = []
-    for v in range(dg.n):
-        cap = None if v in (root, t) else caps.get(v)
-        net.add_pair(2 * v, 2 * v + 1, cap, 0)
-        node_arcs.append((2 * v, 2 * v + 1, v))
-    purch: list[tuple[int, int, int]] = []
-    for aid in sorted(dg.arc_ids):
-        a = dg.arc(aid)
-        net.add_pair(2 * a.tail + 1, 2 * a.head, x.get(aid, Fraction(0)), 0)
-        purch.append((2 * a.tail + 1, 2 * a.head, aid))
-    return net, node_arcs, purch
-
-
 def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
-    """Most violated rooted cut over all sinks; ties go to the smaller sink."""
+    """Most violated rooted cut over all sinks; ties go to the smaller sink.
+
+    One split-node network serves every sink; its arc values x and node
+    caps are scaled to ints by the common denominator of x, which keeps the
+    flows exact.
+    """
     dg = inst.digraph
-    p = Fraction(inst.requirement)
+    ids = sorted(dg.arc_ids)
+    scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
+    caps = {v: None if c is None else c * scale for v, c in inst.caps.items()}
+    arcs = [(dg.arc(aid).tail, dg.arc(aid).head, xs[aid]) for aid in ids]
+    net = _split_network(dg.n, caps, (inst.root,), arcs)
+    base = net.cap
+    s = 2 * inst.root + 1
     best = None
     for t in range(dg.n):
         if t == inst.root:
             continue
-        net, node_arcs, purch = _rooted_cut(dg, inst.caps, inst.root, t, x)
-        value = net.max_flow(2 * inst.root + 1, 2 * t)
-        viol = p - value
-        if viol <= 0:
-            continue
-        if best is None or viol > best[0]:
-            side = net.reachable_from(2 * inst.root + 1)
-            crossing = frozenset(
-                aid for (u, v, aid) in purch if u in side and v not in side
-            )
-            node_cost = sum(
-                inst.caps[v] or 0
-                for (u, w, v) in node_arcs
-                if u in side and w not in side
-            )
-            best = (viol, CutRow(crossing, p - node_cost))
-    return None if best is None else best[1]
+        net.cap = base.copy()
+        net.cap[2 * t] = None
+        viol = inst.requirement * scale - net.max_flow(s, 2 * t)
+        if viol > 0 and (best is None or viol > best[0]):
+            best = (viol, net.reachable_from(s))
+    if best is None:
+        return None
+    side = best[1]
+    crossing = frozenset(
+        aid
+        for aid, (u, v, _) in zip(ids, arcs)
+        if 2 * u + 1 in side and 2 * v not in side
+    )
+    node_cost = sum(
+        inst.caps[v] or 0
+        for v in range(dg.n)
+        if 2 * v in side and 2 * v + 1 not in side
+    )
+    return CutRow(crossing, Fraction(inst.requirement) - node_cost)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Hypothesis strategies shared across the test modules.
+"""Hypothesis strategies shared across the test modules, and seeded LP values
+for the separation oracles.
 
 Graphs are always connected (spanning tree plus extras) so connectivity
 questions have interesting answers; parallel edges are deliberately common.
@@ -41,3 +42,20 @@ def node_pairs(draw, n):
     i = draw(st.integers(0, n - 1))
     j = (i + 1 + draw(st.integers(0, n - 2))) % n
     return (min(i, j), max(i, j))
+
+
+def cut_lp_values(rng, style, ids):
+    """Edge values in one of the styles the cut LP hands to its oracle."""
+    if style == "float":
+        # the float stage: x = 1 - y of a float vertex, clipped to [0, 1]
+        ys = [rng.choice([0.0, 1.0, rng.random(), rng.random() ** 8]) for _ in ids]
+        return {e: Fraction(min(1.0, max(0.0, 1.0 - y))) for e, y in zip(ids, ys)}
+    if style == "rational":
+        return {
+            e: min(Fraction(1), Fraction(rng.randint(0, 6), rng.choice([2, 3, 5, 7])))
+            for e in ids
+        }
+    if style == "binary":
+        return {e: Fraction(rng.randint(0, 1)) for e in ids}
+    value = Fraction(1, rng.choice([2, 3, 4]))  # "tie": one value everywhere
+    return {e: value for e in ids}

@@ -138,7 +138,8 @@ def test_unreadable_or_malformed_input_exits_65(tmp_path, capsys):
 @pytest.mark.parametrize(
     "error",
     ["LpResourceError", "LpInfeasibleError", "SolverError",
-     "JainProgressError", "OracleContractError"],
+     "JainProgressError", "OracleContractError", "UnboundedFlowError",
+     "FlexconnError"],
 )
 def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch, error):
     import flexconn.cli as cli

@@ -16,6 +16,8 @@ from flexconn import (
     to_antiparallel_digraph,
 )
 
+from flexconn.flows import integral
+
 from strategies import multigraphs
 
 
@@ -35,6 +37,16 @@ def test_network_exact_fractions():
     net.add_pair(1, 2, Fraction(1, 2), 0)
     value = net.max_flow(0, 2)
     assert value == Fraction(1, 3)
+
+
+def test_integral_scales_by_the_common_denominator():
+    assert integral({}) == (1, {})
+    assert integral({0: 3, 1: 0, 2: 1}) == (1, {0: 3, 1: 0, 2: 1})
+    mixed = {"a": Fraction(1, 4), "b": Fraction(5, 6), "c": 2}
+    assert integral(mixed) == (12, {"a": 3, "b": 10, "c": 24})
+    near_one = Fraction(1 - 2**-53)
+    assert near_one != 1
+    assert integral({0: near_one, 1: 1}) == (2**53, {0: 2**53 - 1, 1: 2**53})
 
 
 def test_network_cutoff_stops_early():

@@ -15,13 +15,14 @@ from flexconn import (
     edge_connectivity,
     jain_round,
 )
+from flexconn.flows import max_flow_min_cut
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
 from flexconn.jain import ResidualRequirement, separation
-from flexconn.lp import EPS_ROUND, solve_cut_lp
+from flexconn.lp import EPS_ROUND, CutRow, solve_cut_lp
 from flexconn.oracle import exact_opt
 
-from strategies import multigraphs, node_pairs
+from strategies import cut_lp_values, multigraphs, node_pairs
 
 
 def cycle(n, cost=1):
@@ -83,6 +84,60 @@ def test_half_integral_point_on_a_cycle_is_cut_short():
     row = separation(g, x, residual)
     assert row is not None and row.rhs == 2
     assert sum(x[eid] for eid in row.edge_ids) == 1
+
+
+def reference_separation(graph, x, residual):
+    """Separation on Fraction capacities with a new network per pair."""
+    caps = {
+        e.eid: Fraction(1) if e.eid in residual.chosen else Fraction(x.get(e.eid, 0))
+        for e in graph.edges
+    }
+    best = None
+    pairs = sorted((p, r) for p, r in residual.requirements.items() if r >= 1)
+    for (i, j), r in pairs:
+        value, cut = max_flow_min_cut(graph, caps, i, j)
+        viol = Fraction(r) - value
+        if viol <= 0:
+            continue
+        rank = (-viol, len(cut.side), tuple(sorted(cut.side)))
+        if best is None or rank < best[0]:
+            best = (rank, cut)
+    if best is None:
+        return None
+    cut = best[1]
+    rhs = max(r for (i, j), r in pairs if (i in cut.side) != (j in cut.side))
+    return CutRow(cut.boundary, Fraction(rhs))
+
+
+@pytest.mark.parametrize("style", ["float", "rational", "binary", "tie"])
+def test_separation_matches_fraction_reference(style):
+    rng = random.Random(f"separation/{style}")
+    cfg = GenConfig(nodes=(3, 9), extra_edges=(0, 6))
+    found = 0
+    for k in range(60):
+        g = cycle(rng.randint(3, 7)) if k % 4 == 0 else random_multigraph(rng, cfg)
+        x = cut_lp_values(rng, style, sorted(g.edge_ids))
+        pairs = {
+            tuple(sorted(rng.sample(range(g.n), 2))): rng.randint(1, 3)
+            for _ in range(rng.randint(1, 5))
+        }
+        chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
+        residual = ResidualRequirement(pairs, chosen)
+        row = separation(g, x, residual)
+        assert row == reference_separation(g, x, residual)
+        found += row is not None
+    assert found >= 20
+
+
+def test_separation_breaks_ties_between_pairs_like_the_reference():
+    # every pair of a cycle at x = 1/2 falls short by one unit
+    g = cycle(6)
+    x = {eid: Fraction(1, 2) for eid in g.edge_ids}
+    pairs = {(i, j): 2 for i in range(6) for j in range(i + 1, 6)}
+    residual = ResidualRequirement(pairs, frozenset())
+    row = separation(g, x, residual)
+    assert row == reference_separation(g, x, residual)
+    assert row == CutRow(frozenset({0, 5}), Fraction(2))
 
 
 def test_unit_requirement_reduces_to_a_shortest_path():

@@ -25,10 +25,13 @@ from flexconn import (
     to_antiparallel_digraph,
     verify_ncfgc,
 )
+from flexconn.flows import Network
 from flexconn.generators import GenConfig, random_multigraph
+from flexconn.lp import CutRow
+from flexconn.ncfgc import _separate_rooted
 from flexconn.oracle import exact_opt
 
-from strategies import edge_subsets, multigraphs, node_pairs
+from strategies import cut_lp_values, edge_subsets, multigraphs, node_pairs
 
 
 def double_path():
@@ -210,6 +213,64 @@ def test_rooted_solver_matches_brute_force():
         opt = minimum_cost_subset(dg.arc_ids, costs, feasible)
         assert opt.feasible and res.cost == opt.cost
         assert feasible(res.arcs)
+
+
+def reference_separate_rooted(inst, x):
+    """Rooted separation on Fraction capacities with a new network per sink."""
+    dg = inst.digraph
+    p = Fraction(inst.requirement)
+    best = None
+    for t in range(dg.n):
+        if t == inst.root:
+            continue
+        net = Network(2 * dg.n)
+        for v in range(dg.n):
+            cap = None if v in (inst.root, t) else inst.caps.get(v)
+            net.add_pair(2 * v, 2 * v + 1, cap, 0)
+        for aid in sorted(dg.arc_ids):
+            a = dg.arc(aid)
+            net.add_pair(2 * a.tail + 1, 2 * a.head, x.get(aid, Fraction(0)), 0)
+        viol = p - net.max_flow(2 * inst.root + 1, 2 * t)
+        if viol <= 0:
+            continue
+        if best is None or viol > best[0]:
+            side = net.reachable_from(2 * inst.root + 1)
+            crossing = frozenset(
+                a.aid
+                for a in dg.arcs
+                if 2 * a.tail + 1 in side and 2 * a.head not in side
+            )
+            node_cost = sum(
+                inst.caps[v] or 0
+                for v in range(dg.n)
+                if 2 * v in side and 2 * v + 1 not in side
+            )
+            best = (viol, CutRow(crossing, p - node_cost))
+    return None if best is None else best[1]
+
+
+@pytest.mark.parametrize("style", ["float", "rational", "binary", "tie"])
+def test_rooted_separation_matches_fraction_reference(style):
+    rng = random.Random(f"rooted-separation/{style}")
+    cfg = GenConfig(nodes=(3, 8), extra_edges=(0, 5))
+    found = 0
+    for k in range(60):
+        if k % 4 == 0:  # a cycle, where sinks tie under uniform values
+            n = rng.randint(3, 7)
+            rows = [(v, (v + 1) % n, Fraction(1), True) for v in range(n)]
+            g = MultiGraph.build(n, rows)
+        else:
+            g = random_multigraph(rng, cfg)
+        dg = to_antiparallel_digraph(g)
+        p = rng.randint(1, 3)
+        safe = {v for v in range(g.n) if rng.random() < 0.4} | {0}
+        caps = {v: (None if k % 3 == 0 else p) if v in safe else 1 for v in range(g.n)}
+        inst = RootedQConnInstance(dg, rng.choice(sorted(safe)), caps, p)
+        x = cut_lp_values(rng, style, sorted(dg.arc_ids))
+        row = _separate_rooted(inst, x)
+        assert row == reference_separate_rooted(inst, x)
+        found += row is not None
+    assert found >= 20
 
 
 def test_solve_hand_cases():
