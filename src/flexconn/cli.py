@@ -23,10 +23,9 @@ from .errors import (
     ValidationError,
     WrongRegimeError,
 )
-from .fgc import solve_fgc, verify_fgc
-from .fst import solve_fst, verify_fst
 from .generators import GEN_KINDS, gen_instance
 from .instance_io import (
+    KINDS,
     InstanceDoc,
     SolutionDoc,
     kind_of,
@@ -35,8 +34,7 @@ from .instance_io import (
     render_instance,
     render_solution,
 )
-from .ncfgc import solve_p_ncfgc, verify_ncfgc
-from .oracle import OracleBudget, exact_opt, ratio_report
+from .oracle import REPORT_KINDS, OracleBudget, exact_opt, ratio_report
 
 EX_OK = 0
 EX_RATIO = 1
@@ -45,8 +43,6 @@ EX_REFUSED = 3
 EX_USAGE = 64
 EX_DATA = 65
 EX_SOFTWARE = 70
-
-REPORT_KINDS = ("fgc-q1", "fgc-p1", "fst", "ncfgc")
 
 _DATA_ERRORS = (
     ParseError,
@@ -88,45 +84,9 @@ def _emit_solution(args, doc: SolutionDoc) -> None:
 
 def cmd_solve(args) -> int:
     doc = read_instance(args.instance)
-    if doc.kind == "fgc":
-        result = solve_fgc(doc.instance)
-    elif doc.kind == "fst":
-        result = solve_fst(doc.instance, stage_one=args.stage_one)
-    else:
-        result = solve_p_ncfgc(doc.instance)
+    result = KINDS[doc.kind].solve(doc.instance, args.stage_one)
     _emit_solution(args, SolutionDoc(doc.kind, result.cost, tuple(result.edges)))
     return EX_OK
-
-
-def _witness_lines(kind: str, report) -> list[str]:
-    lines = []
-    for v in report.violations:
-        if kind == "fgc":
-            removed = ",".join(str(e) for e in sorted(v.removed)) or "nothing"
-            lines.append(
-                f"pair {v.pair[0]},{v.pair[1]}: connectivity {v.connectivity} "
-                f"after removing {removed}"
-            )
-        elif kind == "fst":
-            if v.removed is None:
-                lines.append("terminals are disconnected")
-            else:
-                lines.append(
-                    f"terminals disconnected after removing unsafe edge {v.removed}"
-                )
-        else:
-            if v.removed is None:
-                lines.append(
-                    f"pair {v.pair[0]},{v.pair[1]}: capacitated connectivity "
-                    f"{v.connectivity}"
-                )
-            else:
-                removed = ",".join(str(x) for x in sorted(v.removed)) or "nothing"
-                lines.append(
-                    f"pair {v.pair[0]},{v.pair[1]}: connectivity {v.connectivity} "
-                    f"after nodes {removed} fail"
-                )
-    return lines
 
 
 def cmd_verify(args) -> int:
@@ -145,18 +105,14 @@ def cmd_verify(args) -> int:
             )
     else:
         edges = _parse_edges(args.edges)
-    if doc.kind == "fgc":
-        report = verify_fgc(doc.instance, edges)
-    elif doc.kind == "fst":
-        report = verify_fst(doc.instance, edges)
-    else:
-        report = verify_ncfgc(doc.instance, edges, mode=args.mode)
+    kind = KINDS[doc.kind]
+    report = kind.verify(doc.instance, edges, args.mode)
     if report.ok:
         print("feasible")
         return EX_OK
     print("infeasible")
-    for line in _witness_lines(doc.kind, report):
-        print(line)
+    for v in report.violations:
+        print(kind.witness(v))
     return EX_INFEASIBLE
 
 

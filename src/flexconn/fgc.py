@@ -32,7 +32,7 @@ from .errors import (
 )
 from .flows import edge_connectivity, max_flow_min_cut
 from .graphs import MultiGraph, split_parallel
-from .jain import SndpInstance, jain_round
+from .jain import SndpInstance, jain_round, normalize_pairs
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,11 @@ class FgcInstance:
     pairs: dict[tuple[int, int], tuple[int, int]]
 
     def __post_init__(self):
-        n = self.graph.n
-        out: dict[tuple[int, int], tuple[int, int]] = {}
+        pairs = normalize_pairs(self.pairs, self.graph.n)
         for (a, b), (p, q) in self.pairs.items():
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValidationError(f"pair ({a}, {b}) out of range")
-            if a == b:
-                raise ValidationError(f"pair ({a}, {b}) joins a node to itself")
             if p < 0 or q < 0:
                 raise ValidationError(f"negative requirement for pair ({a}, {b})")
-            key = (min(a, b), max(a, b))
-            if key in out and out[key] != (p, q):
-                raise ValidationError(f"conflicting requirements for pair {key}")
-            out[key] = (p, q)
-        object.__setattr__(self, "pairs", out)
+        object.__setattr__(self, "pairs", pairs)
 
     @classmethod
     def uniform(cls, graph: MultiGraph, p: int, q: int) -> "FgcInstance":

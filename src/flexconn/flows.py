@@ -117,6 +117,16 @@ class Network:
         return frozenset(seen)
 
 
+def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
+    """Network with one arc pair per edge of g, each arc of capacity
+    caps.get(eid, 0); arcs 2k and 2k+1 belong to the k-th edge."""
+    net = Network(g.n)
+    for e in g.edges:
+        cap = caps.get(e.eid, 0)
+        net.add_pair(e.u, e.v, cap, cap)
+    return net
+
+
 def max_flow_min_cut(g, capacities: Mapping[int, object], s: int, t: int):
     """Exact max s-t flow and a canonical min cut on a MultiGraph or Digraph.
 
@@ -126,8 +136,8 @@ def max_flow_min_cut(g, capacities: Mapping[int, object], s: int, t: int):
     """
     if s == t:
         raise InvalidQueryError(f"max flow needs distinct endpoints, got s = t = {s}")
-    net = Network(g.n)
     if isinstance(g, Digraph):
+        net = Network(g.n)
         for a in g.arcs:
             cap = capacities.get(a.aid, 0)
             net.add_pair(a.tail, a.head, cap, 0)
@@ -137,9 +147,7 @@ def max_flow_min_cut(g, capacities: Mapping[int, object], s: int, t: int):
             a.aid for a in g.arcs if a.tail in side and a.head not in side
         )
     elif isinstance(g, MultiGraph):
-        for e in g.edges:
-            cap = capacities.get(e.eid, 0)
-            net.add_pair(e.u, e.v, cap, cap)
+        net = undirected_network(g, capacities)
         value = net.max_flow(s, t)
         side = net.reachable_from(s)
         boundary = frozenset(

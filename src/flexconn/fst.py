@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleInstanceError, SolverError, ValidationError
-from .graphs import MultiGraph, contract_edges
+from .graphs import DisjointSets, MultiGraph, contract_edges
 from .jain import SndpInstance, jain_round
 
 
@@ -100,20 +100,11 @@ def _walk_back(g: MultiGraph, parent, source: int, target: int) -> set[int]:
 
 def _prune_to_tree(g: MultiGraph, eids, terminals) -> frozenset[int]:
     """Spanning forest of the chosen edges with non-terminal leaves shaved off."""
-    root = {}
-
-    def find(a):
-        while root.setdefault(a, a) != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
+    sets = DisjointSets(g.n)
     forest = []
     for eid in sorted(eids, key=lambda k: (g.edge(k).cost, k)):
         e = g.edge(eid)
-        ra, rb = find(e.u), find(e.v)
-        if ra != rb:
-            root[ra] = rb
+        if sets.union(e.u, e.v):
             forest.append(eid)
     incident: dict[int, set[int]] = {}
     for eid in forest:
@@ -153,21 +144,11 @@ def steiner_tree_approx(g: MultiGraph, terminals) -> frozenset[int]:
                 )
             closure.append((dist[b], a, b))
     closure.sort()
-    root = {}
-
-    def find(x):
-        while root.setdefault(x, x) != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
+    sets = DisjointSets(g.n)
     union_eids: set[int] = set()
     for _, a, b in closure:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        root[ra] = rb
-        union_eids |= _walk_back(g, paths[a][1], a, b)
+        if sets.union(a, b):
+            union_eids |= _walk_back(g, paths[a][1], a, b)
     return _prune_to_tree(g, union_eids, set(terms))
 
 

@@ -113,19 +113,20 @@ def gen_ncfgc(
     raise SolverError(f"no feasible draw in {cfg.attempts} attempts for seed {seed}")
 
 
+_GENERATORS = {
+    "fgc-q1": lambda seed, cfg: gen_fgc(seed, regime="q1", cfg=cfg),
+    "fgc-p1": lambda seed, cfg: gen_fgc(seed, regime="p1", cfg=cfg),
+    "fgc-any": lambda seed, cfg: gen_fgc(
+        seed, regime="any", cfg=cfg, ensure_feasible=False
+    ),
+    "fst": lambda seed, cfg: gen_fst(seed, cfg=cfg),
+    "ncfgc": lambda seed, cfg: gen_ncfgc(seed, cfg=cfg),
+}
+GEN_KINDS = tuple(_GENERATORS)
+
+
 def gen_instance(kind: str, seed: int, *, cfg: GenConfig = GenConfig()):
     """Generator dispatch keyed the same way as instance files."""
-    if kind == "fgc-q1":
-        return gen_fgc(seed, regime="q1", cfg=cfg)
-    if kind == "fgc-p1":
-        return gen_fgc(seed, regime="p1", cfg=cfg)
-    if kind == "fgc-any":
-        return gen_fgc(seed, regime="any", cfg=cfg, ensure_feasible=False)
-    if kind == "fst":
-        return gen_fst(seed, cfg=cfg)
-    if kind == "ncfgc":
-        return gen_ncfgc(seed, cfg=cfg)
-    raise ValidationError(f"unknown instance kind {kind!r}")
-
-
-GEN_KINDS = ("fgc-q1", "fgc-p1", "fgc-any", "fst", "ncfgc")
+    if kind not in _GENERATORS:
+        raise ValidationError(f"unknown instance kind {kind!r}")
+    return _GENERATORS[kind](seed, cfg)

@@ -26,6 +26,28 @@ def as_cost(value) -> Fraction:
     return cost
 
 
+class DisjointSets:
+    """Union-find over nodes 0..n-1; each set's root is its smallest node."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False when they are already one set."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
 @dataclass(frozen=True)
 class Edge:
     """Undirected edge; parallel edges share endpoints but never ids."""
@@ -125,23 +147,14 @@ class MultiGraph:
 
     def components(self, edge_ids: Iterable[int] | None = None) -> list[frozenset[int]]:
         """Connected components under the given edge subset, sorted by smallest node."""
-        parent = list(range(self.n))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        sets = DisjointSets(self.n)
         ids = self.edge_ids if edge_ids is None else edge_ids
         for eid in ids:
             e = self.edge(eid)
-            ra, rb = find(e.u), find(e.v)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+            sets.union(e.u, e.v)
         groups: dict[int, set[int]] = {}
         for v in range(self.n):
-            groups.setdefault(find(v), set()).add(v)
+            groups.setdefault(sets.find(v), set()).add(v)
         return [frozenset(groups[r]) for r in sorted(groups)]
 
     def connects(self, nodes: Iterable[int], edge_ids: Iterable[int] | None = None) -> bool:

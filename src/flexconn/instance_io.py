@@ -32,25 +32,87 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .errors import ParseError, ValidationError
-from .fgc import FgcInstance
-from .fst import FstInstance
+from .fgc import FgcInstance, solve_fgc, verify_fgc
+from .fst import FstInstance, solve_fst, verify_fst
 from .graphs import MultiGraph
-from .ncfgc import NcFgcInstance
+from .ncfgc import NcFgcInstance, solve_p_ncfgc, verify_ncfgc
 
 INSTANCE_HEADER = "flexconn-instance v1"
 SOLUTION_HEADER = "flexconn-solution v1"
-KINDS = ("fgc", "fst", "ncfgc")
+
+
+class Kind(NamedTuple):
+    """What serves one file kind: `solve(inst, stage_one)`,
+    `verify(inst, edges, mode)` and the witness line for one violation."""
+
+    instance_type: type
+    solve: Callable
+    verify: Callable
+    witness: Callable[[object], str]
+
+
+def _fgc_witness(v) -> str:
+    removed = ",".join(str(e) for e in sorted(v.removed)) or "nothing"
+    return (
+        f"pair {v.pair[0]},{v.pair[1]}: connectivity {v.connectivity} "
+        f"after removing {removed}"
+    )
+
+
+def _fst_witness(v) -> str:
+    if v.removed is None:
+        return "terminals are disconnected"
+    return f"terminals disconnected after removing unsafe edge {v.removed}"
+
+
+def _ncfgc_witness(v) -> str:
+    if v.removed is None:
+        return (
+            f"pair {v.pair[0]},{v.pair[1]}: capacitated connectivity "
+            f"{v.connectivity}"
+        )
+    removed = ",".join(str(x) for x in sorted(v.removed)) or "nothing"
+    return (
+        f"pair {v.pair[0]},{v.pair[1]}: connectivity {v.connectivity} "
+        f"after nodes {removed} fail"
+    )
+
+
+# The lambdas look solver names up when called, so that a wrapper put on
+# this module's attributes after import still sees every call.
+KINDS = {
+    "fgc": Kind(
+        FgcInstance,
+        lambda inst, stage_one: solve_fgc(inst),
+        lambda inst, edges, mode: verify_fgc(inst, edges),
+        _fgc_witness,
+    ),
+    "fst": Kind(
+        FstInstance,
+        lambda inst, stage_one: solve_fst(inst, stage_one=stage_one),
+        lambda inst, edges, mode: verify_fst(inst, edges),
+        _fst_witness,
+    ),
+    "ncfgc": Kind(
+        NcFgcInstance,
+        lambda inst, stage_one: solve_p_ncfgc(inst),
+        lambda inst, edges, mode: verify_ncfgc(inst, edges, mode=mode),
+        _ncfgc_witness,
+    ),
+}
+
+# The kind each kind-specific instance line belongs to.
+_ITEM_KINDS = {"pair": "fgc", "terminal": "fst", "safe-node": "ncfgc",
+               "requirement": "ncfgc"}
 
 
 def kind_of(instance) -> str:
-    if isinstance(instance, FgcInstance):
-        return "fgc"
-    if isinstance(instance, FstInstance):
-        return "fst"
-    if isinstance(instance, NcFgcInstance):
-        return "ncfgc"
+    for name, kind in KINDS.items():
+        if isinstance(instance, kind.instance_type):
+            return name
     raise ValidationError(f"no file kind for {type(instance).__name__}")
 
 
@@ -150,6 +212,9 @@ def parse_instance(text: str) -> InstanceDoc:
             continue
         if n is None:
             raise ParseError("nodes must come before other lines", line=number)
+        owner = _ITEM_KINDS.get(word, kind)
+        if owner != kind:
+            raise ParseError(f"{word} lines belong to {owner} instances", line=number)
         if word == "edge":
             if len(tokens) != 5:
                 raise ParseError("usage: edge u v cost safe|unsafe", line=number)
@@ -164,8 +229,6 @@ def parse_instance(text: str) -> InstanceDoc:
                 )
             rows.append((u, v, cost, tokens[4] == "safe"))
         elif word == "pair":
-            if kind != "fgc":
-                raise ParseError("pair lines belong to fgc instances", line=number)
             if len(tokens) != 5:
                 raise ParseError("usage: pair i j p q", line=number)
             i = _node(tokens[1], n, number)
@@ -181,8 +244,6 @@ def parse_instance(text: str) -> InstanceDoc:
                 raise ParseError(f"pair {key} repeated", line=number)
             pairs[key] = (p, q)
         elif word == "terminal":
-            if kind != "fst":
-                raise ParseError("terminal lines belong to fst instances", line=number)
             if len(tokens) != 2:
                 raise ParseError("usage: terminal t", line=number)
             t = _node(tokens[1], n, number)
@@ -190,10 +251,6 @@ def parse_instance(text: str) -> InstanceDoc:
                 raise ParseError(f"terminal {t} repeated", line=number)
             terminals.add(t)
         elif word == "safe-node":
-            if kind != "ncfgc":
-                raise ParseError(
-                    "safe-node lines belong to ncfgc instances", line=number
-                )
             if len(tokens) != 2:
                 raise ParseError("usage: safe-node v", line=number)
             v = _node(tokens[1], n, number)
@@ -201,10 +258,6 @@ def parse_instance(text: str) -> InstanceDoc:
                 raise ParseError(f"safe node {v} repeated", line=number)
             safe_nodes.add(v)
         elif word == "requirement":
-            if kind != "ncfgc":
-                raise ParseError(
-                    "requirement lines belong to ncfgc instances", line=number
-                )
             if requirement is not None:
                 raise ParseError("requirement given twice", line=number)
             if len(tokens) != 2:

@@ -15,25 +15,23 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
-from .flows import Network, edge_connectivity, integral, max_flow_min_cut
+from .flows import edge_connectivity, integral, max_flow_min_cut, undirected_network
 from .graphs import MultiGraph
 from .lp import EPS_ROUND, CutRow, FractionalSolution, solve_cut_lp
 
 
-def normalize_pairs(pairs: Mapping[tuple[int, int], int], n: int) -> dict[tuple[int, int], int]:
-    """Validate and key every pair as (min, max)."""
-    out: dict[tuple[int, int], int] = {}
-    for (a, b), r in pairs.items():
+def normalize_pairs(pairs: Mapping[tuple[int, int], object], n: int) -> dict:
+    """Validate and key every pair as (min, max); callers check the values."""
+    out: dict = {}
+    for (a, b), value in pairs.items():
         if not (0 <= a < n and 0 <= b < n):
             raise ValidationError(f"pair ({a}, {b}) out of range")
         if a == b:
             raise ValidationError(f"pair ({a}, {b}) joins a node to itself")
-        if r < 0:
-            raise ValidationError(f"negative requirement {r} for pair ({a}, {b})")
         key = (min(a, b), max(a, b))
-        if key in out and out[key] != r:
+        if key in out and out[key] != value:
             raise ValidationError(f"conflicting requirements for pair {key}")
-        out[key] = r
+        out[key] = value
     return out
 
 
@@ -45,9 +43,11 @@ class SndpInstance:
     requirements: dict[tuple[int, int], int]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "requirements", normalize_pairs(self.requirements, self.graph.n)
-        )
+        requirements = normalize_pairs(self.requirements, self.graph.n)
+        for (a, b), r in self.requirements.items():
+            if r < 0:
+                raise ValidationError(f"negative requirement {r} for pair ({a}, {b})")
+        object.__setattr__(self, "requirements", requirements)
 
     def active_pairs(self) -> list[tuple[tuple[int, int], int]]:
         return [(p, r) for p, r in sorted(self.requirements.items()) if r >= 1]
@@ -92,9 +92,7 @@ def separation(
         e.eid: 1 if e.eid in residual.chosen else x.get(e.eid, 0)
         for e in graph.edges
     })
-    net = Network(graph.n)
-    for e in graph.edges:
-        net.add_pair(e.u, e.v, caps[e.eid], caps[e.eid])
+    net = undirected_network(graph, caps)
     base = net.cap
     best = None
     pairs = sorted((p, r) for p, r in residual.requirements.items() if r >= 1)

@@ -21,11 +21,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import OracleRefusalError, SolverError, ValidationError
-from .fgc import FgcInstance, CapNdpInstance, check_capacitated_cuts, solve_fgc, verify_fgc
+from .fgc import FgcInstance, CapNdpInstance, check_capacitated_cuts, verify_fgc
 from .flows import edge_connectivity
-from .fst import FstInstance, solve_fst, verify_fst
+from .fst import FstInstance, verify_fst
+from .instance_io import KINDS, kind_of
 from .jain import SndpInstance
-from .ncfgc import NcFgcInstance, solve_p_ncfgc, verify_ncfgc
+from .ncfgc import NcFgcInstance, verify_ncfgc
+
+REPORT_KINDS = ("fgc-q1", "fgc-p1", "fst", "ncfgc")
 
 @dataclass(frozen=True)
 class OracleBudget:
@@ -212,19 +215,6 @@ class RatioReport:
         return "\n".join(lines) + "\n"
 
 
-def _solve_for_report(kind: str, instance, stage_one: str):
-    if kind.startswith("fgc"):
-        result = solve_fgc(instance)
-        return result.cost, result.bound
-    if kind == "fst":
-        result = solve_fst(instance, stage_one=stage_one)
-        return result.cost, result.bound
-    if kind == "ncfgc":
-        result = solve_p_ncfgc(instance)
-        return result.cost, result.bound
-    raise ValidationError(f"unknown report kind {kind!r}")
-
-
 def ratio_report(
     kind: str,
     instances: Iterable[tuple[str, object]],
@@ -234,9 +224,12 @@ def ratio_report(
 ) -> RatioReport:
     """Solve each instance, compare with the oracle optimum, and flag any
     ratio beyond the solver's proven factor."""
+    if kind not in REPORT_KINDS:
+        raise ValidationError(f"unknown report kind {kind!r}")
     entries = []
     for name, instance in instances:
-        solver_cost, bound = _solve_for_report(kind, instance, stage_one)
+        result = KINDS[kind_of(instance)].solve(instance, stage_one)
+        solver_cost, bound = result.cost, result.bound
         opt = exact_opt(instance, budget=budget)
         if not opt.feasible:
             raise SolverError(f"{name}: solver succeeded on an infeasible instance")

@@ -2,6 +2,9 @@
 
 import pytest
 
+import flexconn.cli as cli
+import flexconn.errors as errors
+import flexconn.instance_io as instance_io
 from flexconn import parse_solution, read_solution
 from flexconn.cli import main
 
@@ -70,6 +73,57 @@ def test_verify_edge_list_and_witness(tmp_path, capsys):
     assert main(["verify", str(instance), "--edges", "0,x"]) == 65
 
 
+WITNESS_FGC = (
+    "flexconn-instance v1\n"
+    "kind fgc\n"
+    "nodes 3\n"
+    "edge 0 2 1 unsafe\n"
+    "edge 0 2 1 unsafe\n"
+    "edge 0 2 1 unsafe\n"
+    "edge 0 1 1 safe\n"
+    "pair 0 2 1 2\n"
+)
+
+WITNESS_NCFGC = (
+    "flexconn-instance v1\n"
+    "kind ncfgc\n"
+    "nodes 3\n"
+    "edge 0 1 1 safe\n"
+    "edge 0 1 1 safe\n"
+    "edge 1 2 1 safe\n"
+    "edge 1 2 1 safe\n"
+    "safe-node 0\n"
+    "safe-node 2\n"
+    "requirement 2\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,edges,mode,witness",
+    [
+        (WITNESS_FGC, "0,1", "both",
+         "pair 0,2: connectivity 0 after removing 0,1"),
+        (WITNESS_FGC, "3", "both",
+         "pair 0,2: connectivity 0 after removing nothing"),
+        (INFEASIBLE_FST, "", "both", "terminals are disconnected"),
+        (INFEASIBLE_FST, "0,1", "both",
+         "terminals disconnected after removing unsafe edge 1"),
+        (WITNESS_NCFGC, "0,1,2,3", "qconn",
+         "pair 0,2: capacitated connectivity 1"),
+        (WITNESS_NCFGC, "0,1,2,3", "enumeration",
+         "pair 0,2: connectivity 0 after nodes 1 fail"),
+        (WITNESS_NCFGC, "", "enumeration",
+         "pair 0,1: connectivity 0 after nodes nothing fail"),
+    ],
+)
+def test_verify_witness_lines(tmp_path, capsys, text, edges, mode, witness):
+    instance = tmp_path / "witness.instance"
+    instance.write_text(text)
+    args = ["verify", str(instance), "--edges", edges, "--mode", mode]
+    assert main(args) == 2
+    assert capsys.readouterr().out == f"infeasible\n{witness}\n"
+
+
 def test_solve_reports_infeasibility(tmp_path, capsys):
     instance = tmp_path / "bridge.instance"
     instance.write_text(INFEASIBLE_FST)
@@ -100,7 +154,6 @@ def test_ratio_violation_dumps_the_instance(capsys, monkeypatch):
     # no honest violation exists, so fake the report and watch the fallout
     from fractions import Fraction
 
-    import flexconn.cli as cli
     from flexconn import parse_instance
     from flexconn.oracle import RatioEntry, RatioReport
 
@@ -135,6 +188,26 @@ def test_unreadable_or_malformed_input_exits_65(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def break_fgc_solver(monkeypatch, error):
+    def broken(inst):
+        raise error("solver stack broke")
+
+    monkeypatch.setattr(instance_io, "solve_fgc", broken)
+
+
+@pytest.mark.parametrize(
+    "error", [*cli._DATA_ERRORS, OSError], ids=lambda error: error.__name__
+)
+def test_data_errors_exit_65(tmp_path, capsys, monkeypatch, error):
+    break_fgc_solver(monkeypatch, error)
+    instance = gen_one(tmp_path, "fgc-q1")
+    capsys.readouterr()
+    assert main(["solve", str(instance)]) == cli.EX_DATA == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: solver stack broke\n"
+
+
 @pytest.mark.parametrize(
     "error",
     ["LpResourceError", "LpInfeasibleError", "SolverError",
@@ -142,13 +215,7 @@ def test_unreadable_or_malformed_input_exits_65(tmp_path, capsys):
      "FlexconnError"],
 )
 def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch, error):
-    import flexconn.cli as cli
-    import flexconn.errors as errors
-
-    def broken(inst):
-        raise getattr(errors, error)("solver stack broke")
-
-    monkeypatch.setattr(cli, "solve_fgc", broken)
+    break_fgc_solver(monkeypatch, getattr(errors, error))
     instance = gen_one(tmp_path, "fgc-q1")
     capsys.readouterr()
     assert main(["solve", str(instance)]) == cli.EX_SOFTWARE == 70

@@ -46,12 +46,16 @@ def test_pair_normalization_and_validation():
     g = mixed_triangle()
     inst = FgcInstance(g, {(2, 0): (1, 1)})
     assert inst.pairs == {(0, 2): (1, 1)}
+    inst = FgcInstance(g, {(0, 2): (1, 1), (2, 0): (1, 1)})
+    assert inst.pairs == {(0, 2): (1, 1)}
     with pytest.raises(ValidationError):
         FgcInstance(g, {(0, 3): (1, 1)})
     with pytest.raises(ValidationError):
         FgcInstance(g, {(1, 1): (1, 1)})
     with pytest.raises(ValidationError):
         FgcInstance(g, {(0, 1): (-1, 1)})
+    with pytest.raises(ValidationError):
+        FgcInstance(g, {(0, 1): (1, -1)})
     with pytest.raises(ValidationError):
         FgcInstance(g, {(0, 1): (1, 1), (1, 0): (2, 1)})
 

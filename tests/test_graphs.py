@@ -100,6 +100,15 @@ def test_components_and_connects():
     assert g.connects({1}, [])
 
 
+@given(st.data())
+def test_components_are_listed_by_smallest_node(data):
+    g = data.draw(multigraphs(max_nodes=9, max_extra=6))
+    comps = g.components(data.draw(edge_subsets(g)))
+    smallest = [min(c) for c in comps]
+    assert smallest == sorted(set(smallest))
+    assert sorted(v for c in comps for v in c) == list(range(g.n))
+
+
 def test_contract_keeps_edge_ids_and_drops_loops():
     g = square()
     res = contract_edges(g, [0])

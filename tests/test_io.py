@@ -86,6 +86,21 @@ BAD_INSTANCES = [
     ("flexconn-instance v1\nkind fgc\nnodes 2\nedge 0 1 1 solid\n", 4, "safety"),
     ("flexconn-instance v1\nkind fst\nnodes 2\npair 0 1 1 1\n", 4, "belong to fgc"),
     (
+        "flexconn-instance v1\nkind fgc\nnodes 2\nterminal 0\n",
+        4,
+        "terminal lines belong to fst instances",
+    ),
+    (
+        "flexconn-instance v1\nkind fst\nnodes 2\nsafe-node 0\n",
+        4,
+        "safe-node lines belong to ncfgc instances",
+    ),
+    (
+        "flexconn-instance v1\nkind fgc\nnodes 2\nrequirement 1\n",
+        4,
+        "requirement lines belong to ncfgc instances",
+    ),
+    (
         "flexconn-instance v1\nkind fgc\nnodes 2\npair 0 1 1 1\npair 1 0 2 1\n",
         5,
         "repeated",

@@ -34,12 +34,16 @@ def test_requirement_normalization():
     g = cycle(4)
     inst = SndpInstance(g, {(3, 1): 2})
     assert inst.requirements == {(1, 3): 2}
+    inst = SndpInstance(g, {(1, 3): 2, (3, 1): 2})
+    assert inst.requirements == {(1, 3): 2}
     with pytest.raises(ValidationError):
         SndpInstance(g, {(0, 0): 1})
     with pytest.raises(ValidationError):
         SndpInstance(g, {(0, 9): 1})
     with pytest.raises(ValidationError):
         SndpInstance(g, {(0, 1): -1})
+    with pytest.raises(ValidationError):
+        SndpInstance(g, {(0, 1): 1, (1, 0): 2})
 
 
 def test_cycle_needs_all_edges_for_two_paths():

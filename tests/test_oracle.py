@@ -8,7 +8,9 @@ import pytest
 
 from flexconn import (
     FgcInstance,
+    FstInstance,
     MultiGraph,
+    NcFgcInstance,
     OracleBudget,
     OracleRefusalError,
     SndpInstance,
@@ -16,6 +18,8 @@ from flexconn import (
     minimum_cost_subset,
     ratio_report,
 )
+from flexconn import oracle
+from flexconn.fgc import CapNdpInstance
 from flexconn.generators import gen_instance
 from flexconn.oracle import exact_opt
 
@@ -161,6 +165,33 @@ def test_exact_opt_dispatch():
     assert res.cost == 2 and res.edges == frozenset({0, 1})
     with pytest.raises(ValidationError):
         exact_opt(object())
+
+
+PREDICATES = {
+    "verify_fgc": lambda g: FgcInstance(g, {(0, 1): (1, 1)}),
+    "check_capacitated_cuts": lambda g: CapNdpInstance(g, {0: 1}, {(0, 1): 1}),
+    "verify_fst": lambda g: FstInstance(g, {0, 1}),
+    "verify_ncfgc": lambda g: NcFgcInstance(g, {0}, 1),
+    "_sndp_feasible": lambda g: SndpInstance(g, {(0, 1): 1}),
+}
+
+
+def test_exact_opt_looks_predicates_up_when_called(monkeypatch):
+    # tracers wrap these module attributes after import; a table bound at
+    # import time would bypass the wrappers without any error
+    calls = dict.fromkeys(PREDICATES, 0)
+    for name in PREDICATES:
+        real = getattr(oracle, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, counted)
+    lone = MultiGraph.build(2, [(0, 1, Fraction(1), True)])
+    for make in PREDICATES.values():
+        assert exact_opt(make(lone)).edges == frozenset({0})
+    assert all(count > 0 for count in calls.values()), calls
 
 
 def test_ratio_report_contents_and_render():
