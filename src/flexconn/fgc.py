@@ -172,7 +172,7 @@ class CapNdpResult:
     iterations: int
 
 
-def solve_capndp(inst: CapNdpInstance, *, max_rows: int = 2000) -> CapNdpResult:
+def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
     """Split edges into unit copies, round the cut LP, keep touched originals.
 
     The returned set is re-checked against the capacitated demands; a failure
@@ -180,7 +180,7 @@ def solve_capndp(inst: CapNdpInstance, *, max_rows: int = 2000) -> CapNdpResult:
     """
     split = split_parallel(inst.graph, inst.capacities)
     requirements = {pair: d for pair, d in inst.demands.items() if d >= 1}
-    rounded = jain_round(SndpInstance(split.graph, requirements), max_rows=max_rows)
+    rounded = jain_round(SndpInstance(split.graph, requirements))
     edges = frozenset(split.copy_map[sid] for sid in rounded.edges)
     report = check_capacitated_cuts(inst, edges)
     if not report.ok:
@@ -329,7 +329,7 @@ class FgcSolveResult:
     iterations: int
 
 
-def solve_fgc(inst: FgcInstance, *, max_rows: int = 2000) -> FgcSolveResult:
+def solve_fgc(inst: FgcInstance) -> FgcSolveResult:
     """Dispatch to the applicable reduction.
 
     When both regimes apply the one with the smaller proven factor runs,
@@ -347,7 +347,7 @@ def solve_fgc(inst: FgcInstance, *, max_rows: int = 2000) -> FgcSolveResult:
         regime, bound, capndp = "q1", bound_q1, build_capndp_q1(inst)
     else:
         regime, bound, capndp = "p1", bound_p1, build_capndp_p1(inst)
-    result = solve_capndp(capndp, max_rows=max_rows)
+    result = solve_capndp(capndp)
     return FgcSolveResult(
         result.edges, result.cost, regime, bound, result.lp_objective,
         result.iterations,

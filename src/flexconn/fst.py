@@ -213,9 +213,7 @@ class FstResult:
     iterations: int
 
 
-def solve_fst(
-    inst: FstInstance, *, stage_one: str = "approx", max_rows: int = 2000
-) -> FstResult:
+def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
     """Tree first, reinforcement second.
 
     Infeasibility shows up already on the full edge set: either the
@@ -250,7 +248,7 @@ def solve_fst(
         lp_objective = Fraction(0)
         iterations = 0
     else:
-        rounded = jain_round(stage2.sndp, max_rows=max_rows)
+        rounded = jain_round(stage2.sndp)
         f2 = rounded.edges
         lp_objective = rounded.lp_objective
         iterations = rounded.iterations

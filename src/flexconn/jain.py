@@ -127,7 +127,7 @@ class JainResult:
     iterations: int
 
 
-def jain_round(inst: SndpInstance, *, max_rows: int = 2000) -> JainResult:
+def jain_round(inst: SndpInstance) -> JainResult:
     """Iteratively round cut-LP vertices; the result costs at most twice the
     first LP objective."""
     graph = inst.graph
@@ -145,7 +145,7 @@ def jain_round(inst: SndpInstance, *, max_rows: int = 2000) -> JainResult:
             return separation(graph, x, residual)
 
         sol: FractionalSolution = solve_cut_lp(
-            costs, {e: 1 for e in chosen}, oracle, max_rows=max_rows
+            costs, {e: 1 for e in chosen}, oracle, max_rows=2000
         )
         if first_objective is None:
             first_objective = sol.objective

@@ -115,18 +115,26 @@ class _DualTableau:
 
         The leaving row is the most infeasible (ties to the smallest row), the
         entering column the minimum |d_j / alpha_rj| (ties to the smallest
-        column).  Returns the y values and the basis in the layout of
-        `_simplex`: [y | s | t] with t_j = 1 - y_j, R + k entries.
+        column).  That leaving rule can cycle on degenerate bases, so after
+        `cap` pivots the leaving row becomes the infeasible row with the
+        smallest basic column (Bland's rule), which cannot cycle; a second
+        `cap` pivots without an answer is a stall.  Returns the y values and
+        the basis in the layout of `_simplex`: [y | s | t] with t_j = 1 - y_j,
+        R + k entries.
         """
         k = self.k
         if not self.basis:
             return self._result()
         upper = np.where(np.arange(k + self.rows) < k, 1.0, np.inf)
-        for _ in range(max(2000, 80 * (self.rows + k))):
+        cap = max(2000, 80 * (self.rows + k))
+        for pivot in range(2 * cap):
             excess = np.maximum(-self.beta, self.beta - upper[self.basis])
             r = int(np.argmax(excess))
             if excess[r] <= _FLOAT_TOL:
                 return self._result()
+            if pivot >= cap:
+                infeasible = np.flatnonzero(excess > _FLOAT_TOL)
+                r = int(min(infeasible, key=self.basis.__getitem__))
             # A basic value below 0 rises to 0 and one above 1 falls to 1;
             # the entering column must move it that way from its bound.
             raise_it = self.beta[r] < 0
@@ -389,16 +397,15 @@ def solve_cut_lp(
     fixed: Mapping[int, int] | None,
     oracle: CutOracle,
     *,
-    initial_rows: Sequence[CutRow] = (),
     max_rows: int = 2000,
 ) -> FractionalSolution:
     """Row generation over `oracle` until no constraint is violated.
 
     `costs` maps edge id to a nonnegative cost and defines the variable set;
     `fixed` pins a subset of edges to 0 or 1.  Returns an exact optimal vertex
-    of the generated system (fixed values included in `x`); the accumulated
-    row pool is returned for reuse.  Raises LpInfeasibleError when a generated
-    row cannot be met under the fixing.
+    of the generated system (fixed values included in `x`) with every
+    generated row in `rows`.  Raises LpInfeasibleError when a generated row
+    cannot be met under the fixing, and LpResourceError past `max_rows` rows.
     """
     fixed = dict(fixed or {})
     cost_map = {e: Fraction(c) for e, c in costs.items()}
@@ -452,9 +459,6 @@ def solve_cut_lp(
                 raise OracleContractError(f"cut references unknown edge {e}")
             total += x[e]
         return Fraction(cut.rhs) - total
-
-    for row in initial_rows:
-        register(row)
 
     tableau: _DualTableau | None = None
     while True:

@@ -8,8 +8,9 @@ in/out pair joined by a capacitated arc.  A solution F is feasible for
 requirement p when every node pair has q-connectivity at least p within F.
 
 The solver picks a safe root, directs every edge both ways, and finds a
-minimum-cost arc set giving the root p units of q-flow to every other node,
-by branch and bound over the cut LP.  Taking both arcs of an optimal
+minimum-cost arc set giving the root p units of q-flow to every other node
+as the optimal vertex of one cut LP, which is integral for this rooted
+problem (see `solve_rooted_qconn`).  Taking both arcs of an optimal
 undirected solution is always rooted-feasible, and the underlying edges of a
 rooted solution are feasible for the instance, so the edge set returned
 costs at most twice the undirected optimum.
@@ -30,7 +31,6 @@ from .errors import (
     GuardExceededError,
     InfeasibleInstanceError,
     InvalidQueryError,
-    LpInfeasibleError,
     SolverError,
     UnsupportedInstanceError,
     ValidationError,
@@ -305,18 +305,28 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
 class RootedSolveResult:
     arcs: frozenset[int]
     cost: Fraction
-    nodes_explored: int
 
 
-def solve_rooted_qconn(
-    inst: RootedQConnInstance, *, max_rows: int = 4000
-) -> RootedSolveResult:
-    """Exact minimum-cost arc set by branch and bound on the cut LP.
+def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
+    """Exact minimum-cost arc set: one cut LP, whose optimal vertex is 0/1.
 
-    Cut rows never mention fixed variables' status, so one shared pool
-    serves every branch.  Excluding an arc is tried before including it and
-    only strictly better solutions replace the incumbent, which pins down
-    the returned arc set.
+    Why the vertex is integral.  Every row the oracle returns is a cut of
+    the split-node network, so it holds for every arc set that gives the
+    root its flow.  The final vertex of the generated system meets every
+    such cut, so it is also a vertex of the polytope P of fractional rooted
+    q-flows with 0 <= x <= 1.  By max-flow min-cut, P is cut out by one row
+    per biset B = (O, I), I a nonempty subset of O and the root outside O:
+    the sink side of the cut holds the out halves of O and the in halves of
+    I, and the row reads x(arcs from outside O into I) >= p - sum of caps
+    over the wall O - I, the nodes whose node arc is cut.  A safe node has
+    cap p in `solve_p_ncfgc`, so a wall holding one makes the row trivial;
+    the nontrivial rows have walls of unsafe nodes only, with rhs
+    p - |wall|.  |wall| = |O| - |I| is modular on bisets, and the bisets
+    that avoid the root form a crossing family, so the rows are a
+    crossing-supermodular biset cover.  Frank's biset form of the
+    Edmonds-Giles theorem (Discrete Appl. Math. 157, 2009, Thm 4.4) makes
+    such a system TDI, and so integral with 0 <= x <= 1.  A fractional final
+    vertex therefore means a broken solver: SolverError.
     """
     dg = inst.digraph
     p = inst.requirement
@@ -330,59 +340,38 @@ def solve_rooted_qconn(
                 pair=(inst.root, t),
             )
     if p == 0 or dg.n <= 1:
-        return RootedSolveResult(frozenset(), Fraction(0), 0)
+        return RootedSolveResult(frozenset(), Fraction(0))
     costs = {aid: dg.arc(aid).cost for aid in dg.arc_ids}
-    pool: dict[tuple[frozenset[int], Fraction], CutRow] = {}
-    best_arcs = frozenset(dg.arc_ids)
-    best_cost = sum(costs.values(), Fraction(0))
-    explored = 0
-
-    def oracle(x):
-        return _separate_rooted(inst, x)
-
-    def descend(fixed: dict[int, int]):
-        nonlocal best_arcs, best_cost, explored
-        explored += 1
-        try:
-            sol = solve_cut_lp(
-                costs, fixed, oracle, initial_rows=tuple(pool.values()),
-                max_rows=max_rows,
-            )
-        except LpInfeasibleError:
-            return
-        for row in sol.rows:
-            pool.setdefault((row.edge_ids, row.rhs), row)
-        if sol.objective >= best_cost:
-            return
-        fractional = sol.fractional_ids()
-        if not fractional:
-            arcs = frozenset(a for a, v in sol.x.items() if v == 1)
-            best_arcs, best_cost = arcs, sol.objective
-            return
-        branch = fractional[0]
-        descend({**fixed, branch: 0})
-        descend({**fixed, branch: 1})
-
-    descend({})
+    sol = solve_cut_lp(
+        costs, {}, lambda x: _separate_rooted(inst, x), max_rows=4000
+    )
+    fractional = sol.fractional_ids()
+    if fractional:
+        raise SolverError(
+            f"rooted cut LP vertex is fractional on arcs {list(fractional)}"
+        )
+    arcs = frozenset(a for a, v in sol.x.items() if v == 1)
     for t in range(dg.n):
         if t == inst.root:
             continue
-        if rooted_q_flow(dg, inst.caps, inst.root, t, best_arcs, cutoff=p) < p:
+        if rooted_q_flow(dg, inst.caps, inst.root, t, arcs, cutoff=p) < p:
             raise SolverError(f"rooted solution leaves sink {t} short")
-    return RootedSolveResult(best_arcs, best_cost, explored)
+    return RootedSolveResult(arcs, sol.objective)
 
 
 @dataclass(frozen=True)
 class NcSolveResult:
+    """`rooted_cost` is the optimum of the rooted cut LP, which is the cost
+    of the cheapest rooted arc set: cost <= rooted_cost <= 2 * optimum."""
+
     edges: frozenset[int]
     cost: Fraction
     bound: Fraction
     root: int | None
     rooted_cost: Fraction
-    nodes_explored: int
 
 
-def solve_p_ncfgc(inst: NcFgcInstance, *, max_rows: int = 4000) -> NcSolveResult:
+def solve_p_ncfgc(inst: NcFgcInstance) -> NcSolveResult:
     """Orient, solve the rooted problem exactly, keep the touched edges.
 
     Needs a safe node to serve as root: p paths from i to j can be stitched
@@ -392,7 +381,7 @@ def solve_p_ncfgc(inst: NcFgcInstance, *, max_rows: int = 4000) -> NcSolveResult
     p = inst.requirement
     if p == 0 or g.n <= 1:
         return NcSolveResult(
-            frozenset(), Fraction(0), Fraction(2), None, Fraction(0), 0
+            frozenset(), Fraction(0), Fraction(2), None, Fraction(0)
         )
     if not inst.safe_nodes:
         raise UnsupportedInstanceError(
@@ -402,7 +391,7 @@ def solve_p_ncfgc(inst: NcFgcInstance, *, max_rows: int = 4000) -> NcSolveResult
     dg = to_antiparallel_digraph(g)
     caps = {v: p if v in inst.safe_nodes else 1 for v in range(g.n)}
     rooted = RootedQConnInstance(dg, root, caps, p)
-    result = solve_rooted_qconn(rooted, max_rows=max_rows)
+    result = solve_rooted_qconn(rooted)
     edges = frozenset(dg.arc(aid).origin for aid in result.arcs)
     report = verify_ncfgc(inst, edges, mode="qconn")
     if not report.ok:
@@ -410,6 +399,4 @@ def solve_p_ncfgc(inst: NcFgcInstance, *, max_rows: int = 4000) -> NcSolveResult
         raise SolverError(
             f"rooted solution leaves pair {bad.pair} at {bad.connectivity} < {p}"
         )
-    return NcSolveResult(
-        edges, g.cost(edges), Fraction(2), root, result.cost, result.nodes_explored
-    )
+    return NcSolveResult(edges, g.cost(edges), Fraction(2), root, result.cost)

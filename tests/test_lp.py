@@ -288,32 +288,6 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
     assert exact_fallbacks == []
 
 
-def test_shared_row_pool_as_in_branch_and_bound(exact_fallbacks):
-    # one pool serves every branch, the way the ncfgc rooted solver shares it
-    compared = 0
-    for seed in range(30):
-        rng = random.Random(100 + seed)
-        ids, costs, rows = _thirds_problem(rng)
-        oracle = static_oracle(rows)
-        root = solve_cut_lp(costs, {}, oracle)
-        pool = root.rows
-        for e in ids:
-            for value in (0, 1):
-                try:
-                    cold = solve_cut_lp(costs, {e: value}, oracle)
-                except LpInfeasibleError:
-                    with pytest.raises(LpInfeasibleError):
-                        solve_cut_lp(costs, {e: value}, oracle, initial_rows=pool)
-                    continue
-                warm = solve_cut_lp(costs, {e: value}, oracle, initial_rows=pool)
-                assert warm.objective == cold.objective
-                assert warm.rows[:len(pool)] == pool
-                assert warm.x[e] == value
-                compared += 1
-    assert compared > 100
-    assert exact_fallbacks == []
-
-
 def test_fgc_instances_never_take_the_exact_fallback(exact_fallbacks):
     # Two of these seeds meet a fresh cut that the float vertex violates by
     # less than 1e-7; a float basis read against the row set one row longer
@@ -326,4 +300,30 @@ def test_fgc_instances_never_take_the_exact_fallback(exact_fallbacks):
     for seed in range(12):
         result = solve_fgc(gen_fgc(seed, regime="q1", cfg=cfg))
         assert result.cost <= 2 * result.lp_objective
+    assert exact_fallbacks == []
+
+
+def test_dense_rooted_lp_leaves_a_cycle_by_blands_rule(exact_fallbacks, monkeypatch):
+    # On this dense ncfgc instance the most-infeasible leaving rule cycles
+    # until the pivot cap; past the cap Bland's rule must finish the float
+    # stage instead of a stall handing the LP to the exact simplex.
+    from flexconn import lp
+    from flexconn.generators import GenConfig, random_multigraph
+    from flexconn.ncfgc import NcFgcInstance, solve_p_ncfgc
+
+    solve = lp._DualTableau.solve
+
+    def no_stall(self):
+        try:
+            return solve(self)
+        except lp._SimplexStall:
+            pytest.fail(f"float tableau stalled on {self.rows} rows")
+
+    monkeypatch.setattr(lp._DualTableau, "solve", no_stall)
+    rng = random.Random("sweep/20/1/28")
+    g = random_multigraph(rng, GenConfig(nodes=(20, 20), extra_edges=(40, 60)))
+    share = rng.choice([0.1, 0.3, 0.5, 0.8])
+    safe = {v for v in range(g.n) if rng.random() < share}
+    result = solve_p_ncfgc(NcFgcInstance(g, safe, 1))
+    assert result.cost <= result.rooted_cost == Fraction(103, 4)
     assert exact_fallbacks == []

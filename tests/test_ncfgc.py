@@ -215,6 +215,33 @@ def test_rooted_solver_matches_brute_force():
         assert feasible(res.arcs)
 
 
+def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    from flexconn import SolverError, ncfgc
+    from flexconn.cli import EX_SOFTWARE, main
+    from flexconn.lp import FractionalSolution
+
+    def half_vertex(costs, fixed, oracle, *, max_rows):
+        x = {aid: Fraction(1, 2) for aid in costs}
+        return FractionalSolution(x, sum(costs.values()) / 2, True, ())
+
+    monkeypatch.setattr(ncfgc, "solve_cut_lp", half_vertex)
+    g = double_path()
+    dg = to_antiparallel_digraph(g)
+    with pytest.raises(SolverError, match="fractional"):
+        solve_rooted_qconn(RootedQConnInstance(dg, 1, {0: 1, 1: 1, 2: 1}, 1))
+    instance = tmp_path / "double-path.instance"
+    instance.write_text(
+        "flexconn-instance v1\nkind ncfgc\nnodes 3\n"
+        + "edge 0 1 1 safe\nedge 0 1 1 safe\nedge 1 2 1 safe\nedge 1 2 1 safe\n"
+        + "safe-node 1\nrequirement 2\n"
+    )
+    capsys.readouterr()
+    assert main(["solve", str(instance)]) == EX_SOFTWARE == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal error: rooted cut LP vertex is fractional")
+
+
 def reference_separate_rooted(inst, x):
     """Rooted separation on Fraction capacities with a new network per sink."""
     dg = inst.digraph
