@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from fractions import Fraction
 from typing import Iterable, Mapping, TypeVar
 
 from .errors import InvalidQueryError, UnboundedFlowError
@@ -24,10 +23,11 @@ K = TypeVar("K")
 
 
 def integral(values: Mapping[K, object]) -> tuple[int, dict[K, int]]:
-    """Common denominator `scale` of rational values, and each value times it."""
-    fracs = {k: Fraction(v) for k, v in values.items()}
-    scale = math.lcm(*(f.denominator for f in fracs.values()))
-    return scale, {k: f.numerator * (scale // f.denominator) for k, f in fracs.items()}
+    """Common denominator `scale` of rational values (ints, `Fraction`s or
+    floats), and each value times it."""
+    ratios = {k: v.as_integer_ratio() for k, v in values.items()}
+    scale = math.lcm(*(q for _, q in ratios.values()))
+    return scale, {k: p * (scale // q) for k, (p, q) in ratios.items()}
 
 
 class Network:

@@ -10,10 +10,13 @@ and handles 0 <= y <= 1 by bound flips rather than extra rows.  It starts with
 every y at its upper bound, which is dual feasible because costs are
 nonnegative; each new row is reduced against the current basis and appended,
 and dual simplex pivots restore primal feasibility.  The answer handed back is
-always rebuilt in exact rational arithmetic from the final basis and certified
-optimal through an exact dual feasibility check, with a full exact-arithmetic
-simplex as the fallback.  Identical inputs produce identical row sequences and
-solutions.
+always rebuilt exactly from the final basis and certified optimal through an
+exact dual feasibility check, with a full exact-arithmetic simplex as the
+fallback.  Both the rebuild and the check solve a square 0/1 system by
+Bareiss's fraction-free elimination, on right-hand sides scaled to ints by
+their common denominator, and compare integer numerators; `Fraction`s are
+built only for the returned vertex.  Identical inputs produce identical row
+sequences and solutions.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
     SolverError,
     ValidationError,
 )
+from .flows import integral
 
 # Tolerance ledger.  Float arithmetic appears only inside the float tableau;
 # every returned solution is exact.
@@ -54,7 +58,6 @@ class FractionalSolution:
 
     x: dict[int, Fraction]
     objective: Fraction
-    is_vertex: bool
     rows: tuple[CutRow, ...]
 
     def fractional_ids(self) -> tuple[int, ...]:
@@ -259,22 +262,44 @@ def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exac
     return y, basis
 
 
-def _solve_square(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Exact Gaussian elimination; None when the system is singular."""
+def _solve_square(mat: list[list[int]], rhs: Sequence) -> tuple[list[int], int] | None:
+    """Solve mat . z = rhs exactly by Bareiss's fraction-free elimination.
+
+    `mat` is a square integer (here 0/1) matrix and `rhs` holds rationals,
+    scaled to ints by their common denominator.  Every step is then an
+    `int` operation: Bareiss's division by the previous pivot is always
+    exact, and by Cramer's rule so is back substitution for det * z.
+    Returns the numerators of z over one positive denominator, |det| times
+    the scale, or None when the matrix is singular.
+    """
     n = len(mat)
-    a = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
+    scale, b = integral(dict(enumerate(rhs)))
+    a = [row + [b[i]] for i, row in enumerate(mat)]
+    prev = 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             return None
         a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
+        top = a[col]
+        p = top[col]
+        for r in range(col + 1, n):
+            row = a[r]
+            f = row[col]
+            if f:
+                a[r] = [(v * p - f * w) // prev for v, w in zip(row, top)]
+            elif p != prev:
+                a[r] = [v * p // prev for v in row]
+        prev = p
+    det = prev
+    z = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = row[n] * det - sum(row[j] * z[j] for j in range(i + 1, n))
+        z[i] = acc // row[i]
+    if det < 0:
+        det, z = -det, [-v for v in z]
+    return z, det * scale
 
 
 def _basis_sets(k: int, big_r: int, basis: Sequence[int]):
@@ -297,19 +322,19 @@ def _primal_from_basis(k, rows, basis) -> list[Fraction] | None:
     Unit columns pin most variables: a nonbasic y is 0, a basic y whose bound
     slack is nonbasic sits at 1.  Only y variables whose bound slack is also
     basic stay unknown, and the rows with nonbasic row slack supply exactly as
-    many tight equations.
+    many tight equations.  The bound and row checks compare integer
+    numerators over the denominator `_solve_square` returns.
     """
     big_r = len(rows)
     basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
-    y: list[Fraction | None] = [None] * k
+    at_one = set()
     unknown = []
     for j in range(k):
-        if j not in basic_y and j not in basic_t:
-            return None
         if j not in basic_y:
-            y[j] = Fraction(0)
+            if j not in basic_t:
+                return None
         elif j not in basic_t:
-            y[j] = Fraction(1)
+            at_one.add(j)
         else:
             unknown.append(j)
     tight = [r for r in range(big_r) if r not in basic_s]
@@ -320,28 +345,30 @@ def _primal_from_basis(k, rows, basis) -> list[Fraction] | None:
     rhs = []
     for r in tight:
         cols, cap = rows[r]
-        vec = [Fraction(0)] * len(unknown)
-        acc = Fraction(cap)
+        vec = [0] * len(unknown)
+        ones = 0
         for j in cols:
-            if j in upos:
-                vec[upos[j]] = Fraction(1)
-            else:
-                acc -= y[j]
+            i = upos.get(j)
+            if i is not None:
+                vec[i] = 1
+            elif j in at_one:
+                ones += 1
         mat.append(vec)
-        rhs.append(acc)
-    sol = _solve_square(mat, rhs) if unknown else []
-    if sol is None:
+        rhs.append(cap - ones)
+    solved = _solve_square(mat, rhs)
+    if solved is None:
         return None
+    sol, den = solved
+    num = [den if j in at_one else 0 for j in range(k)]
     for j, v in zip(unknown, sol):
-        y[j] = v
-    out = [v for v in y]
-    for v in out:
-        if v < 0 or v > 1:
+        if v < 0 or v > den:
             return None
+        num[j] = v
     for cols, cap in rows:
-        if sum((out[j] for j in cols), Fraction(0)) > cap:
+        p, q = cap.as_integer_ratio()
+        if sum(num[j] for j in cols) * q > p * den:
             return None
-    return out
+    return [Fraction(v, den) for v in num]
 
 
 def _dual_certifies(k, rows, costs, basis) -> bool:
@@ -349,46 +376,46 @@ def _dual_certifies(k, rows, costs, basis) -> bool:
 
     Row prices solve the transposed version of the same structured system; the
     basis is optimal exactly when all prices are nonpositive and every
-    nonbasic y column prices out at or above its objective coefficient.
+    nonbasic y column prices out at or above its objective coefficient.  With
+    d_j = -cost_j = -p/q and the prices as integer numerators over `den`, both
+    tests are integer comparisons.
     """
     big_r = len(rows)
     basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
-    d = [-Fraction(c) for c in costs]
     tight = [r for r in range(big_r) if r not in basic_s]
     unknown = [j for j in range(k) if j in basic_y and j in basic_t]
     if len(tight) != len(unknown):
         return False
-    tpos = {r: i for i, r in enumerate(tight)}
-    touching: dict[int, list[int]] = {j: [] for j in range(k)}
-    for r in tight:
+    touching: list[list[int]] = [[] for _ in range(k)]
+    for i, r in enumerate(tight):
         for j in rows[r][0]:
-            touching[j].append(r)
+            touching[j].append(i)
     mat = []
-    rhs = []
     for j in unknown:
-        vec = [Fraction(0)] * len(tight)
-        for r in touching[j]:
-            vec[tpos[r]] = Fraction(1)
+        vec = [0] * len(tight)
+        for i in touching[j]:
+            vec[i] = 1
         mat.append(vec)
-        rhs.append(d[j])
-    sol = _solve_square(mat, rhs) if unknown else []
-    if sol is None:
+    solved = _solve_square(mat, [-costs[j] for j in unknown])
+    if solved is None:
         return False
-    price = {r: v for r, v in zip(tight, sol)}
-    if any(v > 0 for v in price.values()):
+    price, den = solved
+    if any(v > 0 for v in price):
         return False
     for j in range(k):
-        covered = sum((price[r] for r in touching[j] if r in price), Fraction(0))
-        if j in basic_y and j not in basic_t:
-            bound_price = d[j] - covered
-            if bound_price > 0:
+        if j in basic_y and j in basic_t:
+            continue
+        covered = sum(price[i] for i in touching[j])
+        p, q = costs[j].as_integer_ratio()
+        if j in basic_y:
+            # at its upper bound: the bound price d_j - covered is <= 0
+            if -p * den - covered * q > 0:
                 return False
-        elif j not in basic_y:
-            if j not in basic_t:
-                return False
-            # bound slack basic means its price is zero
-            if covered > d[j]:
-                return False
+        elif j not in basic_t:
+            return False
+        elif covered * q > -p * den:
+            # bound slack basic means its price is zero, so covered <= d_j
+            return False
     return True
 
 
@@ -515,7 +542,7 @@ def solve_cut_lp(
         )
         cut = oracle(x_exact)
         if cut is None:
-            return FractionalSolution(x_exact, objective, True, tuple(rows))
+            return FractionalSolution(x_exact, objective, tuple(rows))
         viol = violation(cut, x_exact)
         if viol <= 0:
             raise OracleContractError(

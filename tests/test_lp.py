@@ -54,7 +54,6 @@ def test_triangle_cover_has_half_integral_vertex():
     costs = {i: Fraction(1) for i in range(3)}
     sol = solve_cut_lp(costs, {}, static_oracle(rows))
     assert sol.objective == Fraction(3, 2)
-    assert sol.is_vertex
     assert all(sol.x[i] == Fraction(1, 2) for i in range(3))
     assert tuple(sol.fractional_ids()) == (0, 1, 2)
 
@@ -327,3 +326,269 @@ def test_dense_rooted_lp_leaves_a_cycle_by_blands_rule(exact_fallbacks, monkeypa
     result = solve_p_ncfgc(NcFgcInstance(g, safe, 1))
     assert result.cost <= result.rooted_cost == Fraction(103, 4)
     assert exact_fallbacks == []
+
+
+# Reference oracles: the `Fraction` Gauss-Jordan certification that the
+# fraction-free elimination replaced.  A nonsingular system has one solution
+# whatever method finds it, so the two must agree on every input.
+
+def ref_solve_square(mat, rhs):
+    n = len(mat)
+    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        inv = a[col][col]
+        a[col] = [v / inv for v in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def ref_det(mat):
+    a = [[Fraction(v) for v in row] for row in mat]
+    n, det = len(a), Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            f = a[r][col] / a[col][col]
+            a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return det
+
+
+def ref_primal_from_basis(k, rows, basis):
+    from flexconn.lp import _basis_sets
+
+    big_r = len(rows)
+    basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
+    y = [None] * k
+    unknown = []
+    for j in range(k):
+        if j not in basic_y and j not in basic_t:
+            return None
+        if j not in basic_y:
+            y[j] = Fraction(0)
+        elif j not in basic_t:
+            y[j] = Fraction(1)
+        else:
+            unknown.append(j)
+    tight = [r for r in range(big_r) if r not in basic_s]
+    if len(tight) != len(unknown):
+        return None
+    upos = {j: i for i, j in enumerate(unknown)}
+    mat, rhs = [], []
+    for r in tight:
+        cols, cap = rows[r]
+        vec = [Fraction(0)] * len(unknown)
+        acc = Fraction(cap)
+        for j in cols:
+            if j in upos:
+                vec[upos[j]] = Fraction(1)
+            else:
+                acc -= y[j]
+        mat.append(vec)
+        rhs.append(acc)
+    sol = ref_solve_square(mat, rhs) if unknown else []
+    if sol is None:
+        return None
+    for j, v in zip(unknown, sol):
+        y[j] = v
+    if any(v < 0 or v > 1 for v in y):
+        return None
+    for cols, cap in rows:
+        if sum((y[j] for j in cols), Fraction(0)) > cap:
+            return None
+    return y
+
+
+def ref_dual_certifies(k, rows, costs, basis):
+    from flexconn.lp import _basis_sets
+
+    big_r = len(rows)
+    basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
+    d = [-Fraction(c) for c in costs]
+    tight = [r for r in range(big_r) if r not in basic_s]
+    unknown = [j for j in range(k) if j in basic_y and j in basic_t]
+    if len(tight) != len(unknown):
+        return False
+    tpos = {r: i for i, r in enumerate(tight)}
+    touching = {j: [] for j in range(k)}
+    for r in tight:
+        for j in rows[r][0]:
+            touching[j].append(r)
+    mat, rhs = [], []
+    for j in unknown:
+        vec = [Fraction(0)] * len(tight)
+        for r in touching[j]:
+            vec[tpos[r]] = Fraction(1)
+        mat.append(vec)
+        rhs.append(d[j])
+    sol = ref_solve_square(mat, rhs) if unknown else []
+    if sol is None:
+        return False
+    price = dict(zip(tight, sol))
+    if any(v > 0 for v in price.values()):
+        return False
+    for j in range(k):
+        covered = sum((price[r] for r in touching[j] if r in price), Fraction(0))
+        if j in basic_y and j not in basic_t:
+            if d[j] - covered > 0:
+                return False
+        elif j not in basic_y:
+            if j not in basic_t or covered > d[j]:
+                return False
+    return True
+
+
+def _check_square(mat, rhs):
+    """Solves with `_solve_square` and the reference; returns det or 0."""
+    import math
+
+    from flexconn.lp import _solve_square
+
+    got = _solve_square([row[:] for row in mat], list(rhs))
+    want = ref_solve_square(mat, rhs)
+    det = ref_det(mat)
+    if want is None:
+        assert got is None and det == 0
+        return 0
+    nums, den = got
+    scale = math.lcm(*(Fraction(v).denominator for v in rhs))
+    assert den > 0 and den == abs(det) * scale
+    assert all(isinstance(v, int) for v in nums)
+    assert [Fraction(v, den) for v in nums] == want
+    return det
+
+
+def test_solve_square_matches_fraction_elimination():
+    rng = random.Random(31)
+    signs = {"+": 0, "-": 0, "singular": 0}
+    for n in range(1, 21):
+        for trial in range(6):
+            density = rng.choice([0.2, 0.35, 0.5, 0.7])
+            mat = [[int(rng.random() < density) for _ in range(n)] for _ in range(n)]
+            if trial % 2:
+                rhs = [Fraction(rng.randint(-12, 12), 4) for _ in range(n)]
+            else:
+                rhs = [rng.randint(-5, 5) for _ in range(n)]
+            det = _check_square(mat, rhs)
+            signs["singular" if det == 0 else "+" if det > 0 else "-"] += 1
+    assert min(signs.values()) >= 10, signs
+
+
+def test_solve_square_singular_systems_return_none():
+    from flexconn.lp import _solve_square
+
+    rng = random.Random(7)
+    for n in range(2, 13):
+        mat = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        mat[rng.randrange(n)] = [1] * n
+        repeated = [row[:] for row in mat]
+        i, j = rng.sample(range(n), 2)
+        repeated[i] = repeated[j][:]
+        zero_col = [row[:] for row in mat]
+        c = rng.randrange(n)
+        for row in zero_col:
+            row[c] = 0
+        for m in (repeated, zero_col):
+            assert _solve_square(m, [Fraction(rng.randint(0, 8), 4) for _ in range(n)]) is None
+            assert ref_solve_square(m, [1] * n) is None
+    assert _solve_square([[0]], [1]) is None
+    assert _solve_square([], []) == ([], 1)
+
+
+def test_solve_square_negative_determinant_after_row_swaps():
+    from flexconn.lp import _solve_square
+
+    # det = -1, and the first pivot needs a row swap
+    assert _solve_square([[0, 1], [1, 0]], [3, Fraction(5, 4)]) == ([5, 12], 4)
+    rng = random.Random(3)
+    for n in range(2, 16):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        # an odd permutation of a unit upper triangular matrix: det = -1
+        upper = [[int(j == i or (j > i and rng.random() < 0.4)) for j in range(n)]
+                 for i in range(n)]
+        if sum(1 for i in range(n) for j in range(i) if perm[j] > perm[i]) % 2 == 0:
+            perm[0], perm[1] = perm[1], perm[0]
+        mat = [upper[perm[i]] for i in range(n)]
+        rhs = [Fraction(rng.randint(-8, 8), 4) for _ in range(n)]
+        assert _check_square(mat, rhs) == -1
+
+
+@pytest.fixture(scope="module")
+def recorded_bases():
+    """Final float bases (with costs) from seeded fgc, fst and cut-LP solves."""
+    from flexconn import lp
+    from flexconn.fgc import solve_fgc
+    from flexconn.fst import solve_fst
+    from flexconn.generators import GenConfig, gen_fgc, gen_fst
+
+    calls = []
+    dual = lp._dual_certifies
+
+    def record(k, rows, costs, basis):
+        calls.append((k, list(rows), list(costs), list(basis)))
+        return dual(k, rows, costs, basis)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_dual_certifies", record)
+        cfg = GenConfig(nodes=(8, 8), extra_edges=(8, 8), pairs=(3, 3),
+                        max_p=2, max_q=2)
+        for seed in range(4):
+            solve_fgc(gen_fgc(seed, regime=("q1", "p1")[seed % 2], cfg=cfg))
+        fst_cfg = GenConfig(nodes=(12, 12), extra_edges=(6, 6), terminals=(6, 6))
+        for seed in range(3):
+            solve_fst(gen_fst(seed, cfg=fst_cfg))
+        for seed in range(15):
+            ids, costs, rows = _thirds_problem(random.Random(seed))
+            solve_cut_lp(costs, {}, static_oracle(rows))
+    return calls
+
+
+def test_recorded_bases_certify_as_the_reference(recorded_bases):
+    from flexconn.lp import _dual_certifies, _primal_from_basis
+
+    assert len(recorded_bases) > 30
+    fractional = 0
+    for k, rows, costs, basis in recorded_bases:
+        y = _primal_from_basis(k, rows, basis)
+        assert y is not None and y == ref_primal_from_basis(k, rows, basis)
+        assert all(type(v) is Fraction for v in y)
+        fractional += any(v.denominator > 1 for v in y)
+        assert _dual_certifies(k, rows, costs, basis)
+        assert ref_dual_certifies(k, rows, costs, basis)
+    assert fractional > 0
+
+
+def test_swapped_bases_are_judged_as_the_reference(recorded_bases):
+    # One basic column traded for a nonbasic one usually gives a basis that
+    # is not primal feasible, not dual feasible or singular; none of them
+    # may be certified where the reference rejects it.
+    from flexconn.lp import _dual_certifies, _primal_from_basis
+
+    rng = random.Random(5)
+    judged = {"primal": 0, "dual": 0}
+    for k, rows, costs, basis in recorded_bases:
+        width = 2 * k + len(rows)
+        nonbasic = sorted(set(range(width)) - set(basis))
+        for _ in range(6):
+            swapped = list(basis)
+            swapped[rng.randrange(len(basis))] = rng.choice(nonbasic)
+            want = ref_primal_from_basis(k, rows, swapped)
+            assert _primal_from_basis(k, rows, swapped) == want
+            certified = ref_dual_certifies(k, rows, costs, swapped)
+            assert _dual_certifies(k, rows, costs, swapped) == certified
+            judged["primal"] += want is None
+            judged["dual"] += not certified
+    assert min(judged.values()) > 50, judged

@@ -222,7 +222,7 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
 
     def half_vertex(costs, fixed, oracle, *, max_rows):
         x = {aid: Fraction(1, 2) for aid in costs}
-        return FractionalSolution(x, sum(costs.values()) / 2, True, ())
+        return FractionalSolution(x, sum(costs.values()) / 2, ())
 
     monkeypatch.setattr(ncfgc, "solve_cut_lp", half_vertex)
     g = double_path()
