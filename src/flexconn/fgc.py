@@ -144,24 +144,20 @@ class CapacitatedReport:
     failures: tuple[CapacitatedFailure, ...] = ()
 
 
-def check_capacitated_cuts(
-    inst: CapNdpInstance, edge_ids, *, find_all: bool = False
-) -> CapacitatedReport:
-    """Check every demand by an exact max flow over the chosen edges."""
+def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> CapacitatedReport:
+    """Check every demand by an exact max flow over the chosen edges; the
+    report names the first demand that fails."""
     chosen = frozenset(edge_ids)
     for eid in chosen:
         inst.graph.edge(eid)
     caps = {eid: inst.capacities[eid] for eid in chosen}
-    failures = []
     for (i, j), d in sorted(inst.demands.items()):
         if d == 0:
             continue
         value, _ = max_flow_min_cut(inst.graph, caps, i, j)
         if value < d:
-            failures.append(CapacitatedFailure((i, j), value, d))
-            if not find_all:
-                break
-    return CapacitatedReport(not failures, tuple(failures))
+            return CapacitatedReport(False, (CapacitatedFailure((i, j), value, d),))
+    return CapacitatedReport(True)
 
 
 @dataclass(frozen=True)
@@ -214,9 +210,9 @@ def verify_fgc(
     edge_ids,
     *,
     subset_guard: int = 10**6,
-    find_all: bool = False,
 ) -> FgcReport:
-    """Check feasibility against the definition.
+    """Check feasibility against the definition; the report names the first
+    violation found.
 
     Removing unsafe edges never raises connectivity, so only the largest
     allowed failure sets need checking, and two screens are decisive on
@@ -228,16 +224,12 @@ def verify_fgc(
     for eid in chosen:
         g.edge(eid)
     unsafe = sorted(eid for eid in chosen if not g.edge(eid).safe)
-    violations: list[FgcViolation] = []
     for (i, j), p, q in inst.active_pairs():
         lam = edge_connectivity(g, i, j, chosen, cutoff=p + q)
         if lam >= p + q:
             continue
         if lam < p:
-            violations.append(FgcViolation((i, j), frozenset(), lam))
-            if not find_all:
-                break
-            continue
+            return FgcReport(False, (FgcViolation((i, j), frozenset(), lam),))
         k = min(q, len(unsafe))
         if k == 0:
             continue
@@ -246,18 +238,13 @@ def verify_fgc(
                 f"pair ({i}, {j}) needs {comb(len(unsafe), k)} failure sets, "
                 f"guard is {subset_guard}"
             )
-        hit = None
         for combo in itertools.combinations(unsafe, k):
             rest = chosen.difference(combo)
             lam_rest = edge_connectivity(g, i, j, rest, cutoff=p)
             if lam_rest < p:
                 hit = FgcViolation((i, j), frozenset(combo), lam_rest)
-                break
-        if hit is not None:
-            violations.append(hit)
-            if not find_all:
-                break
-    return FgcReport(not violations, tuple(violations))
+                return FgcReport(False, (hit,))
+    return FgcReport(True)
 
 
 @dataclass(frozen=True)
@@ -281,13 +268,13 @@ def check_cut_characterization(
     edge_ids,
     *,
     node_guard: int = 20,
-    find_all: bool = False,
 ) -> CutCharReport:
     """Check feasibility through cuts instead of failure sets.
 
     F is feasible iff every cut separating a pair (i, j) carries at least
     p_ij safe edges of F or at least p_ij + q_ij edges of F in total.  Each
-    cut is enumerated once as its side avoiding node 0.
+    cut is enumerated once as its side avoiding node 0; the report names the
+    first weak cut found.
     """
     g = inst.graph
     chosen = frozenset(edge_ids)
@@ -296,7 +283,6 @@ def check_cut_characterization(
     if g.n > node_guard:
         raise GuardExceededError(f"{g.n} nodes, cut guard is {node_guard}")
     active = inst.active_pairs()
-    violations: list[CutCharViolation] = []
     others = list(range(1, g.n))
     for bits in range(1, 1 << len(others)):
         side = frozenset(others[t] for t in range(len(others)) if bits >> t & 1)
@@ -313,10 +299,8 @@ def check_cut_characterization(
                 continue
             if safe >= p or total >= p + q:
                 continue
-            violations.append(CutCharViolation(side, (i, j), safe, total))
-            if not find_all:
-                return CutCharReport(False, tuple(violations))
-    return CutCharReport(not violations, tuple(violations))
+            return CutCharReport(False, (CutCharViolation(side, (i, j), safe, total),))
+    return CutCharReport(True)
 
 
 @dataclass(frozen=True)

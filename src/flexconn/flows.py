@@ -17,7 +17,7 @@ from collections import deque
 from typing import Iterable, Mapping, TypeVar
 
 from .errors import InvalidQueryError, UnboundedFlowError
-from .graphs import Cut, Digraph, MultiGraph
+from .graphs import Cut, MultiGraph
 
 K = TypeVar("K")
 
@@ -127,34 +127,19 @@ def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
     return net
 
 
-def max_flow_min_cut(g, capacities: Mapping[int, object], s: int, t: int):
-    """Exact max s-t flow and a canonical min cut on a MultiGraph or Digraph.
+def max_flow_min_cut(g: MultiGraph, capacities: Mapping[int, object], s: int, t: int):
+    """Exact max s-t flow and a canonical min cut on a MultiGraph.
 
-    Capacities are keyed by edge id (arc id for digraphs); absent keys mean
-    capacity zero and None means unbounded.  The returned cut side is the set
-    of residual-reachable nodes from s, its boundary the ids crossing the cut.
+    Capacities are keyed by edge id; absent keys mean capacity zero and None
+    means unbounded.  The returned cut side is the set of residual-reachable
+    nodes from s, its boundary the ids of the edges crossing the cut.
     """
     if s == t:
         raise InvalidQueryError(f"max flow needs distinct endpoints, got s = t = {s}")
-    if isinstance(g, Digraph):
-        net = Network(g.n)
-        for a in g.arcs:
-            cap = capacities.get(a.aid, 0)
-            net.add_pair(a.tail, a.head, cap, 0)
-        value = net.max_flow(s, t)
-        side = net.reachable_from(s)
-        boundary = frozenset(
-            a.aid for a in g.arcs if a.tail in side and a.head not in side
-        )
-    elif isinstance(g, MultiGraph):
-        net = undirected_network(g, capacities)
-        value = net.max_flow(s, t)
-        side = net.reachable_from(s)
-        boundary = frozenset(
-            e.eid for e in g.edges if (e.u in side) != (e.v in side)
-        )
-    else:
-        raise TypeError(f"expected MultiGraph or Digraph, got {type(g).__name__}")
+    net = undirected_network(g, capacities)
+    value = net.max_flow(s, t)
+    side = net.reachable_from(s)
+    boundary = frozenset(e.eid for e in g.edges if (e.u in side) != (e.v in side))
     return value, Cut(side, boundary)
 
 

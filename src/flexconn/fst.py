@@ -46,26 +46,23 @@ class FstReport:
     violations: tuple[FstViolation, ...] = ()
 
 
-def verify_fst(inst: FstInstance, edge_ids, *, find_all: bool = False) -> FstReport:
+def verify_fst(inst: FstInstance, edge_ids) -> FstReport:
+    """Check that the chosen edges connect the terminals and still do after
+    losing any one unsafe edge; the report names the first failure."""
     g = inst.graph
     chosen = frozenset(edge_ids)
     for eid in chosen:
         g.edge(eid)
     if len(inst.terminals) <= 1:
         return FstReport(True)
-    violations: list[FstViolation] = []
     if not g.connects(inst.terminals, chosen):
-        violations.append(FstViolation(None))
-        if not find_all:
-            return FstReport(False, tuple(violations))
+        return FstReport(False, (FstViolation(None),))
     for eid in sorted(chosen):
         if g.edge(eid).safe:
             continue
         if not g.connects(inst.terminals, chosen - {eid}):
-            violations.append(FstViolation(eid))
-            if not find_all:
-                break
-    return FstReport(not violations, tuple(violations))
+            return FstReport(False, (FstViolation(eid),))
+    return FstReport(True)
 
 
 def _shortest_paths(g: MultiGraph, source: int):

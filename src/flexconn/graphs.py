@@ -195,7 +195,6 @@ class Arc:
     head: int
     cost: Fraction
     origin: int | None = None
-    split_node: int | None = None
 
 
 class Digraph:

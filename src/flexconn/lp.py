@@ -11,12 +11,14 @@ every y at its upper bound, which is dual feasible because costs are
 nonnegative; each new row is reduced against the current basis and appended,
 and dual simplex pivots restore primal feasibility.  The answer handed back is
 always rebuilt exactly from the final basis and certified optimal through an
-exact dual feasibility check, with a full exact-arithmetic simplex as the
-fallback.  Both the rebuild and the check solve a square 0/1 system by
-Bareiss's fraction-free elimination, on right-hand sides scaled to ints by
-their common denominator, and compare integer numerators; `Fraction`s are
-built only for the returned vertex.  Identical inputs produce identical row
-sequences and solutions.
+exact dual feasibility check.  Both the rebuild and the check solve a square
+0/1 system by Bareiss's fraction-free elimination, on right-hand sides scaled
+to ints by their common denominator, and compare integer numerators;
+`Fraction`s are built only for the returned vertex.  When the float tableau
+stalls or its basis fails the check, the same dual simplex runs again from a
+cold start on `Fraction`s with no tolerance, and its basis goes through the
+same rebuild and check.  Identical inputs produce identical row sequences and
+solutions.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .errors import (
 from .flows import integral
 
 # Tolerance ledger.  Float arithmetic appears only inside the float tableau;
-# every returned solution is exact.
+# the exact tableau compares with no tolerance, and every returned solution
+# is exact.
 EPS_ROUND = Fraction(1, 10**6)     # slack under 1/2 when choosing edges to round up
 
 _FLOAT_TOL = 1e-9                  # primal infeasibility and pivot size
@@ -68,24 +71,33 @@ CutOracle = Callable[[Mapping[int, Fraction]], CutRow | None]
 
 
 class _SimplexStall(Exception):
-    """Internal: the float tableau hit its pivot cap or went numerically bad."""
+    """Internal: a tableau hit its pivot cap, or a float one went numerically
+    bad."""
 
 
 class _DualTableau:
-    """Bounded-variable float tableau for max costs.y s.t. sum(y[cols]) <= cap.
+    """Bounded-variable tableau for max costs.y s.t. sum(y[cols]) <= cap.
 
     Columns are [y_0..y_{k-1} | s_0..s_{R-1}] with s_r the slack of row r, so
     row r of the tableau starts out as row r of the system.  `tab` is B^-1 A,
     `beta` the basic values with every nonbasic at its bound, and `d` the
     reduced costs of minimizing -costs.y.  A nonbasic y sits at 0 or at 1
     (`at_upper`); a nonbasic slack sits at 0.
+
+    The float tableau holds `float64`s and compares within `_FLOAT_TOL` and
+    `_TIE`; an `exact` one holds `Fraction`s in an object array and compares
+    with no tolerance.  Costs and caps are converted on the way in.
     """
 
-    def __init__(self, k: int, costs: Sequence[float]):
+    def __init__(self, k: int, costs: Sequence, *, exact: bool = False):
         self.k = k
-        self.tab = np.zeros((0, k))
-        self.beta = np.zeros(0)
-        self.d = -np.asarray(costs, dtype=np.float64)
+        self.num = Fraction if exact else float
+        self.dtype = object if exact else np.float64
+        self.zero, self.one = self.num(0), self.num(1)
+        self.tol, self.tie = (0, 0) if exact else (_FLOAT_TOL, _TIE)
+        self.tab = np.full((0, k), self.zero, dtype=self.dtype)
+        self.beta = np.full(0, self.zero, dtype=self.dtype)
+        self.d = -np.array([self.num(c) for c in costs], dtype=self.dtype)
         self.at_upper = np.ones(k, dtype=bool)
         self.is_basic = np.zeros(k, dtype=bool)
         self.basis: list[int] = []
@@ -94,26 +106,28 @@ class _DualTableau:
     def rows(self) -> int:
         return len(self.basis)
 
-    def add_row(self, cols: Sequence[int], cap: float) -> None:
+    def add_row(self, cols: Sequence[int], cap) -> None:
         """Append sum(y[cols]) + s = cap with s basic, reduced against the
         current basis; the basis stays dual feasible."""
+        zero, one = self.zero, self.one
         width = self.k + self.rows
         cols = list(cols)
-        row = np.zeros(width + 1)
-        row[cols] = 1.0
-        row[width] = 1.0
-        value = np.where(self.at_upper, 1.0, 0.0)
+        row = np.full(width + 1, zero, dtype=self.dtype)
+        row[cols] = one
+        row[width] = one
+        value = np.where(self.at_upper, one, zero)
         if self.basis:
             row[:width] -= row[self.basis] @ self.tab
             value[self.basis] = self.beta
-        self.tab = np.vstack([np.hstack([self.tab, np.zeros((self.rows, 1))]), row])
-        self.beta = np.append(self.beta, cap - value[cols].sum())
-        self.d = np.append(self.d, 0.0)
+        column = np.full((self.rows, 1), zero, dtype=self.dtype)
+        self.tab = np.vstack([np.hstack([self.tab, column]), row])
+        self.beta = np.append(self.beta, self.num(cap) - value[cols].sum())
+        self.d = np.append(self.d, zero)
         self.at_upper = np.append(self.at_upper, False)
         self.is_basic = np.append(self.is_basic, True)
         self.basis.append(width)
 
-    def solve(self) -> tuple[list[float], list[int]]:
+    def solve(self) -> tuple[list, list[int]]:
         """Dual simplex to a primal feasible basis.
 
         The leaving row is the most infeasible (ties to the smallest row), the
@@ -122,34 +136,32 @@ class _DualTableau:
         `cap` pivots the leaving row becomes the infeasible row with the
         smallest basic column (Bland's rule), which cannot cycle; a second
         `cap` pivots without an answer is a stall.  Returns the y values and
-        the basis in the layout of `_simplex`: [y | s | t] with t_j = 1 - y_j,
-        R + k entries.
+        the basis in the layout `_primal_from_basis` reads: [y | s | t] with
+        t_j = 1 - y_j, R + k entries.
         """
-        k = self.k
+        k, tol = self.k, self.tol
         if not self.basis:
             return self._result()
-        upper = np.where(np.arange(k + self.rows) < k, 1.0, np.inf)
+        upper = np.where(np.arange(k + self.rows) < k, self.one, np.inf)
         cap = max(2000, 80 * (self.rows + k))
         for pivot in range(2 * cap):
             excess = np.maximum(-self.beta, self.beta - upper[self.basis])
             r = int(np.argmax(excess))
-            if excess[r] <= _FLOAT_TOL:
+            if excess[r] <= tol:
                 return self._result()
             if pivot >= cap:
-                infeasible = np.flatnonzero(excess > _FLOAT_TOL)
+                infeasible = np.flatnonzero(excess > tol)
                 r = int(min(infeasible, key=self.basis.__getitem__))
             # A basic value below 0 rises to 0 and one above 1 falls to 1;
             # the entering column must move it that way from its bound.
             raise_it = self.beta[r] < 0
             alpha = self.tab[r] if raise_it else -self.tab[r]
-            ok = ~self.is_basic & np.where(
-                self.at_upper, alpha > _FLOAT_TOL, alpha < -_FLOAT_TOL
-            )
+            ok = ~self.is_basic & np.where(self.at_upper, alpha > tol, alpha < -tol)
             if not ok.any():
                 raise _SimplexStall
-            size = np.where(ok, np.abs(alpha), 1.0)
+            size = np.where(ok, np.abs(alpha), self.one)
             ratio = np.where(ok, np.abs(self.d) / size, np.inf)
-            q = int(np.argmax(ratio <= ratio.min() + _TIE))
+            q = int(np.argmax(ratio <= ratio.min() + self.tie))
             self._pivot(r, q, to_upper=not raise_it)
         raise _SimplexStall
 
@@ -162,7 +174,7 @@ class _DualTableau:
         tab[r] /= piv
         beta[r] /= piv
         col = tab[:, q].copy()
-        col[r] = 0.0
+        col[r] = self.zero
         tab -= np.outer(col, tab[r])
         beta -= col * beta[r]
         self.d -= self.d[q] * tab[r]
@@ -170,16 +182,16 @@ class _DualTableau:
         self.basis[r] = q
         self.is_basic[q] = True
         self.is_basic[leave] = False
-        tab[:, q] = 0.0
-        tab[r, q] = 1.0
-        self.d[q] = 0.0
+        tab[:, q] = self.zero
+        tab[r, q] = self.one
+        self.d[q] = self.zero
         if to_upper:
             self.at_upper[leave] = True
             beta -= tab[:, leave]
 
-    def _result(self) -> tuple[list[float], list[int]]:
+    def _result(self) -> tuple[list, list[int]]:
         k, big_r = self.k, self.rows
-        y = np.where(self.at_upper[:k], 1.0, 0.0)
+        y = np.where(self.at_upper[:k], self.one, self.zero)
         for r, b in enumerate(self.basis):
             if b < k:
                 y[b] = self.beta[r]
@@ -190,76 +202,19 @@ class _DualTableau:
 
 
 def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exact: bool):
-    """Minimize -costs.y  s.t.  sum(y[cols]) <= cap per row, 0 <= y <= 1,
-    in exact rational arithmetic.
+    """Solve `rows` on a cold-started `_DualTableau`, on `Fraction`s when
+    `exact`, as the exact fallback of `solve_cut_lp` does.
 
-    Starts from the all-slack basis (y = 0), pivots by Bland's rule, and
-    returns (y values, basis column per tableau row).  Columns are laid out as
-    [y_0..y_{k-1} | s_0..s_{R-1} | t_0..t_{k-1}] with t the bound slacks.
-    The arithmetic is always exact; `exact` stays in the signature for
-    callers that wrap this function, and the float stage is `_DualTableau`.
+    Returns (y values, basis) as `_DualTableau.solve` does; a stall raises
+    LpResourceError.
     """
-    big_r = len(rows)
-    nrows = big_r + k
-    ncols = k + big_r + k
-    zero, one = Fraction(0), Fraction(1)
-    tab = np.full((nrows, ncols + 1), zero, dtype=object)
-    obj = np.full(ncols + 1, zero, dtype=object)
-    for r, (cols, cap) in enumerate(rows):
-        for j in cols:
-            tab[r, j] = one
-        tab[r, k + r] = one
-        tab[r, ncols] = cap
-    for j in range(k):
-        tab[big_r + j, j] = one
-        tab[big_r + j, k + big_r + j] = one
-        tab[big_r + j, ncols] = one
-    for j in range(k):
-        obj[j] = -costs[j]
-    basis = [k + r for r in range(big_r)] + [k + big_r + j for j in range(k)]
-
-    cap_pivots = max(2000, 80 * nrows)
-    pivots = 0
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
-        if enter < 0:
-            break
-        best_ratio = None
-        for r in range(nrows):
-            a = tab[r, enter]
-            if a > 0:
-                ratio = tab[r, ncols] / a
-                if best_ratio is None or ratio < best_ratio:
-                    best_ratio = ratio
-        if best_ratio is None:
-            raise LpResourceError("unbounded pivot in a bounded system")
-        leave = -1
-        for r in range(nrows):
-            a = tab[r, enter]
-            if a > 0 and tab[r, ncols] / a == best_ratio:
-                if leave < 0 or basis[r] < basis[leave]:
-                    leave = r
-        piv = tab[leave, enter]
-        tab[leave] = tab[leave] / piv
-        col = np.array(tab[:, enter], copy=True)
-        col[leave] = 0
-        tab -= np.outer(col, tab[leave])
-        factor = obj[enter]
-        if factor != 0:
-            obj = obj - factor * tab[leave]
-        tab[:, enter] = zero
-        tab[leave, enter] = one
-        obj[enter] = zero
-        basis[leave] = enter
-        pivots += 1
-        if pivots > cap_pivots:
-            raise LpResourceError(f"simplex exceeded {cap_pivots} pivots")
-
-    y = [zero] * k
-    for r, b in enumerate(basis):
-        if b < k:
-            y[b] = tab[r, ncols]
-    return y, basis
+    tableau = _DualTableau(k, costs, exact=exact)
+    for cols, cap in rows:
+        tableau.add_row(cols, cap)
+    try:
+        return tableau.solve()
+    except _SimplexStall:
+        raise LpResourceError(f"simplex stalled on {len(rows)} rows") from None
 
 
 def _solve_square(mat: list[list[int]], rhs: Sequence) -> tuple[list[int], int] | None:
@@ -487,6 +442,12 @@ def solve_cut_lp(
             total += x[e]
         return Fraction(cut.rhs) - total
 
+    def certified(basis) -> list[Fraction] | None:
+        y = _primal_from_basis(k, active, basis)
+        if y is None or not _dual_certifies(k, active, cvec, basis):
+            return None
+        return y
+
     tableau: _DualTableau | None = None
     while True:
         # Float stage: feed every new active row to the live tableau and
@@ -494,9 +455,9 @@ def solve_cut_lp(
         basis = None
         if k > 0:
             if tableau is None:
-                tableau = _DualTableau(k, [float(c) for c in cvec])
+                tableau = _DualTableau(k, cvec)
             for cols, cap in active[tableau.rows:]:
-                tableau.add_row(cols, float(cap))
+                tableau.add_row(cols, cap)
             try:
                 y_float, basis = tableau.solve()
                 basis_rows = tableau.rows
@@ -518,8 +479,9 @@ def solve_cut_lp(
                 if register(cut):
                     continue
 
-        # Exact stage: rebuild the vertex from the basis and certify it, or
-        # fall back to the exact-arithmetic simplex.
+        # Exact stage: rebuild the vertex from the float basis and certify
+        # it; failing that, solve the rows again in rational arithmetic,
+        # whose basis must certify too.
         y_exact = None
         if basis is not None:
             if basis_rows != len(active) or len(basis) != len(active) + k:
@@ -527,12 +489,15 @@ def solve_cut_lp(
                     f"float basis of {len(basis)} columns over {basis_rows} rows "
                     f"read against {len(active)} rows and {k} variables"
                 )
-            y_exact = _primal_from_basis(k, active, basis)
-            if y_exact is not None and not _dual_certifies(k, active, cvec, basis):
-                y_exact = None
+            y_exact = certified(basis)
         if y_exact is None:
             tableau = None
-            y_exact, _ = _simplex(k, active, cvec, exact=True)
+            _, basis = _simplex(k, active, cvec, exact=True)
+            y_exact = certified(basis)
+            if y_exact is None:
+                raise SolverError(
+                    f"exact simplex basis over {len(active)} rows does not certify"
+                )
 
         x_exact = {e: Fraction(v) for e, v in fixed.items()}
         for j, e in enumerate(var_ids):

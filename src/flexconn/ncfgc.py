@@ -166,9 +166,9 @@ def verify_ncfgc(
     *,
     mode: str = "both",
     subset_guard: int = 10**6,
-    find_all: bool = False,
 ) -> NcReport:
-    """Check feasibility by capacitated flow, by failure enumeration, or both.
+    """Check feasibility by capacitated flow, by failure enumeration, or both;
+    the report names the first pair that fails.
 
     In "both" mode the two routes are compared pair by pair and any
     disagreement raises, since it would mean one of them is wrong.
@@ -181,7 +181,6 @@ def verify_ncfgc(
         g.edge(eid)
     if inst.requirement == 0:
         return NcReport(True)
-    violations: list[NcViolation] = []
     for i in range(g.n):
         for j in range(i + 1, g.n):
             hit_q = hit_e = None
@@ -196,10 +195,8 @@ def verify_ncfgc(
                 )
             hit = hit_e if hit_e is not None else hit_q
             if hit is not None:
-                violations.append(hit)
-                if not find_all:
-                    return NcReport(False, tuple(violations))
-    return NcReport(not violations, tuple(violations))
+                return NcReport(False, (hit,))
+    return NcReport(True)
 
 
 @dataclass(frozen=True)

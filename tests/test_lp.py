@@ -133,7 +133,9 @@ def _random_problem(rng):
     return ids, costs, rows, fixed, satisfiable
 
 
-def test_matches_reference_lp_solver(exact_fallbacks):
+def _compare_with_highs():
+    """Solves 150 problems seeded by 20, checks each solution and the
+    objective against scipy's highs, and returns how many were compared."""
     import numpy as np
 
     rng = random.Random(20)
@@ -148,6 +150,7 @@ def test_matches_reference_lp_solver(exact_fallbacks):
         for r in rows:
             assert sum(sol.x[e] for e in r.edge_ids) >= r.rhs
         for i in ids:
+            assert type(sol.x[i]) is Fraction
             assert 0 <= sol.x[i] <= 1
             if i in fixed:
                 assert sol.x[i] == fixed[i]
@@ -170,8 +173,68 @@ def test_matches_reference_lp_solver(exact_fallbacks):
         )
         assert abs(float(sol.objective) - reference) < 1e-7
         compared += 1
-    assert compared > 50
+    return compared
+
+
+def test_matches_reference_lp_solver(exact_fallbacks):
+    assert _compare_with_highs() > 50
     assert exact_fallbacks == []
+
+
+def _stall_float_tableaus(monkeypatch):
+    """Stalls every float tableau, so every vertex comes from the exact
+    fallback, and checks that each exact tableau ends holding `Fraction`s
+    only.  Returns a list that collects the y values of every exact solve."""
+    import numpy as np
+
+    from flexconn import lp
+
+    solve = lp._DualTableau.solve
+    solved = []
+
+    def stall_float(self):
+        if self.dtype is not object:
+            raise lp._SimplexStall
+        y, basis = solve(self)
+        for values in (self.tab, self.beta, self.d, y):
+            assert all(type(v) is Fraction for v in np.ravel(values))
+        solved.append(y)
+        return y, basis
+
+    monkeypatch.setattr(lp._DualTableau, "solve", stall_float)
+    return solved
+
+
+def test_exact_fallback_matches_reference_lp_solver(monkeypatch):
+    solved = _stall_float_tableaus(monkeypatch)
+    assert _compare_with_highs() > 50
+    assert len(solved) > 50
+
+
+def test_exact_fallback_solves_like_the_float_stage(monkeypatch):
+    # The LP optimum is one number whichever simplex reaches it, so the
+    # solvers' LP values must not move when every vertex comes from the
+    # exact fallback.  ncfgc seed 9 stalls if a float creeps into the
+    # exact tableau.
+    from flexconn.fgc import solve_fgc
+    from flexconn.fst import solve_fst
+    from flexconn.generators import GenConfig, gen_fgc, gen_fst, gen_ncfgc
+    from flexconn.ncfgc import solve_p_ncfgc
+
+    cfg = GenConfig(nodes=(5, 7), extra_edges=(3, 6))
+
+    def lp_values():
+        return (
+            [solve_fgc(gen_fgc(s, regime=regime, cfg=cfg)).lp_objective
+             for regime in ("q1", "p1") for s in range(3)]
+            + [solve_fst(gen_fst(s, cfg=cfg)).lp_objective for s in range(3)]
+            + [solve_p_ncfgc(gen_ncfgc(s, cfg=cfg)).rooted_cost for s in (2, 9, 14)]
+        )
+
+    by_float = lp_values()
+    solved = _stall_float_tableaus(monkeypatch)
+    assert lp_values() == by_float
+    assert len(solved) >= len(by_float)
 
 
 def test_deterministic_resolve():
@@ -215,6 +278,16 @@ def test_basis_read_against_other_rows_is_an_error(monkeypatch):
     rows = [CutRow(frozenset({0, 1}), Fraction(1))]
     with pytest.raises(SolverError):
         solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, {}, static_oracle(rows))
+
+
+def test_exact_basis_that_does_not_certify_is_an_error(exact_fallbacks, monkeypatch):
+    from flexconn import SolverError, lp
+
+    monkeypatch.setattr(lp, "_dual_certifies", lambda k, rows, costs, basis: False)
+    rows = [CutRow(frozenset({0, 1}), Fraction(1))]
+    with pytest.raises(SolverError, match="does not certify"):
+        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, {}, static_oracle(rows))
+    assert exact_fallbacks == [True]
 
 
 def _thirds_problem(rng):
