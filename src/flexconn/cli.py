@@ -64,6 +64,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+def _count(text: str) -> int:
+    """A `--count` value: an int of at least 0, so a bad one exits 64."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _parse_edges(spec: str) -> frozenset[int]:
     spec = spec.strip()
     if not spec:
@@ -210,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="write seeded random instance files")
     gen.add_argument("kind", choices=GEN_KINDS)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=_count, default=1)
     gen.add_argument("--out-dir", default=".")
     gen.set_defaults(func=cmd_gen)
 
@@ -219,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve seeded instances and compare against oracle optima",
     )
     report.add_argument("kind", choices=REPORT_KINDS)
-    report.add_argument("--count", type=int, default=20)
+    report.add_argument("--count", type=_count, default=20)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--strategy", choices=("bnb", "enumerate"), default="bnb")
     report.add_argument("--max-checks", type=int, default=1_000_000)

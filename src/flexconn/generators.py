@@ -12,12 +12,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .errors import SolverError, ValidationError
-from .fgc import FgcInstance, verify_fgc
-from .fst import FstInstance, verify_fst
+from .fgc import FgcInstance
+from .fst import FstInstance
 from .graphs import MultiGraph
-from .ncfgc import NcFgcInstance, verify_ncfgc
+from .instance_io import KINDS
+from .ncfgc import NcFgcInstance
 
 _DENOMINATORS = (1, 1, 1, 1, 2, 4)
 
@@ -59,6 +61,19 @@ def _draw_pairs(rng: random.Random, n: int, count: int) -> list[tuple[int, int]]
     return sorted(rng.sample(all_pairs, min(count, len(all_pairs))))
 
 
+def _redraw(kind: str, seed: int, cfg: GenConfig, ensure_feasible: bool,
+            draw: Callable[[random.Random], object]):
+    """`draw` from one seeded stream until its full edge set is feasible
+    (q-connectivity for ncfgc), or the first draw when not `ensure_feasible`."""
+    rng = random.Random(seed)
+    verify = KINDS[kind].verify
+    for _ in range(cfg.attempts):
+        inst = draw(rng)
+        if not ensure_feasible or verify(inst, inst.graph.edge_ids, "qconn").ok:
+            return inst
+    raise SolverError(f"no feasible draw in {cfg.attempts} attempts for seed {seed}")
+
+
 def gen_fgc(
     seed: int,
     *,
@@ -67,8 +82,8 @@ def gen_fgc(
     ensure_feasible: bool = True,
 ) -> FgcInstance:
     """Random requirement instance; regime "q1", "p1", or "any"."""
-    rng = random.Random(seed)
-    for _ in range(cfg.attempts):
+
+    def draw(rng):
         g = random_multigraph(rng, cfg)
         pairs = {}
         for pair in _draw_pairs(rng, g.n, rng.randint(*cfg.pairs)):
@@ -78,39 +93,33 @@ def gen_fgc(
                 pairs[pair] = (1, rng.randint(1, cfg.max_q))
             else:
                 pairs[pair] = (rng.randint(1, cfg.max_p), rng.randint(1, cfg.max_q))
-        inst = FgcInstance(g, pairs)
-        if not ensure_feasible or verify_fgc(inst, g.edge_ids).ok:
-            return inst
-    raise SolverError(f"no feasible draw in {cfg.attempts} attempts for seed {seed}")
+        return FgcInstance(g, pairs)
+
+    return _redraw("fgc", seed, cfg, ensure_feasible, draw)
 
 
 def gen_fst(
     seed: int, *, cfg: GenConfig = GenConfig(), ensure_feasible: bool = True
 ) -> FstInstance:
-    rng = random.Random(seed)
-    for _ in range(cfg.attempts):
+    def draw(rng):
         g = random_multigraph(rng, cfg)
         count = rng.randint(cfg.terminals[0], min(cfg.terminals[1], g.n))
-        terminals = frozenset(rng.sample(range(g.n), count))
-        inst = FstInstance(g, terminals)
-        if not ensure_feasible or verify_fst(inst, g.edge_ids).ok:
-            return inst
-    raise SolverError(f"no feasible draw in {cfg.attempts} attempts for seed {seed}")
+        return FstInstance(g, frozenset(rng.sample(range(g.n), count)))
+
+    return _redraw("fst", seed, cfg, ensure_feasible, draw)
 
 
 def gen_ncfgc(
     seed: int, *, cfg: GenConfig = GenConfig(), ensure_feasible: bool = True
 ) -> NcFgcInstance:
     """Random node-flexible instance with at least one safe node."""
-    rng = random.Random(seed)
-    for _ in range(cfg.attempts):
+
+    def draw(rng):
         g = random_multigraph(rng, cfg)
         safe = frozenset(rng.sample(range(g.n), rng.randint(1, max(1, g.n // 2))))
-        p = rng.randint(*cfg.ncfgc_p)
-        inst = NcFgcInstance(g, safe, p)
-        if not ensure_feasible or verify_ncfgc(inst, g.edge_ids, mode="qconn").ok:
-            return inst
-    raise SolverError(f"no feasible draw in {cfg.attempts} attempts for seed {seed}")
+        return NcFgcInstance(g, safe, rng.randint(*cfg.ncfgc_p))
+
+    return _redraw("ncfgc", seed, cfg, ensure_feasible, draw)
 
 
 _GENERATORS = {

@@ -63,8 +63,8 @@ class ResidualRequirement:
 
 def check_requirements_satisfiable(inst: SndpInstance) -> None:
     """Raise InfeasibleInstanceError with a witness cut if the graph is too sparse."""
+    caps = {e.eid: 1 for e in inst.graph.edges}
     for (i, j), r in inst.active_pairs():
-        caps = {e.eid: 1 for e in inst.graph.edges}
         value, cut = max_flow_min_cut(inst.graph, caps, i, j)
         if value < r:
             raise InfeasibleInstanceError(
@@ -144,9 +144,7 @@ def jain_round(inst: SndpInstance) -> JainResult:
         def oracle(x, residual=residual):
             return separation(graph, x, residual)
 
-        sol: FractionalSolution = solve_cut_lp(
-            costs, {e: 1 for e in chosen}, oracle, max_rows=2000
-        )
+        sol: FractionalSolution = solve_cut_lp(costs, {e: 1 for e in chosen}, oracle)
         if first_objective is None:
             first_objective = sol.objective
         newly = [e for e in costs if e not in chosen and sol.x[e] >= threshold]

@@ -9,10 +9,12 @@ float tableau lives for the whole row generation: it has a row per active cut
 and handles 0 <= y <= 1 by bound flips rather than extra rows.  It starts with
 every y at its upper bound, which is dual feasible because costs are
 nonnegative; each new row is reduced against the current basis and appended,
-and dual simplex pivots restore primal feasibility.  The answer handed back is
-always rebuilt exactly from the final basis and certified optimal through an
-exact dual feasibility check.  Both the rebuild and the check solve a square
-0/1 system by Bareiss's fraction-free elimination, on right-hand sides scaled
+and dual simplex pivots restore primal feasibility.  A solve hands back its
+basis as the tableau holds it: one basic [y | s] column per row, and the set
+of nonbasic y at 1.  The answer returned is always rebuilt exactly from that
+basis and certified optimal through an exact dual feasibility check.  Both
+solve one square 0/1 system of tight rows by basic y, the check on its
+transpose, by Bareiss's fraction-free elimination on right-hand sides scaled
 to ints by their common denominator, and compare integer numerators;
 `Fraction`s are built only for the returned vertex.  When the float tableau
 stalls or its basis fails the check, the same dual simplex runs again from a
@@ -127,7 +129,7 @@ class _DualTableau:
         self.is_basic = np.append(self.is_basic, True)
         self.basis.append(width)
 
-    def solve(self) -> tuple[list, list[int]]:
+    def solve(self) -> tuple[list, list[int], set[int]]:
         """Dual simplex to a primal feasible basis.
 
         The leaving row is the most infeasible (ties to the smallest row), the
@@ -135,9 +137,9 @@ class _DualTableau:
         column).  That leaving rule can cycle on degenerate bases, so after
         `cap` pivots the leaving row becomes the infeasible row with the
         smallest basic column (Bland's rule), which cannot cycle; a second
-        `cap` pivots without an answer is a stall.  Returns the y values and
-        the basis in the layout `_primal_from_basis` reads: [y | s | t] with
-        t_j = 1 - y_j, R + k entries.
+        `cap` pivots without an answer is a stall.  Returns (y, basis, upper):
+        the y values, the basic column of each row in the tableau's own
+        [y | s] numbering, and the nonbasic y that sit at 1.
         """
         k, tol = self.k, self.tol
         if not self.basis:
@@ -189,23 +191,20 @@ class _DualTableau:
             self.at_upper[leave] = True
             beta -= tab[:, leave]
 
-    def _result(self) -> tuple[list, list[int]]:
-        k, big_r = self.k, self.rows
-        y = np.where(self.at_upper[:k], self.one, self.zero)
+    def _result(self) -> tuple[list, list[int], set[int]]:
+        y = np.where(self.at_upper[:self.k], self.one, self.zero)
         for r, b in enumerate(self.basis):
-            if b < k:
+            if b < self.k:
                 y[b] = self.beta[r]
-        basis = list(self.basis)
-        # y at 1 keeps y basic in the full layout; y at 0 or basic keeps t.
-        basis += [j if self.at_upper[j] else k + big_r + j for j in range(k)]
-        return y.tolist(), basis
+        # Only a nonbasic y is ever at its upper bound; a slack never is.
+        return y.tolist(), list(self.basis), set(np.flatnonzero(self.at_upper).tolist())
 
 
 def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exact: bool):
     """Solve `rows` on a cold-started `_DualTableau`, on `Fraction`s when
     `exact`, as the exact fallback of `solve_cut_lp` does.
 
-    Returns (y values, basis) as `_DualTableau.solve` does; a stall raises
+    Returns (y, basis, upper) as `_DualTableau.solve` does; a stall raises
     LpResourceError.
     """
     tableau = _DualTableau(k, costs, exact=exact)
@@ -257,64 +256,43 @@ def _solve_square(mat: list[list[int]], rhs: Sequence) -> tuple[list[int], int] 
     return z, det * scale
 
 
-def _basis_sets(k: int, big_r: int, basis: Sequence[int]):
-    basic_y = set()
-    basic_s = set()
-    basic_t = set()
-    for b in basis:
-        if b < k:
-            basic_y.add(b)
-        elif b < k + big_r:
-            basic_s.add(b - k)
-        else:
-            basic_t.add(b - k - big_r)
-    return basic_y, basic_s, basic_t
+def _tight_system(k, rows, basis):
+    """The square 0/1 system a basis leaves: its basic y are the unknowns,
+    the rows whose slack is nonbasic are tight, and mat[i][u] is 1 when
+    unknown u is in tight row i.  A basis of one distinct column per row has
+    as many tight rows as basic y."""
+    basic = set(basis)
+    unknown = [j for j in range(k) if j in basic]
+    tight = [r for r in range(len(rows)) if k + r not in basic]
+    upos = {j: u for u, j in enumerate(unknown)}
+    mat = []
+    for r in tight:
+        vec = [0] * len(unknown)
+        for j in rows[r][0]:
+            u = upos.get(j)
+            if u is not None:
+                vec[u] = 1
+        mat.append(vec)
+    return unknown, tight, mat
 
 
-def _primal_from_basis(k, rows, basis) -> list[Fraction] | None:
+def _primal_from_basis(k, rows, basis, upper) -> list[Fraction] | None:
     """Rebuild the basic solution exactly from the basis combinatorics.
 
-    Unit columns pin most variables: a nonbasic y is 0, a basic y whose bound
-    slack is nonbasic sits at 1.  Only y variables whose bound slack is also
-    basic stay unknown, and the rows with nonbasic row slack supply exactly as
-    many tight equations.  The bound and row checks compare integer
-    numerators over the denominator `_solve_square` returns.
+    A nonbasic y is 0, or 1 when it is in `upper`; the basic y solve the
+    tight rows.  The bound and row checks compare integer numerators over
+    the denominator `_solve_square` returns.
     """
-    big_r = len(rows)
-    basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
-    at_one = set()
-    unknown = []
-    for j in range(k):
-        if j not in basic_y:
-            if j not in basic_t:
-                return None
-        elif j not in basic_t:
-            at_one.add(j)
-        else:
-            unknown.append(j)
-    tight = [r for r in range(big_r) if r not in basic_s]
-    if len(tight) != len(unknown):
-        return None
-    upos = {j: i for i, j in enumerate(unknown)}
-    mat = []
+    unknown, tight, mat = _tight_system(k, rows, basis)
     rhs = []
     for r in tight:
         cols, cap = rows[r]
-        vec = [0] * len(unknown)
-        ones = 0
-        for j in cols:
-            i = upos.get(j)
-            if i is not None:
-                vec[i] = 1
-            elif j in at_one:
-                ones += 1
-        mat.append(vec)
-        rhs.append(cap - ones)
+        rhs.append(cap - sum(1 for j in cols if j in upper))
     solved = _solve_square(mat, rhs)
     if solved is None:
         return None
     sol, den = solved
-    num = [den if j in at_one else 0 for j in range(k)]
+    num = [den if j in upper else 0 for j in range(k)]
     for j, v in zip(unknown, sol):
         if v < 0 or v > den:
             return None
@@ -326,50 +304,37 @@ def _primal_from_basis(k, rows, basis) -> list[Fraction] | None:
     return [Fraction(v, den) for v in num]
 
 
-def _dual_certifies(k, rows, costs, basis) -> bool:
+def _dual_certifies(k, rows, costs, basis, upper) -> bool:
     """Exact optimality check: the basis prices must be dual feasible.
 
-    Row prices solve the transposed version of the same structured system; the
-    basis is optimal exactly when all prices are nonpositive and every
-    nonbasic y column prices out at or above its objective coefficient.  With
-    d_j = -cost_j = -p/q and the prices as integer numerators over `den`, both
-    tests are integer comparisons.
+    The tight-row prices solve the transpose of the primal system; the basis
+    is optimal exactly when all prices are nonpositive and every nonbasic y
+    column prices out correctly against its objective coefficient.  With
+    d_j = -cost_j = -p/q and the prices as integer numerators over `den`,
+    both tests are integer comparisons.
     """
-    big_r = len(rows)
-    basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
-    tight = [r for r in range(big_r) if r not in basic_s]
-    unknown = [j for j in range(k) if j in basic_y and j in basic_t]
-    if len(tight) != len(unknown):
-        return False
-    touching: list[list[int]] = [[] for _ in range(k)]
-    for i, r in enumerate(tight):
-        for j in rows[r][0]:
-            touching[j].append(i)
-    mat = []
-    for j in unknown:
-        vec = [0] * len(tight)
-        for i in touching[j]:
-            vec[i] = 1
-        mat.append(vec)
-    solved = _solve_square(mat, [-costs[j] for j in unknown])
+    unknown, tight, mat = _tight_system(k, rows, basis)
+    solved = _solve_square([list(col) for col in zip(*mat)], [-costs[j] for j in unknown])
     if solved is None:
         return False
     price, den = solved
     if any(v > 0 for v in price):
         return False
+    covered = [0] * k
+    for i, r in enumerate(tight):
+        for j in rows[r][0]:
+            covered[j] += price[i]
+    basic = set(unknown)
     for j in range(k):
-        if j in basic_y and j in basic_t:
+        if j in basic:
             continue
-        covered = sum(price[i] for i in touching[j])
         p, q = costs[j].as_integer_ratio()
-        if j in basic_y:
+        if j in upper:
             # at its upper bound: the bound price d_j - covered is <= 0
-            if -p * den - covered * q > 0:
+            if -p * den - covered[j] * q > 0:
                 return False
-        elif j not in basic_t:
-            return False
-        elif covered * q > -p * den:
-            # bound slack basic means its price is zero, so covered <= d_j
+        elif covered[j] * q > -p * den:
+            # at zero: covered <= d_j
             return False
     return True
 
@@ -442,9 +407,9 @@ def solve_cut_lp(
             total += x[e]
         return Fraction(cut.rhs) - total
 
-    def certified(basis) -> list[Fraction] | None:
-        y = _primal_from_basis(k, active, basis)
-        if y is None or not _dual_certifies(k, active, cvec, basis):
+    def certified(basis, upper) -> list[Fraction] | None:
+        y = _primal_from_basis(k, active, basis, upper)
+        if y is None or not _dual_certifies(k, active, cvec, basis, upper):
             return None
         return y
 
@@ -459,12 +424,11 @@ def solve_cut_lp(
             for cols, cap in active[tableau.rows:]:
                 tableau.add_row(cols, cap)
             try:
-                y_float, basis = tableau.solve()
-                basis_rows = tableau.rows
+                y_float, basis, upper = tableau.solve()
             except _SimplexStall:
                 tableau = None
         else:
-            y_float, basis, basis_rows = [], [], 0
+            y_float, basis, upper = [], [], set()
 
         if basis is not None:
             x_map = {e: Fraction(v) for e, v in fixed.items()}
@@ -484,16 +448,16 @@ def solve_cut_lp(
         # whose basis must certify too.
         y_exact = None
         if basis is not None:
-            if basis_rows != len(active) or len(basis) != len(active) + k:
+            if len(basis) != len(active):
                 raise SolverError(
-                    f"float basis of {len(basis)} columns over {basis_rows} rows "
-                    f"read against {len(active)} rows and {k} variables"
+                    f"float basis of {len(basis)} columns read against "
+                    f"{len(active)} rows"
                 )
-            y_exact = certified(basis)
+            y_exact = certified(basis, upper)
         if y_exact is None:
             tableau = None
-            _, basis = _simplex(k, active, cvec, exact=True)
-            y_exact = certified(basis)
+            _, basis, upper = _simplex(k, active, cvec, exact=True)
+            y_exact = certified(basis, upper)
             if y_exact is None:
                 raise SolverError(
                     f"exact simplex basis over {len(active)} rows does not certify"

@@ -177,6 +177,8 @@ def test_usage_errors_exit_64(capsys):
     assert main(["frobnicate"]) == 64
     assert main(["gen", "spanning-tree"]) == 64
     assert main(["verify", "x.instance"]) == 64  # needs --solution or --edges
+    assert main(["gen", "fst", "--count", "-1"]) == 64
+    assert main(["ratio-report", "fst", "--count", "-3"]) == 64
     capsys.readouterr()
 
 

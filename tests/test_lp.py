@@ -184,7 +184,8 @@ def test_matches_reference_lp_solver(exact_fallbacks):
 def _stall_float_tableaus(monkeypatch):
     """Stalls every float tableau, so every vertex comes from the exact
     fallback, and checks that each exact tableau ends holding `Fraction`s
-    only.  Returns a list that collects the y values of every exact solve."""
+    only and with a basis that keeps `assert_basis_contract`.  Returns a list
+    that collects the y values of every exact solve."""
     import numpy as np
 
     from flexconn import lp
@@ -195,11 +196,12 @@ def _stall_float_tableaus(monkeypatch):
     def stall_float(self):
         if self.dtype is not object:
             raise lp._SimplexStall
-        y, basis = solve(self)
+        y, basis, upper = solve(self)
         for values in (self.tab, self.beta, self.d, y):
             assert all(type(v) is Fraction for v in np.ravel(values))
+        assert_basis_contract(self.k, self.rows, basis, upper)
         solved.append(y)
-        return y, basis
+        return y, basis, upper
 
     monkeypatch.setattr(lp._DualTableau, "solve", stall_float)
     return solved
@@ -271,8 +273,8 @@ def test_basis_read_against_other_rows_is_an_error(monkeypatch):
     solve = lp._DualTableau.solve
 
     def short_basis(self):
-        y, basis = solve(self)
-        return y, basis[:-1]
+        y, basis, upper = solve(self)
+        return y, basis[:-1], upper
 
     monkeypatch.setattr(lp._DualTableau, "solve", short_basis)
     rows = [CutRow(frozenset({0, 1}), Fraction(1))]
@@ -283,7 +285,7 @@ def test_basis_read_against_other_rows_is_an_error(monkeypatch):
 def test_exact_basis_that_does_not_certify_is_an_error(exact_fallbacks, monkeypatch):
     from flexconn import SolverError, lp
 
-    monkeypatch.setattr(lp, "_dual_certifies", lambda k, rows, costs, basis: False)
+    monkeypatch.setattr(lp, "_dual_certifies", lambda k, rows, costs, basis, upper: False)
     rows = [CutRow(frozenset({0, 1}), Fraction(1))]
     with pytest.raises(SolverError, match="does not certify"):
         solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, {}, static_oracle(rows))
@@ -439,23 +441,16 @@ def ref_det(mat):
     return det
 
 
-def ref_primal_from_basis(k, rows, basis):
-    from flexconn.lp import _basis_sets
+def ref_decode(k, rows, basis, upper):
+    """Values of the y at a bound (None where basic) and the tight rows."""
+    y = [None if j in basis else Fraction(j in upper) for j in range(k)]
+    tight = [r for r in range(len(rows)) if k + r not in basis]
+    return y, tight
 
-    big_r = len(rows)
-    basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
-    y = [None] * k
-    unknown = []
-    for j in range(k):
-        if j not in basic_y and j not in basic_t:
-            return None
-        if j not in basic_y:
-            y[j] = Fraction(0)
-        elif j not in basic_t:
-            y[j] = Fraction(1)
-        else:
-            unknown.append(j)
-    tight = [r for r in range(big_r) if r not in basic_s]
+
+def ref_primal_from_basis(k, rows, basis, upper):
+    y, tight = ref_decode(k, rows, basis, upper)
+    unknown = [j for j in range(k) if y[j] is None]
     if len(tight) != len(unknown):
         return None
     upos = {j: i for i, j in enumerate(unknown)}
@@ -484,14 +479,10 @@ def ref_primal_from_basis(k, rows, basis):
     return y
 
 
-def ref_dual_certifies(k, rows, costs, basis):
-    from flexconn.lp import _basis_sets
-
-    big_r = len(rows)
-    basic_y, basic_s, basic_t = _basis_sets(k, big_r, basis)
+def ref_dual_certifies(k, rows, costs, basis, upper):
+    y, tight = ref_decode(k, rows, basis, upper)
     d = [-Fraction(c) for c in costs]
-    tight = [r for r in range(big_r) if r not in basic_s]
-    unknown = [j for j in range(k) if j in basic_y and j in basic_t]
+    unknown = [j for j in range(k) if y[j] is None]
     if len(tight) != len(unknown):
         return False
     tpos = {r: i for i, r in enumerate(tight)}
@@ -513,14 +504,21 @@ def ref_dual_certifies(k, rows, costs, basis):
     if any(v > 0 for v in price.values()):
         return False
     for j in range(k):
-        covered = sum((price[r] for r in touching[j] if r in price), Fraction(0))
-        if j in basic_y and j not in basic_t:
-            if d[j] - covered > 0:
-                return False
-        elif j not in basic_y:
-            if j not in basic_t or covered > d[j]:
-                return False
+        covered = sum((price[r] for r in touching[j]), Fraction(0))
+        if y[j] == 1 and d[j] - covered > 0:
+            return False
+        if y[j] == 0 and covered > d[j]:
+            return False
     return True
+
+
+def assert_basis_contract(k, n_rows, basis, upper):
+    """What the certifiers take on trust: one distinct [y | s] column per
+    row, and only nonbasic y at their upper bound."""
+    assert len(basis) == n_rows == len(set(basis))
+    assert all(0 <= b < k + n_rows for b in basis)
+    assert all(0 <= j < k for j in upper)
+    assert not set(upper) & set(basis)
 
 
 def _check_square(mat, rhs):
@@ -610,9 +608,9 @@ def recorded_bases():
     calls = []
     dual = lp._dual_certifies
 
-    def record(k, rows, costs, basis):
-        calls.append((k, list(rows), list(costs), list(basis)))
-        return dual(k, rows, costs, basis)
+    def record(k, rows, costs, basis, upper):
+        calls.append((k, list(rows), list(costs), list(basis), set(upper)))
+        return dual(k, rows, costs, basis, upper)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "_dual_certifies", record)
@@ -634,34 +632,40 @@ def test_recorded_bases_certify_as_the_reference(recorded_bases):
 
     assert len(recorded_bases) > 30
     fractional = 0
-    for k, rows, costs, basis in recorded_bases:
-        y = _primal_from_basis(k, rows, basis)
-        assert y is not None and y == ref_primal_from_basis(k, rows, basis)
+    for k, rows, costs, basis, upper in recorded_bases:
+        assert_basis_contract(k, len(rows), basis, upper)
+        y = _primal_from_basis(k, rows, basis, upper)
+        assert y is not None and y == ref_primal_from_basis(k, rows, basis, upper)
         assert all(type(v) is Fraction for v in y)
         fractional += any(v.denominator > 1 for v in y)
-        assert _dual_certifies(k, rows, costs, basis)
-        assert ref_dual_certifies(k, rows, costs, basis)
+        assert _dual_certifies(k, rows, costs, basis, upper)
+        assert ref_dual_certifies(k, rows, costs, basis, upper)
     assert fractional > 0
 
 
 def test_swapped_bases_are_judged_as_the_reference(recorded_bases):
     # One basic column traded for a nonbasic one usually gives a basis that
     # is not primal feasible, not dual feasible or singular; none of them
-    # may be certified where the reference rejects it.
+    # may be certified where the reference rejects it.  The entering column
+    # leaves its bound, and a leaving y goes to either bound.
     from flexconn.lp import _dual_certifies, _primal_from_basis
 
     rng = random.Random(5)
     judged = {"primal": 0, "dual": 0}
-    for k, rows, costs, basis in recorded_bases:
-        width = 2 * k + len(rows)
-        nonbasic = sorted(set(range(width)) - set(basis))
+    for k, rows, costs, basis, upper in recorded_bases:
+        nonbasic = sorted(set(range(k + len(rows))) - set(basis))
         for _ in range(6):
             swapped = list(basis)
-            swapped[rng.randrange(len(basis))] = rng.choice(nonbasic)
-            want = ref_primal_from_basis(k, rows, swapped)
-            assert _primal_from_basis(k, rows, swapped) == want
-            certified = ref_dual_certifies(k, rows, costs, swapped)
-            assert _dual_certifies(k, rows, costs, swapped) == certified
+            r = rng.randrange(len(basis))
+            leave, swapped[r] = swapped[r], rng.choice(nonbasic)
+            bounds = set(upper) - {swapped[r]}
+            if leave < k and rng.random() < 0.5:
+                bounds.add(leave)
+            assert_basis_contract(k, len(rows), swapped, bounds)
+            want = ref_primal_from_basis(k, rows, swapped, bounds)
+            assert _primal_from_basis(k, rows, swapped, bounds) == want
+            certified = ref_dual_certifies(k, rows, costs, swapped, bounds)
+            assert _dual_certifies(k, rows, costs, swapped, bounds) == certified
             judged["primal"] += want is None
             judged["dual"] += not certified
     assert min(judged.values()) > 50, judged
