@@ -19,7 +19,6 @@ from .errors import (
     OracleRefusalError,
     ParseError,
     SolverError,
-    UnboundedFlowError,
     UnknownEdgeError,
     UnsupportedInstanceError,
     ValidationError,

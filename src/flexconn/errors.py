@@ -13,10 +13,6 @@ class UnknownEdgeError(FlexconnError):
     """An edge id does not exist in the graph at hand."""
 
 
-class UnboundedFlowError(FlexconnError):
-    """An s-t flow is unbounded: an augmenting path of unbounded edges exists."""
-
-
 class ValidationError(FlexconnError):
     """Structurally readable input with inconsistent or out-of-range content."""
 

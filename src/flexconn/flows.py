@@ -1,8 +1,8 @@
 """Deterministic augmenting-path max-flow used by every verifier and separation oracle.
 
-Capacities may be ints, exact rationals, or None for unbounded.  All arithmetic
-is exact, augmenting paths are found by BFS in arc insertion order, and the
-reported min cut side is always the set of nodes residual-reachable from s.
+Capacities are ints or exact rationals.  All arithmetic is exact, augmenting
+paths are found by BFS in arc insertion order, and the reported min cut side
+is always the set of nodes residual-reachable from s.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -16,7 +16,7 @@ import math
 from collections import deque
 from typing import Iterable, Mapping, TypeVar
 
-from .errors import InvalidQueryError, UnboundedFlowError
+from .errors import InvalidQueryError
 from .graphs import Cut, MultiGraph
 
 K = TypeVar("K")
@@ -43,7 +43,7 @@ class Network:
         """Add the arc u->v with capacity cap_uv and its reverse with cap_vu.
 
         A directed arc uses cap_vu = 0; an undirected edge uses cap_vu = cap_uv.
-        None means unbounded.  Returns the forward arc index.
+        Returns the forward arc index.
         """
         i = len(self.to)
         self.to.extend((v, u))
@@ -61,8 +61,7 @@ class Network:
             if u == t:
                 break
             for i in self.adj[u]:
-                c = self.cap[i]
-                if (c is None or c > 0) and parent[self.to[i]] == -1:
+                if self.cap[i] > 0 and parent[self.to[i]] == -1:
                     parent[self.to[i]] = i
                     queue.append(self.to[i])
         if parent[t] == -1:
@@ -83,22 +82,12 @@ class Network:
             path = self._augmenting_path(s, t)
             if path is None:
                 break
-            finite = [self.cap[i] for i in path if self.cap[i] is not None]
-            if not finite:
-                if cutoff is None:
-                    raise UnboundedFlowError(
-                        f"flow from {s} to {t} is unbounded along an unbounded path"
-                    )
-                push = cutoff - total
-            else:
-                push = min(finite)
-                if cutoff is not None:
-                    push = min(push, cutoff - total)
+            push = min(self.cap[i] for i in path)
+            if cutoff is not None:
+                push = min(push, cutoff - total)
             for i in path:
-                if self.cap[i] is not None:
-                    self.cap[i] -= push
-                if self.cap[i ^ 1] is not None:
-                    self.cap[i ^ 1] += push
+                self.cap[i] -= push
+                self.cap[i ^ 1] += push
             total += push
         return total
 
@@ -109,9 +98,8 @@ class Network:
         while queue:
             u = queue.popleft()
             for i in self.adj[u]:
-                c = self.cap[i]
                 v = self.to[i]
-                if (c is None or c > 0) and v not in seen:
+                if self.cap[i] > 0 and v not in seen:
                     seen.add(v)
                     queue.append(v)
         return frozenset(seen)
@@ -130,9 +118,9 @@ def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
 def max_flow_min_cut(g: MultiGraph, capacities: Mapping[int, object], s: int, t: int):
     """Exact max s-t flow and a canonical min cut on a MultiGraph.
 
-    Capacities are keyed by edge id; absent keys mean capacity zero and None
-    means unbounded.  The returned cut side is the set of residual-reachable
-    nodes from s, its boundary the ids of the edges crossing the cut.
+    Capacities are keyed by edge id; absent keys mean capacity zero.  The
+    returned cut side is the set of residual-reachable nodes from s, its
+    boundary the ids of the edges crossing the cut.
     """
     if s == t:
         raise InvalidQueryError(f"max flow needs distinct endpoints, got s = t = {s}")

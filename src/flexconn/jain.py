@@ -17,7 +17,7 @@ from typing import Mapping
 from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
 from .flows import edge_connectivity, integral, max_flow_min_cut, undirected_network
 from .graphs import MultiGraph
-from .lp import EPS_ROUND, CutRow, FractionalSolution, solve_cut_lp
+from .lp import CutRow, FractionalSolution, solve_cut_lp
 
 
 def normalize_pairs(pairs: Mapping[tuple[int, int], object], n: int) -> dict:
@@ -137,7 +137,7 @@ def jain_round(inst: SndpInstance) -> JainResult:
     chosen: set[int] = set()
     first_objective: Fraction | None = None
     iterations = 0
-    threshold = Fraction(1, 2) - EPS_ROUND
+    threshold = Fraction(1, 2)
     while not _met(graph, requirements, chosen):
         residual = ResidualRequirement(requirements, frozenset(chosen))
 

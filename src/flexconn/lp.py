@@ -43,8 +43,6 @@ from .flows import integral
 # Tolerance ledger.  Float arithmetic appears only inside the float tableau;
 # the exact tableau compares with no tolerance, and every returned solution
 # is exact.
-EPS_ROUND = Fraction(1, 10**6)     # slack under 1/2 when choosing edges to round up
-
 _FLOAT_TOL = 1e-9                  # primal infeasibility and pivot size
 _TIE = 1e-12                       # ratios this close count as a tie
 

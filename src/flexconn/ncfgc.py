@@ -57,10 +57,6 @@ class NcFgcInstance:
         if self.requirement < 0:
             raise ValidationError("negative requirement")
 
-    @classmethod
-    def uniform(cls, graph: MultiGraph, safe_nodes, p: int) -> "NcFgcInstance":
-        return cls(graph, frozenset(safe_nodes), p)
-
     def node_caps(self) -> dict[int, int | None]:
         """Path budget per intermediate node; None means unlimited."""
         return {
@@ -71,16 +67,20 @@ class NcFgcInstance:
         return [v for v in range(self.graph.n) if v not in self.safe_nodes]
 
 
-def _split_network(n: int, caps, ends, arcs) -> Network:
+def _split_network(n: int, caps, arcs) -> Network:
     """Flow network on 2n nodes with every node split into an in/out pair.
 
-    Node v becomes the arc 2v -> 2v+1 with capacity caps.get(v), unbounded
-    for the nodes in `ends`; each (u, v, cap) in `arcs` runs from u's out
-    half 2u+1 to v's in half 2v.  Node v's arc has index 2v.
+    Node v becomes the arc 2v -> 2v+1 with capacity caps.get(v); each
+    (u, v, cap) in `arcs` runs from u's out half 2u+1 to v's in half 2v.
+    Node v's arc has index 2v.  A cap of None (or none given) means
+    unlimited and becomes 1 + the total arc capacity: every out-to-in path
+    crosses an arc of `arcs`, so no flow reaches it and no min cut uses it.
     """
+    unlimited = 1 + sum(cap for _, _, cap in arcs)
     net = Network(2 * n)
     for v in range(n):
-        net.add_pair(2 * v, 2 * v + 1, None if v in ends else caps.get(v), 0)
+        cap = caps.get(v)
+        net.add_pair(2 * v, 2 * v + 1, unlimited if cap is None else cap, 0)
     for u, v, cap in arcs:
         net.add_pair(2 * u + 1, 2 * v, cap, 0)
     return net
@@ -98,8 +98,8 @@ def q_connectivity(
     """Max (s, t)-flow with unit edges and capacitated intermediate nodes.
 
     Node v becomes 2v -> 2v+1 with capacity caps[v]; each edge contributes
-    one unit arc per direction between the out and in halves.  The endpoints
-    themselves are never capacitated.
+    one unit arc per direction between the out and in halves.  The endpoints'
+    own caps do not matter.
     """
     if s == t:
         raise InvalidQueryError("s and t must differ")
@@ -108,7 +108,7 @@ def q_connectivity(
     for eid in ids:
         e = g.edge(eid)
         arcs += [(e.u, e.v, 1), (e.v, e.u, 1)]
-    net = _split_network(g.n, caps, (s, t), arcs)
+    net = _split_network(g.n, caps, arcs)
     return net.max_flow(2 * s + 1, 2 * t, cutoff=cutoff)
 
 
@@ -128,9 +128,9 @@ class NcReport:
     violations: tuple[NcViolation, ...] = ()
 
 
-def _pair_ok_qconn(inst, chosen, i, j):
+def _pair_ok_qconn(inst, caps, chosen, i, j):
     p = inst.requirement
-    lam = q_connectivity(inst.graph, inst.node_caps(), i, j, chosen, cutoff=p)
+    lam = q_connectivity(inst.graph, caps, i, j, chosen, cutoff=p)
     if lam >= p:
         return None
     return NcViolation((i, j), None, lam)
@@ -181,11 +181,12 @@ def verify_ncfgc(
         g.edge(eid)
     if inst.requirement == 0:
         return NcReport(True)
+    caps = inst.node_caps()
     for i in range(g.n):
         for j in range(i + 1, g.n):
             hit_q = hit_e = None
             if mode in ("qconn", "both"):
-                hit_q = _pair_ok_qconn(inst, chosen, i, j)
+                hit_q = _pair_ok_qconn(inst, caps, chosen, i, j)
             if mode in ("enumeration", "both"):
                 hit_e = _pair_ok_enum(inst, chosen, i, j, subset_guard)
             if mode == "both" and (hit_q is None) != (hit_e is None):
@@ -237,7 +238,7 @@ def rooted_q_flow(
         raise InvalidQueryError("root and t must differ")
     ids = sorted(dg.arc_ids) if arc_ids is None else sorted(set(arc_ids))
     arcs = [(dg.arc(aid).tail, dg.arc(aid).head, 1) for aid in ids]
-    net = _split_network(dg.n, caps, (root, t), arcs)
+    net = _split_network(dg.n, caps, arcs)
     return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
@@ -270,7 +271,7 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
     scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
     caps = {v: None if c is None else c * scale for v, c in inst.caps.items()}
     arcs = [(dg.arc(aid).tail, dg.arc(aid).head, xs[aid]) for aid in ids]
-    net = _split_network(dg.n, caps, (inst.root,), arcs)
+    net = _split_network(dg.n, caps, arcs)
     base = net.cap
     s = 2 * inst.root + 1
     best = None
@@ -278,7 +279,6 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
         if t == inst.root:
             continue
         net.cap = base.copy()
-        net.cap[2 * t] = None
         viol = inst.requirement * scale - net.max_flow(s, 2 * t)
         if viol > 0 and (best is None or viol > best[0]):
             best = (viol, net.reachable_from(s))
@@ -291,7 +291,7 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
         if 2 * u + 1 in side and 2 * v not in side
     )
     node_cost = sum(
-        inst.caps[v] or 0
+        inst.caps[v]
         for v in range(dg.n)
         if 2 * v in side and 2 * v + 1 not in side
     )

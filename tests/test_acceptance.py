@@ -40,7 +40,7 @@ from flexconn.generators import (
 )
 from flexconn.instance_io import InstanceDoc, kind_of, parse_instance, render_instance
 from flexconn.jain import ResidualRequirement, check_requirements_satisfiable, separation
-from flexconn.lp import EPS_ROUND, solve_cut_lp
+from flexconn.lp import solve_cut_lp
 from flexconn.oracle import OracleBudget, exact_opt, ratio_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -139,7 +139,7 @@ def test_rounding_engine_vertex_progress_and_factor():
     required to match."""
     rng = random.Random(4000)
     cfg = GenConfig(nodes=(3, 7))
-    threshold = Fraction(1, 2) - EPS_ROUND
+    threshold = Fraction(1, 2)
     vertices = 0
     worst = Fraction(0)
     for _ in range(100):

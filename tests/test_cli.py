@@ -1,5 +1,7 @@
 """End-to-end command line behavior, driven through main()."""
 
+from pathlib import Path
+
 import pytest
 
 import flexconn.cli as cli
@@ -7,6 +9,8 @@ import flexconn.errors as errors
 import flexconn.instance_io as instance_io
 from flexconn import parse_solution, read_solution
 from flexconn.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 INFEASIBLE_FST = (
     "flexconn-instance v1\n"
@@ -45,6 +49,25 @@ def test_solve_writes_to_stdout(tmp_path, capsys):
     assert main(["solve", str(instance)]) == 0
     doc = parse_solution(capsys.readouterr().out)
     assert doc.kind == "fst"
+
+
+def test_solve_reproduces_the_golden_solutions(capsys):
+    """`flexconn solve` prints each golden instance's .solution file byte for
+    byte; fgc-any instances are rejected by design and have none."""
+    solved = [
+        path
+        for path in sorted(GOLDEN_DIR.glob("*.instance"))
+        if not path.name.startswith("fgc-any-")
+    ]
+    assert solved
+    assert sorted(GOLDEN_DIR.glob("*.solution")) == [
+        path.with_suffix(".solution") for path in solved
+    ]
+    for path in solved:
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.encode() == path.with_suffix(".solution").read_bytes(), path.name
 
 
 def test_verify_rejects_tampered_solutions(tmp_path, capsys):
@@ -213,8 +236,7 @@ def test_data_errors_exit_65(tmp_path, capsys, monkeypatch, error):
 @pytest.mark.parametrize(
     "error",
     ["LpResourceError", "LpInfeasibleError", "SolverError",
-     "JainProgressError", "OracleContractError", "UnboundedFlowError",
-     "FlexconnError"],
+     "JainProgressError", "OracleContractError", "FlexconnError"],
 )
 def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch, error):
     break_fgc_solver(monkeypatch, getattr(errors, error))

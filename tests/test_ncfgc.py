@@ -1,5 +1,6 @@
 """Node-failure connectivity: verifiers, inflation, and the rooted solver."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ def test_instance_validation_and_caps():
         NcFgcInstance(g, {3}, 1)
     with pytest.raises(ValidationError):
         NcFgcInstance(g, set(), -1)
-    inst = NcFgcInstance.uniform(g, {1}, 2)
+    inst = NcFgcInstance(g, {1}, 2)
     assert inst.node_caps() == {0: 1, 1: None, 2: 1}
     assert inst.unsafe_nodes() == [0, 2]
 
@@ -74,6 +75,20 @@ def test_q_connectivity_hand_cases():
     ])
     # the direct edge dodges the single-use middle node
     assert q_connectivity(bypass, {0: None, 1: 1, 2: None}, 0, 2) == 2
+
+
+@given(multigraphs(max_nodes=5, max_extra=3), st.data())
+def test_endpoint_caps_do_not_matter(g, data):
+    s, t = data.draw(node_pairs(g.n))
+    caps = {v: data.draw(st.sampled_from([None, 0, 1, 2])) for v in range(g.n)}
+    zero = {**caps, s: 0, t: 0}
+    unlimited = {**caps, s: None, t: None}
+    assert q_connectivity(g, zero, s, t) == q_connectivity(g, unlimited, s, t)
+    dg = to_antiparallel_digraph(g)
+    for root, sink in ((s, t), (t, s)):
+        assert rooted_q_flow(dg, zero, root, sink) == rooted_q_flow(
+            dg, unlimited, root, sink
+        )
 
 
 @given(multigraphs(max_nodes=5, max_extra=3), st.data())
@@ -243,7 +258,8 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
 
 
 def reference_separate_rooted(inst, x):
-    """Rooted separation on Fraction capacities with a new network per sink."""
+    """Rooted separation on Fraction capacities with a new network per sink;
+    the root, the sink and uncapped nodes get infinite node arcs."""
     dg = inst.digraph
     p = Fraction(inst.requirement)
     best = None
@@ -252,7 +268,9 @@ def reference_separate_rooted(inst, x):
             continue
         net = Network(2 * dg.n)
         for v in range(dg.n):
-            cap = None if v in (inst.root, t) else inst.caps.get(v)
+            cap = inst.caps.get(v)
+            if cap is None or v in (inst.root, t):
+                cap = math.inf
             net.add_pair(2 * v, 2 * v + 1, cap, 0)
         for aid in sorted(dg.arc_ids):
             a = dg.arc(aid)
