@@ -49,7 +49,7 @@ class GuardExceededError(FlexconnError):
 
 
 class LpInfeasibleError(FlexconnError):
-    """The generated constraint system admits no solution under the fixed edges."""
+    """A generated row asks for more than the edges it names can give."""
 
     def __init__(self, message, *, row=None):
         super().__init__(message)

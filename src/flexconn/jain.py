@@ -3,16 +3,18 @@
 An instance asks, for each node pair, for a number of edge-disjoint paths;
 edge labels play no role here.  The solver repeatedly takes an exact vertex of
 the cut LP, moves every edge at value 1/2 or more into the chosen set, and
-re-solves with those edges fixed until all requirements are met by the chosen
-edges alone.  Every vertex must offer such an edge; a miss is a bug in vertex
-recovery, not an instance property, and raises JainProgressError.
+solves the residual LP over the undecided edges until all requirements are
+met by the chosen edges alone.  A residual row asks a cut for its requirement
+less the chosen edges that cross it, and names only the undecided ones.
+Every vertex must offer an undecided edge at 1/2 or more; a miss is a bug in
+vertex recovery, not an instance property, and raises JainProgressError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Collection, Mapping
 
 from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
 from .flows import edge_connectivity, integral, max_flow_min_cut, undirected_network
@@ -53,14 +55,6 @@ class SndpInstance:
         return [(p, r) for p, r in sorted(self.requirements.items()) if r >= 1]
 
 
-@dataclass(frozen=True)
-class ResidualRequirement:
-    """Base requirements together with the edges already chosen at value one."""
-
-    requirements: Mapping[tuple[int, int], int]
-    chosen: frozenset[int]
-
-
 def check_requirements_satisfiable(inst: SndpInstance) -> None:
     """Raise InfeasibleInstanceError with a witness cut if the graph is too sparse."""
     caps = {e.eid: 1 for e in inst.graph.edges}
@@ -78,24 +72,25 @@ def check_requirements_satisfiable(inst: SndpInstance) -> None:
 def separation(
     graph: MultiGraph,
     x: Mapping[int, Fraction],
-    residual: ResidualRequirement,
+    requirements: Mapping[tuple[int, int], int],
+    chosen: Collection[int],
 ) -> CutRow | None:
-    """Most violated cut under capacities x (chosen edges count as 1).
+    """Most violated residual cut under capacities x, chosen edges at 1.
 
     The flows run on one network whose capacities are x scaled to ints by
     their common denominator, which keeps them exact.  Ties break toward the
-    smaller cut side, then lexicographic node order.  The returned row
-    demands the largest requirement separated by the cut, so it is at least
-    as strong as the violated pair's own constraint.
+    smaller cut side, then lexicographic node order.  The cut demands the
+    largest requirement it separates, at least the violated pair's own.  The
+    returned row is residual: it names the undecided boundary edges and asks
+    them for that demand less the number of chosen boundary edges.
     """
     scale, caps = integral({
-        e.eid: 1 if e.eid in residual.chosen else x.get(e.eid, 0)
-        for e in graph.edges
+        e.eid: 1 if e.eid in chosen else x.get(e.eid, 0) for e in graph.edges
     })
     net = undirected_network(graph, caps)
     base = net.cap
     best = None
-    pairs = sorted((p, r) for p, r in residual.requirements.items() if r >= 1)
+    pairs = sorted((p, r) for p, r in requirements.items() if r >= 1)
     for (i, j), r in pairs:
         net.cap = base.copy()
         viol = r * scale - net.max_flow(i, j)
@@ -108,9 +103,10 @@ def separation(
     if best is None:
         return None
     side = best[1]
-    boundary = frozenset(e.eid for e in graph.edges if (e.u in side) != (e.v in side))
+    boundary = [e.eid for e in graph.edges if (e.u in side) != (e.v in side)]
+    undecided = frozenset(e for e in boundary if e not in chosen)
     rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
-    return CutRow(boundary, Fraction(rhs))
+    return CutRow(undecided, Fraction(rhs - (len(boundary) - len(undecided))))
 
 
 def _met(graph: MultiGraph, requirements, chosen) -> bool:
@@ -139,15 +135,13 @@ def jain_round(inst: SndpInstance) -> JainResult:
     iterations = 0
     threshold = Fraction(1, 2)
     while not _met(graph, requirements, chosen):
-        residual = ResidualRequirement(requirements, frozenset(chosen))
-
-        def oracle(x, residual=residual):
-            return separation(graph, x, residual)
-
-        sol: FractionalSolution = solve_cut_lp(costs, {e: 1 for e in chosen}, oracle)
+        sol: FractionalSolution = solve_cut_lp(
+            {e: c for e, c in costs.items() if e not in chosen},
+            lambda x: separation(graph, x, requirements, chosen),
+        )
         if first_objective is None:
             first_objective = sol.objective
-        newly = [e for e in costs if e not in chosen and sol.x[e] >= threshold]
+        newly = [e for e, v in sol.x.items() if v >= threshold]
         if not newly:
             raise JainProgressError(
                 "no undecided edge at or above 1/2 in an LP vertex"

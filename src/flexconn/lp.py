@@ -1,8 +1,8 @@
 """Row-generated cut LPs solved at exact vertices.
 
 A cut LP here is: minimize sum(cost_e * x_e) subject to generated rows of the
-form sum(x_e for e in ids) >= rhs, bounds 0 <= x <= 1, and a partial 0/1
-fixing.  Rows come from a separation oracle that inspects candidate solutions.
+form sum(x_e for e in ids) >= rhs and bounds 0 <= x <= 1.  Rows come from a
+separation oracle that inspects candidate solutions.
 
 Substituting x = 1 - y turns every row into a packing row sum(y) <= cap.  One
 float tableau lives for the whole row generation: it has a row per active cut
@@ -57,7 +57,7 @@ class CutRow:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Exact vertex solution of the generated system, fixed values included."""
+    """Exact vertex solution of the generated system."""
 
     x: dict[int, Fraction]
     objective: Fraction
@@ -339,7 +339,6 @@ def _dual_certifies(k, rows, costs, basis, upper) -> bool:
 
 def solve_cut_lp(
     costs: Mapping[int, object],
-    fixed: Mapping[int, int] | None,
     oracle: CutOracle,
     *,
     max_rows: int = 2000,
@@ -347,26 +346,20 @@ def solve_cut_lp(
     """Row generation over `oracle` until no constraint is violated.
 
     `costs` maps edge id to a nonnegative cost and defines the variable set;
-    `fixed` pins a subset of edges to 0 or 1.  Returns an exact optimal vertex
-    of the generated system (fixed values included in `x`) with every
-    generated row in `rows`.  Raises LpInfeasibleError when a generated row
-    cannot be met under the fixing, and LpResourceError past `max_rows` rows.
+    every row the oracle returns must name variables only and be violated by
+    the point it was shown.  Returns an exact optimal vertex of the generated
+    system with every generated row in `rows`.  Raises LpInfeasibleError when
+    a row asks for more than the number of edges it names, and
+    LpResourceError past `max_rows` rows.
     """
-    fixed = dict(fixed or {})
     cost_map = {e: Fraction(c) for e, c in costs.items()}
     for e, c in cost_map.items():
         if c < 0:
             raise ValidationError(f"negative cost on edge {e}")
-    for e, v in fixed.items():
-        if e not in cost_map:
-            raise ValidationError(f"fixed edge {e} is not a variable")
-        if v not in (0, 1):
-            raise ValidationError(f"fixed value {v!r} for edge {e} must be 0 or 1")
-    var_ids = sorted(e for e in cost_map if e not in fixed)
+    var_ids = sorted(cost_map)
     pos = {e: j for j, e in enumerate(var_ids)}
     k = len(var_ids)
     cvec = [cost_map[e] for e in var_ids]
-    fixed_cost = sum((cost_map[e] for e, v in fixed.items() if v == 1), Fraction(0))
 
     rows: list[CutRow] = []
     active: list[tuple[tuple[int, ...], Fraction]] = []
@@ -376,34 +369,35 @@ def solve_cut_lp(
         key = (row.edge_ids, Fraction(row.rhs))
         if key in seen:
             return False
-        for e in row.edge_ids:
-            if e not in cost_map:
-                raise ValidationError(f"cut references unknown edge {e}")
         if len(rows) >= max_rows:
             raise LpResourceError(f"row cap {max_rows} exceeded")
         seen.add(key)
         rows.append(row)
-        covered = sum(1 for e in row.edge_ids if fixed.get(e) == 1)
-        need = Fraction(row.rhs) - covered
-        cols = tuple(pos[e] for e in sorted(row.edge_ids) if e in pos)
-        if need <= 0:
-            return True
-        if need > len(cols):
+        cols = tuple(pos[e] for e in sorted(row.edge_ids))
+        if row.rhs > len(cols):
             raise LpInfeasibleError(
-                f"cut needs {row.rhs} but only {covered} fixed and "
-                f"{len(cols)} free edges cross it",
+                f"cut needs {row.rhs} but only {len(cols)} edges cross it",
                 row=row,
             )
-        active.append((cols, Fraction(len(cols)) - need))
+        active.append((cols, len(cols) - Fraction(row.rhs)))
         return True
 
-    def violation(cut: CutRow, x: Mapping[int, Fraction]) -> Fraction:
+    def ask(x: Mapping[int, Fraction]) -> CutRow | None:
+        """The oracle's row at `x`, held to naming variables only and to
+        being violated at `x`."""
+        cut = oracle(x)
+        if cut is None:
+            return None
         total = Fraction(0)
         for e in cut.edge_ids:
             if e not in x:
                 raise OracleContractError(f"cut references unknown edge {e}")
             total += x[e]
-        return Fraction(cut.rhs) - total
+        if total >= cut.rhs:
+            raise OracleContractError(
+                f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"
+            )
+        return cut
 
     def certified(basis, upper) -> list[Fraction] | None:
         y = _primal_from_basis(k, active, basis, upper)
@@ -429,17 +423,12 @@ def solve_cut_lp(
             y_float, basis, upper = [], [], set()
 
         if basis is not None:
-            x_map = {e: Fraction(v) for e, v in fixed.items()}
-            for j, e in enumerate(var_ids):
-                x_map[e] = Fraction(min(1.0, max(0.0, 1.0 - y_float[j])))
-            cut = oracle(x_map)
-            if cut is not None:
-                if violation(cut, x_map) <= 0:
-                    raise OracleContractError(
-                        f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"
-                    )
-                if register(cut):
-                    continue
+            cut = ask({
+                e: Fraction(min(1.0, max(0.0, 1.0 - y_float[j])))
+                for j, e in enumerate(var_ids)
+            })
+            if cut is not None and register(cut):
+                continue
 
         # Exact stage: rebuild the vertex from the float basis and certify
         # it; failing that, solve the rows again in rational arithmetic,
@@ -461,19 +450,10 @@ def solve_cut_lp(
                     f"exact simplex basis over {len(active)} rows does not certify"
                 )
 
-        x_exact = {e: Fraction(v) for e, v in fixed.items()}
-        for j, e in enumerate(var_ids):
-            x_exact[e] = 1 - y_exact[j]
-        objective = fixed_cost + sum(
-            (cost_map[e] * x_exact[e] for e in var_ids), Fraction(0)
-        )
-        cut = oracle(x_exact)
+        x_exact = {e: 1 - y_exact[j] for j, e in enumerate(var_ids)}
+        objective = sum((cost_map[e] * x_exact[e] for e in var_ids), Fraction(0))
+        cut = ask(x_exact)
         if cut is None:
             return FractionalSolution(x_exact, objective, tuple(rows))
-        viol = violation(cut, x_exact)
-        if viol <= 0:
-            raise OracleContractError(
-                f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"
-            )
         if not register(cut):
             raise OracleContractError("oracle repeated a row the solution satisfies")

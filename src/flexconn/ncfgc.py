@@ -339,9 +339,7 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     if p == 0 or dg.n <= 1:
         return RootedSolveResult(frozenset(), Fraction(0))
     costs = {aid: dg.arc(aid).cost for aid in dg.arc_ids}
-    sol = solve_cut_lp(
-        costs, {}, lambda x: _separate_rooted(inst, x), max_rows=4000
-    )
+    sol = solve_cut_lp(costs, lambda x: _separate_rooted(inst, x), max_rows=4000)
     fractional = sol.fractional_ids()
     if fractional:
         raise SolverError(

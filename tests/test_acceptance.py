@@ -39,7 +39,7 @@ from flexconn.generators import (
     random_multigraph,
 )
 from flexconn.instance_io import InstanceDoc, kind_of, parse_instance, render_instance
-from flexconn.jain import ResidualRequirement, check_requirements_satisfiable, separation
+from flexconn.jain import check_requirements_satisfiable, separation
 from flexconn.lp import solve_cut_lp
 from flexconn.oracle import OracleBudget, exact_opt, ratio_report
 
@@ -153,15 +153,11 @@ def test_rounding_engine_vertex_progress_and_factor():
             edge_connectivity(graph, i, j, chosen, cutoff=r) >= r
             for (i, j), r in inst.active_pairs()
         ):
-            residual = ResidualRequirement(inst.requirements, frozenset(chosen))
             sol = solve_cut_lp(
-                costs,
-                {e: 1 for e in chosen},
-                lambda x, residual=residual: separation(graph, x, residual),
+                {e: c for e, c in costs.items() if e not in chosen},
+                lambda x: separation(graph, x, inst.requirements, chosen),
             )
-            newly = [
-                e for e in costs if e not in chosen and sol.x[e] >= threshold
-            ]
+            newly = [e for e, v in sol.x.items() if v >= threshold]
             assert newly, "vertex without a half-integral undecided edge"
             vertices += 1
             chosen.update(newly)

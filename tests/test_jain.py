@@ -18,7 +18,7 @@ from flexconn import (
 from flexconn.flows import max_flow_min_cut
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
-from flexconn.jain import ResidualRequirement, separation
+from flexconn.jain import separation
 from flexconn.lp import CutRow, solve_cut_lp
 from flexconn.oracle import exact_opt
 
@@ -72,32 +72,32 @@ def test_infeasible_requirement_reports_a_cut():
 def test_separation_finds_most_violated_cut():
     g = cycle(4)
     x = {eid: Fraction(0) for eid in g.edge_ids}
-    residual = ResidualRequirement({(0, 2): 2}, frozenset())
-    row = separation(g, x, residual)
+    row = separation(g, x, {(0, 2): 2}, frozenset())
     assert row is not None and row.rhs == 2
     # a satisfied requirement yields silence
     x = {eid: Fraction(1) for eid in g.edge_ids}
-    assert separation(g, x, residual) is None
+    assert separation(g, x, {(0, 2): 2}, frozenset()) is None
 
 
 def test_half_integral_point_on_a_cycle_is_cut_short():
     # x = 1/2 everywhere moves only one unit across the cut around node 0
     g = cycle(4)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
-    residual = ResidualRequirement({(0, 2): 2}, frozenset())
-    row = separation(g, x, residual)
+    row = separation(g, x, {(0, 2): 2}, frozenset())
     assert row is not None and row.rhs == 2
     assert sum(x[eid] for eid in row.edge_ids) == 1
 
 
-def reference_separation(graph, x, residual):
-    """Separation on Fraction capacities with a new network per pair."""
+def reference_separation(graph, x, requirements, chosen):
+    """Separation on Fraction capacities with a new network per pair; the
+    row names the undecided boundary edges and takes the chosen ones off its
+    rhs."""
     caps = {
-        e.eid: Fraction(1) if e.eid in residual.chosen else Fraction(x.get(e.eid, 0))
+        e.eid: Fraction(1) if e.eid in chosen else Fraction(x.get(e.eid, 0))
         for e in graph.edges
     }
     best = None
-    pairs = sorted((p, r) for p, r in residual.requirements.items() if r >= 1)
+    pairs = sorted((p, r) for p, r in requirements.items() if r >= 1)
     for (i, j), r in pairs:
         value, cut = max_flow_min_cut(graph, caps, i, j)
         viol = Fraction(r) - value
@@ -110,7 +110,7 @@ def reference_separation(graph, x, residual):
         return None
     cut = best[1]
     rhs = max(r for (i, j), r in pairs if (i in cut.side) != (j in cut.side))
-    return CutRow(cut.boundary, Fraction(rhs))
+    return CutRow(cut.boundary - chosen, Fraction(rhs - len(cut.boundary & chosen)))
 
 
 @pytest.mark.parametrize("style", ["float", "rational", "binary", "tie"])
@@ -126,9 +126,8 @@ def test_separation_matches_fraction_reference(style):
             for _ in range(rng.randint(1, 5))
         }
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
-        residual = ResidualRequirement(pairs, chosen)
-        row = separation(g, x, residual)
-        assert row == reference_separation(g, x, residual)
+        row = separation(g, x, pairs, chosen)
+        assert row == reference_separation(g, x, pairs, chosen)
         found += row is not None
     assert found >= 20
 
@@ -138,9 +137,8 @@ def test_separation_breaks_ties_between_pairs_like_the_reference():
     g = cycle(6)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
     pairs = {(i, j): 2 for i in range(6) for j in range(i + 1, 6)}
-    residual = ResidualRequirement(pairs, frozenset())
-    row = separation(g, x, residual)
-    assert row == reference_separation(g, x, residual)
+    row = separation(g, x, pairs, frozenset())
+    assert row == reference_separation(g, x, pairs, frozenset())
     assert row == CutRow(frozenset({0, 5}), Fraction(2))
 
 
@@ -196,8 +194,72 @@ def test_every_vertex_offers_a_half_edge(g, data):
     if edge_connectivity(g, pair[0], pair[1]) < r:
         return
     costs = {e.eid: e.cost for e in g.edges}
-    residual = ResidualRequirement({pair: r}, frozenset())
-    sol = solve_cut_lp(
-        costs, {}, lambda x: separation(g, x, residual)
-    )
+    sol = solve_cut_lp(costs, lambda x: separation(g, x, {pair: r}, frozenset()))
     assert any(v >= Fraction(1, 2) for v in sol.x.values())
+
+
+def _residual_lp_by_highs(graph, costs, requirements, chosen):
+    """The residual cut LP over the undecided edges, written out for every
+    cut side S that holds node 0, and solved by scipy's highs: for each S
+    separating a requirement, the undecided edges of its boundary carry at
+    least the largest requirement S separates less its chosen edges."""
+    import itertools
+
+    import numpy as np
+
+    scipy_opt = pytest.importorskip("scipy.optimize")
+    undecided = sorted(costs)
+    a_ub, b_ub = [], []
+    for size in range(graph.n):
+        for rest in itertools.combinations(range(1, graph.n), size):
+            side = {0, *rest}
+            demand = max(
+                (r for (i, j), r in requirements.items() if (i in side) != (j in side)),
+                default=0,
+            )
+            if demand < 1:
+                continue
+            boundary = {e.eid for e in graph.edges if (e.u in side) != (e.v in side)}
+            a_ub.append([-1.0 if e in boundary else 0.0 for e in undecided])
+            b_ub.append(-float(demand - len(boundary & chosen)))
+    res = scipy_opt.linprog(
+        np.array([float(costs[e]) for e in undecided]),
+        A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+        bounds=[(0, 1)] * len(undecided), method="highs",
+    )
+    assert res.status == 0
+    return res.fun
+
+
+def test_residual_lp_matches_the_explicit_residual_system():
+    """The state after a rounding step, which the seeded solver instances
+    never reach: with some edges of the first vertex chosen, the LP over the
+    undecided edges, fed residual rows by `separation`, has the optimum of
+    the residual system written out over every cut side."""
+    rng = random.Random(11)
+    cfg = GenConfig(nodes=(4, 7), extra_edges=(2, 6))
+    compared = 0
+    for _ in range(40):
+        g = random_multigraph(rng, cfg)
+        requirements = {}
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(g.n), 2))
+            lam = edge_connectivity(g, i, j, g.edge_ids, cutoff=4)
+            requirements[(i, j)] = min(rng.randint(1, 4), lam)
+        costs = {e.eid: e.cost for e in g.edges}
+        first = solve_cut_lp(
+            costs, lambda x: separation(g, x, requirements, frozenset())
+        )
+        half = sorted(e for e, v in first.x.items() if v >= Fraction(1, 2))
+        if len(half) < 2:
+            continue
+        chosen = frozenset(half) - {rng.choice(half)}
+        undecided = {e: c for e, c in costs.items() if e not in chosen}
+        sol = solve_cut_lp(
+            undecided, lambda x: separation(g, x, requirements, chosen)
+        )
+        assert sol.x.keys() == undecided.keys()
+        reference = _residual_lp_by_highs(g, undecided, requirements, chosen)
+        assert abs(float(sol.objective) - reference) < 1e-7
+        compared += sol.objective > 0
+    assert compared >= 30

@@ -52,7 +52,7 @@ def test_triangle_cover_has_half_integral_vertex():
         CutRow(frozenset({0, 2}), Fraction(1)),
     ]
     costs = {i: Fraction(1) for i in range(3)}
-    sol = solve_cut_lp(costs, {}, static_oracle(rows))
+    sol = solve_cut_lp(costs, static_oracle(rows))
     assert sol.objective == Fraction(3, 2)
     assert all(sol.x[i] == Fraction(1, 2) for i in range(3))
     assert tuple(sol.fractional_ids()) == (0, 1, 2)
@@ -61,35 +61,25 @@ def test_triangle_cover_has_half_integral_vertex():
 def test_unconstrained_edges_stay_at_zero():
     rows = [CutRow(frozenset({0}), Fraction(1))]
     costs = {0: Fraction(2), 1: Fraction(5)}
-    sol = solve_cut_lp(costs, {}, static_oracle(rows))
+    sol = solve_cut_lp(costs, static_oracle(rows))
     assert sol.x == {0: Fraction(1), 1: Fraction(0)}
     assert sol.objective == 2
 
 
-def test_fixed_edges_cover_rows_and_pay_their_cost():
-    rows = [CutRow(frozenset({0, 1}), Fraction(1))]
-    costs = {0: Fraction(3), 1: Fraction(1)}
-    sol = solve_cut_lp(costs, {0: 1}, static_oracle(rows))
-    assert sol.x == {0: Fraction(1), 1: Fraction(0)}
-    assert sol.objective == 3
-    sol = solve_cut_lp(costs, {1: 0}, static_oracle(rows))
-    assert sol.x == {0: Fraction(1), 1: Fraction(0)}
-
-
 def test_infeasible_row_detected():
-    rows = [CutRow(frozenset({0, 1}), Fraction(2))]
+    rows = [CutRow(frozenset({0, 1}), Fraction(3))]
     costs = {0: Fraction(1), 1: Fraction(1)}
     with pytest.raises(LpInfeasibleError):
-        solve_cut_lp(costs, {1: 0}, static_oracle(rows))
+        solve_cut_lp(costs, static_oracle(rows))
     with pytest.raises(LpInfeasibleError):
-        solve_cut_lp(costs, {}, static_oracle([CutRow(frozenset({0}), Fraction(3))]))
+        solve_cut_lp(costs, static_oracle([CutRow(frozenset({0}), Fraction(3))]))
 
 
 def test_oracle_must_name_known_edges():
     def oracle(x):
         return CutRow(frozenset({99}), Fraction(1))
     with pytest.raises(OracleContractError):
-        solve_cut_lp({0: Fraction(1)}, {}, oracle)
+        solve_cut_lp({0: Fraction(1)}, oracle)
 
 
 def test_oracle_must_return_violated_rows():
@@ -97,24 +87,26 @@ def test_oracle_must_return_violated_rows():
     def oracle(x):
         return CutRow(frozenset({0}), Fraction(0))
     with pytest.raises(OracleContractError):
-        solve_cut_lp({0: Fraction(1)}, {}, oracle)
+        solve_cut_lp({0: Fraction(1)}, oracle)
 
 
 def test_row_budget_enforced():
     rows = [CutRow(frozenset({i}), Fraction(1)) for i in range(5)]
     costs = {i: Fraction(1) for i in range(5)}
     with pytest.raises(LpResourceError):
-        solve_cut_lp(costs, {}, static_oracle(rows), max_rows=2)
+        solve_cut_lp(costs, static_oracle(rows), max_rows=2)
 
 
-def test_validates_costs_and_fixed():
+def test_validates_costs():
     with pytest.raises(Exception):
-        solve_cut_lp({0: Fraction(-1)}, {}, static_oracle([]))
-    with pytest.raises(Exception):
-        solve_cut_lp({0: Fraction(1)}, {0: 2}, static_oracle([]))
+        solve_cut_lp({0: Fraction(-1)}, static_oracle([]))
 
 
 def _random_problem(rng):
+    """A random cut LP with a random 0/1 fixing substituted into it, as
+    iterative rounding does: the costs and rows name the free edges only,
+    and each row asks for its rhs less its edges fixed at 1.  Returns (free
+    ids, costs, rows, whether every row asks for at most its edge count)."""
     k = rng.randint(1, 8)
     ids = list(range(k))
     costs = {i: Fraction(rng.randint(0, 9), rng.choice([1, 2])) for i in ids}
@@ -127,51 +119,38 @@ def _random_problem(rng):
     for i in ids:
         if rng.random() < 0.2:
             fixed[i] = rng.choice([0, 1])
-    satisfiable = all(
-        sum(1 for e in r.edge_ids if fixed.get(e) != 0) >= r.rhs for r in rows
-    )
-    return ids, costs, rows, fixed, satisfiable
+    free = [i for i in ids if i not in fixed]
+    residual = [
+        CutRow(
+            frozenset(e for e in r.edge_ids if e not in fixed),
+            r.rhs - sum(1 for e in r.edge_ids if fixed.get(e) == 1),
+        )
+        for r in rows
+    ]
+    satisfiable = all(len(r.edge_ids) >= r.rhs for r in residual)
+    return free, {i: costs[i] for i in free}, residual, satisfiable
 
 
 def _compare_with_highs():
     """Solves 150 problems seeded by 20, checks each solution and the
     objective against scipy's highs, and returns how many were compared."""
-    import numpy as np
-
     rng = random.Random(20)
     compared = 0
     for _ in range(150):
-        ids, costs, rows, fixed, satisfiable = _random_problem(rng)
+        ids, costs, rows, satisfiable = _random_problem(rng)
         if not satisfiable:
             with pytest.raises(LpInfeasibleError):
-                solve_cut_lp(costs, fixed, static_oracle(rows))
+                solve_cut_lp(costs, static_oracle(rows))
             continue
-        sol = solve_cut_lp(costs, fixed, static_oracle(rows))
+        sol = solve_cut_lp(costs, static_oracle(rows))
         for r in rows:
             assert sum(sol.x[e] for e in r.edge_ids) >= r.rhs
         for i in ids:
             assert type(sol.x[i]) is Fraction
             assert 0 <= sol.x[i] <= 1
-            if i in fixed:
-                assert sol.x[i] == fixed[i]
-        free = [i for i in ids if i not in fixed]
-        if not free:
+        if not ids:
             continue
-        c = np.array([float(costs[i]) for i in free])
-        a_ub, b_ub = [], []
-        for r in rows:
-            a_ub.append([-1.0 if i in r.edge_ids else 0.0 for i in free])
-            covered = sum(1 for e in r.edge_ids if fixed.get(e) == 1)
-            b_ub.append(-(float(r.rhs) - covered))
-        res = scipy_opt.linprog(
-            c, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-            bounds=[(0, 1)] * len(free), method="highs",
-        )
-        assert res.status == 0
-        reference = res.fun + sum(
-            float(costs[i]) for i in ids if fixed.get(i) == 1
-        )
-        assert abs(float(sol.objective) - reference) < 1e-7
+        assert abs(float(sol.objective) - _highs_objective(ids, costs, rows)) < 1e-7
         compared += 1
     return compared
 
@@ -242,16 +221,16 @@ def test_exact_fallback_solves_like_the_float_stage(monkeypatch):
 def test_deterministic_resolve():
     rng = random.Random(4)
     for _ in range(20):
-        ids, costs, rows, fixed, satisfiable = _random_problem(rng)
+        ids, costs, rows, satisfiable = _random_problem(rng)
         if not satisfiable:
             continue
-        a = solve_cut_lp(costs, fixed, static_oracle(rows))
-        b = solve_cut_lp(costs, fixed, static_oracle(rows))
+        a = solve_cut_lp(costs, static_oracle(rows))
+        b = solve_cut_lp(costs, static_oracle(rows))
         assert a.x == b.x and a.objective == b.objective
     for seed in range(20):
         ids, costs, rows = _thirds_problem(random.Random(seed))
-        a = solve_cut_lp(costs, {}, static_oracle(rows))
-        b = solve_cut_lp(costs, {}, static_oracle(rows))
+        a = solve_cut_lp(costs, static_oracle(rows))
+        b = solve_cut_lp(costs, static_oracle(rows))
         assert a.x == b.x and a.rows == b.rows
 
 
@@ -262,7 +241,7 @@ def test_single_row_closed_form(seed):
     costs = {i: Fraction(rng.randint(1, 9)) for i in range(k)}
     need = rng.randint(1, k)
     row = CutRow(frozenset(range(k)), Fraction(need))
-    sol = solve_cut_lp(costs, {}, static_oracle([row]))
+    sol = solve_cut_lp(costs, static_oracle([row]))
     cheapest = sorted(costs.values())[:need]
     assert sol.objective == sum(cheapest, Fraction(0))
 
@@ -279,7 +258,7 @@ def test_basis_read_against_other_rows_is_an_error(monkeypatch):
     monkeypatch.setattr(lp._DualTableau, "solve", short_basis)
     rows = [CutRow(frozenset({0, 1}), Fraction(1))]
     with pytest.raises(SolverError):
-        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, {}, static_oracle(rows))
+        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, static_oracle(rows))
 
 
 def test_exact_basis_that_does_not_certify_is_an_error(exact_fallbacks, monkeypatch):
@@ -288,7 +267,7 @@ def test_exact_basis_that_does_not_certify_is_an_error(exact_fallbacks, monkeypa
     monkeypatch.setattr(lp, "_dual_certifies", lambda k, rows, costs, basis, upper: False)
     rows = [CutRow(frozenset({0, 1}), Fraction(1))]
     with pytest.raises(SolverError, match="does not certify"):
-        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, {}, static_oracle(rows))
+        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, static_oracle(rows))
     assert exact_fallbacks == [True]
 
 
@@ -342,7 +321,7 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
     for seed in range(60):
         rng = random.Random(seed)
         ids, costs, rows = _thirds_problem(rng)
-        first = solve_cut_lp(costs, {}, static_oracle(rows))
+        first = solve_cut_lp(costs, static_oracle(rows))
         assert abs(float(first.objective) - _highs_objective(ids, costs, rows)) < 1e-7
         pool = rows + _tight_rows(ids, first.x)
 
@@ -355,7 +334,7 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
                     return r
             return None
 
-        sol = solve_cut_lp(costs, {}, oracle)
+        sol = solve_cut_lp(costs, oracle)
         assert sol.objective == first.objective
         assert all(sum(sol.x[e] for e in r.edge_ids) >= r.rhs for r in pool)
     assert barely_violated > 0
@@ -623,7 +602,7 @@ def recorded_bases():
             solve_fst(gen_fst(seed, cfg=fst_cfg))
         for seed in range(15):
             ids, costs, rows = _thirds_problem(random.Random(seed))
-            solve_cut_lp(costs, {}, static_oracle(rows))
+            solve_cut_lp(costs, static_oracle(rows))
     return calls
 
 

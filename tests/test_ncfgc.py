@@ -235,7 +235,7 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
     from flexconn.cli import EX_SOFTWARE, main
     from flexconn.lp import FractionalSolution
 
-    def half_vertex(costs, fixed, oracle, *, max_rows):
+    def half_vertex(costs, oracle, *, max_rows):
         x = {aid: Fraction(1, 2) for aid in costs}
         return FractionalSolution(x, sum(costs.values()) / 2, ())
 
