@@ -59,15 +59,12 @@ from .generators import (
     random_multigraph,
 )
 from .graphs import (
-    Arc,
     Cut,
-    Digraph,
     Edge,
     MultiGraph,
     contract_edges,
     inflate_safe_nodes,
     split_parallel,
-    to_antiparallel_digraph,
 )
 from .instance_io import (
     InstanceDoc,

@@ -64,15 +64,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def _count(text: str) -> int:
-    """A `--count` value: an int of at least 0, so a bad one exits 64."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _at_least(convert, low):
+    """An argparse type: `convert(text)` of at least `low`, so a bad value
+    (NaN too) exits 64."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not value >= low:
+            raise argparse.ArgumentTypeError(
+                f"expected {convert.__name__} >= {low}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _parse_edges(spec: str) -> frozenset[int]:
@@ -214,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("instance", help="instance file")
     oracle.add_argument("--output", help="write the solution here instead of stdout")
     oracle.add_argument("--strategy", choices=("bnb", "enumerate"), default="bnb")
-    oracle.add_argument("--max-checks", type=int, default=1_000_000)
-    oracle.add_argument("--time-limit", type=float, default=None)
+    oracle.add_argument("--max-checks", type=_at_least(int, 1), default=1_000_000)
+    oracle.add_argument("--time-limit", type=_at_least(float, 0), default=None)
     oracle.set_defaults(func=cmd_oracle)
 
     gen = sub.add_parser("gen", help="write seeded random instance files")
     gen.add_argument("kind", choices=GEN_KINDS)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--count", type=_count, default=1)
+    gen.add_argument("--count", type=_at_least(int, 0), default=1)
     gen.add_argument("--out-dir", default=".")
     gen.set_defaults(func=cmd_gen)
 
@@ -230,10 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="solve seeded instances and compare against oracle optima",
     )
     report.add_argument("kind", choices=REPORT_KINDS)
-    report.add_argument("--count", type=_count, default=20)
+    report.add_argument("--count", type=_at_least(int, 0), default=20)
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--strategy", choices=("bnb", "enumerate"), default="bnb")
-    report.add_argument("--max-checks", type=int, default=1_000_000)
+    report.add_argument("--max-checks", type=_at_least(int, 1), default=1_000_000)
     report.add_argument(
         "--stage-one",
         choices=("approx", "exact"),

@@ -106,11 +106,12 @@ class Network:
 
 
 def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
-    """Network with one arc pair per edge of g, each arc of capacity
-    caps.get(eid, 0); arcs 2k and 2k+1 belong to the k-th edge."""
+    """Network with one arc pair per edge id in caps, in caps' order, each
+    arc of capacity caps[eid]; an id that is not an edge of g raises
+    UnknownEdgeError."""
     net = Network(g.n)
-    for e in g.edges:
-        cap = caps.get(e.eid, 0)
+    for eid, cap in caps.items():
+        e = g.edge(eid)
         net.add_pair(e.u, e.v, cap, cap)
     return net
 
@@ -118,9 +119,10 @@ def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
 def max_flow_min_cut(g: MultiGraph, capacities: Mapping[int, object], s: int, t: int):
     """Exact max s-t flow and a canonical min cut on a MultiGraph.
 
-    Capacities are keyed by edge id; absent keys mean capacity zero.  The
-    returned cut side is the set of residual-reachable nodes from s, its
-    boundary the ids of the edges crossing the cut.
+    Capacities are keyed by edge id; absent keys mean capacity zero, and an
+    id that is not an edge of g raises UnknownEdgeError.  The returned cut
+    side is the set of residual-reachable nodes from s, its boundary the ids
+    of the edges crossing the cut.
     """
     if s == t:
         raise InvalidQueryError(f"max flow needs distinct endpoints, got s = t = {s}")
@@ -145,9 +147,6 @@ def edge_connectivity(
     """
     if s == t:
         raise InvalidQueryError(f"connectivity needs distinct endpoints, got {s}")
-    net = Network(g.n)
     ids = g.edge_ids if edge_ids is None else edge_ids
-    for eid in sorted(ids):
-        e = g.edge(eid)
-        net.add_pair(e.u, e.v, 1, 1)
+    net = undirected_network(g, dict.fromkeys(sorted(ids), 1))
     return net.max_flow(s, t, cutoff=cutoff)

@@ -220,6 +220,7 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
     """
     if stage_one not in ("approx", "exact"):
         raise ValidationError(f"unknown stage-one method {stage_one!r}")
+    bound = Fraction(3 if stage_one == "exact" else 4)
     g = inst.graph
     full = verify_fst(inst, g.edge_ids)
     if not full.ok:
@@ -233,7 +234,7 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
     if len(inst.terminals) <= 1:
         return FstResult(
             frozenset(), Fraction(0), frozenset(), frozenset(), stage_one,
-            Fraction(3 if stage_one == "exact" else 4), Fraction(0), 0,
+            bound, Fraction(0), 0,
         )
     if stage_one == "exact":
         f1 = steiner_tree_exact(g, inst.terminals)
@@ -259,7 +260,7 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
         f1,
         f2,
         stage_one,
-        Fraction(3 if stage_one == "exact" else 4),
+        bound,
         lp_objective,
         iterations,
     )

@@ -1,4 +1,4 @@
-"""Multigraph and digraph types plus the structural transformations the solvers build on.
+"""The multigraph type plus the structural transformations the solvers build on.
 
 Graphs use dense integer node ids 0..n-1.  Edges carry a stable integer id so
 parallel edges stay distinguishable through contractions and splits; every
@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import UnknownEdgeError, ValidationError
 
@@ -180,62 +180,10 @@ class MultiGraph:
 
 @dataclass(frozen=True)
 class Cut:
-    """One side of a node cut together with its boundary edge (or arc) ids."""
+    """One side of a node cut together with its boundary edge ids."""
 
     side: frozenset[int]
     boundary: frozenset[int]
-
-
-@dataclass(frozen=True)
-class Arc:
-    """Directed arc.  `origin` records the undirected edge an arc came from."""
-
-    aid: int
-    tail: int
-    head: int
-    cost: Fraction
-    origin: int | None = None
-
-
-class Digraph:
-    """Directed multigraph with the same dense-id and stable-arc-id conventions."""
-
-    def __init__(self, n: int, arcs: Iterable[Arc]):
-        if n < 0:
-            raise ValidationError(f"negative node count {n}")
-        self.n = n
-        self.arcs: tuple[Arc, ...] = tuple(arcs)
-        self._by_id: dict[int, Arc] = {}
-        for a in self.arcs:
-            if not (0 <= a.tail < n and 0 <= a.head < n):
-                raise ValidationError(f"arc {a.aid} endpoint out of range")
-            if a.tail == a.head:
-                raise ValidationError(f"arc {a.aid} is a self-loop")
-            if a.cost < 0:
-                raise ValidationError(f"arc {a.aid} has negative cost")
-            if a.aid in self._by_id:
-                raise ValidationError(f"duplicate arc id {a.aid}")
-            self._by_id[a.aid] = a
-
-    @property
-    def m(self) -> int:
-        return len(self.arcs)
-
-    @property
-    def arc_ids(self) -> frozenset[int]:
-        return frozenset(self._by_id)
-
-    def arc(self, aid: int) -> Arc:
-        try:
-            return self._by_id[aid]
-        except KeyError:
-            raise UnknownEdgeError(f"no arc with id {aid}") from None
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Digraph) and self.n == other.n and self.arcs == other.arcs
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={self.m})"
 
 
 @dataclass(frozen=True)
@@ -348,14 +296,3 @@ def inflate_safe_nodes(g: MultiGraph, safe_nodes: Iterable[int]) -> InflationRes
             next_eid += 1
     return InflationResult(MultiGraph(next_node, tuple(edges)), attach_map, node_images)
 
-
-def to_antiparallel_digraph(g: MultiGraph) -> Digraph:
-    """Replace every undirected edge by two opposite arcs of the same cost.
-
-    Arc ids 2k and 2k+1 belong to the k-th edge; both record it as `origin`.
-    """
-    arcs = []
-    for k, e in enumerate(g.edges):
-        arcs.append(Arc(2 * k, e.u, e.v, e.cost, origin=e.eid))
-        arcs.append(Arc(2 * k + 1, e.v, e.u, e.cost, origin=e.eid))
-    return Digraph(g.n, tuple(arcs))

@@ -7,7 +7,9 @@ most once; it is computed as a max flow after splitting every node into an
 in/out pair joined by a capacitated arc.  A solution F is feasible for
 requirement p when every node pair has q-connectivity at least p within F.
 
-The solver picks a safe root, directs every edge both ways, and finds a
+The solver picks a safe root and directs every edge both ways by arc id,
+on the graph itself: arcs 2*eid and 2*eid + 1 are edge eid's two
+directions, so arc a belongs to edge a >> 1 (see `arc`).  It finds a
 minimum-cost arc set giving the root p units of q-flow to every other node
 as the optimal vertex of one cut LP, which is integral for this rooted
 problem (see `solve_rooted_qconn`).  Taking both arcs of an optimal
@@ -36,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .flows import Network, edge_connectivity, integral
-from .graphs import Digraph, MultiGraph, inflate_safe_nodes, to_antiparallel_digraph
+from .graphs import MultiGraph, inflate_safe_nodes
 from .lp import CutRow, solve_cut_lp
 
 
@@ -224,36 +226,48 @@ def reduce_by_inflation(inst: NcFgcInstance) -> InflationReduction:
     )
 
 
+def arc(g: MultiGraph, aid: int) -> tuple[int, int, Fraction]:
+    """Tail, head and cost of arc `aid` of g directed both ways: arc 2*eid
+    runs from the edge's u to its v, and arc 2*eid + 1 from v to u."""
+    e = g.edge(aid >> 1)
+    return (e.v, e.u, e.cost) if aid & 1 else (e.u, e.v, e.cost)
+
+
+def _arc_ids(g: MultiGraph) -> list[int]:
+    return [a for eid in sorted(g.edge_ids) for a in (2 * eid, 2 * eid + 1)]
+
+
 def rooted_q_flow(
-    dg: Digraph,
+    g: MultiGraph,
     caps,
     root: int,
     t: int,
-    arc_ids=None,
+    arcs=None,
     *,
     cutoff: int | None = None,
 ) -> int:
-    """Max root-to-t flow with unit arcs and capacitated intermediate nodes."""
+    """Max root-to-t flow over unit arcs of g directed both ways (see `arc`),
+    with capacitated intermediate nodes; `arcs` defaults to every arc."""
     if root == t:
         raise InvalidQueryError("root and t must differ")
-    ids = sorted(dg.arc_ids) if arc_ids is None else sorted(set(arc_ids))
-    arcs = [(dg.arc(aid).tail, dg.arc(aid).head, 1) for aid in ids]
-    net = _split_network(dg.n, caps, arcs)
+    ids = _arc_ids(g) if arcs is None else sorted(set(arcs))
+    unit = [(u, v, 1) for aid in ids for u, v, _ in [arc(g, aid)]]
+    net = _split_network(g.n, caps, unit)
     return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
 class RootedQConnInstance:
-    """Buy arcs so the root can push `requirement` units of q-flow to every
-    other node."""
+    """Buy arcs of `graph` directed both ways (arc ids as in `arc`) so the
+    root can push `requirement` units of q-flow to every other node."""
 
-    digraph: Digraph
+    graph: MultiGraph
     root: int
     caps: dict[int, int | None]
     requirement: int
 
     def __post_init__(self):
-        if not (0 <= self.root < self.digraph.n):
+        if not (0 <= self.root < self.graph.n):
             raise ValidationError("root out of range")
         if self.requirement < 0:
             raise ValidationError("negative requirement")
@@ -266,16 +280,16 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
     caps are scaled to ints by the common denominator of x, which keeps the
     flows exact.
     """
-    dg = inst.digraph
-    ids = sorted(dg.arc_ids)
+    g = inst.graph
+    ids = _arc_ids(g)
     scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
     caps = {v: None if c is None else c * scale for v, c in inst.caps.items()}
-    arcs = [(dg.arc(aid).tail, dg.arc(aid).head, xs[aid]) for aid in ids]
-    net = _split_network(dg.n, caps, arcs)
+    arcs = [(u, v, xs[aid]) for aid in ids for u, v, _ in [arc(g, aid)]]
+    net = _split_network(g.n, caps, arcs)
     base = net.cap
     s = 2 * inst.root + 1
     best = None
-    for t in range(dg.n):
+    for t in range(g.n):
         if t == inst.root:
             continue
         net.cap = base.copy()
@@ -292,7 +306,7 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
     )
     node_cost = sum(
         inst.caps[v]
-        for v in range(dg.n)
+        for v in range(g.n)
         if 2 * v in side and 2 * v + 1 not in side
     )
     return CutRow(crossing, Fraction(inst.requirement) - node_cost)
@@ -325,20 +339,20 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     such a system TDI, and so integral with 0 <= x <= 1.  A fractional final
     vertex therefore means a broken solver: SolverError.
     """
-    dg = inst.digraph
+    g = inst.graph
     p = inst.requirement
-    for t in range(dg.n):
+    for t in range(g.n):
         if t == inst.root:
             continue
-        if rooted_q_flow(dg, inst.caps, inst.root, t, cutoff=p) < p:
+        if rooted_q_flow(g, inst.caps, inst.root, t, cutoff=p) < p:
             raise InfeasibleInstanceError(
                 f"the full arc set gives the root only "
-                f"{rooted_q_flow(dg, inst.caps, inst.root, t)} units toward {t}",
+                f"{rooted_q_flow(g, inst.caps, inst.root, t)} units toward {t}",
                 pair=(inst.root, t),
             )
-    if p == 0 or dg.n <= 1:
+    if p == 0 or g.n <= 1:
         return RootedSolveResult(frozenset(), Fraction(0))
-    costs = {aid: dg.arc(aid).cost for aid in dg.arc_ids}
+    costs = {aid: arc(g, aid)[2] for aid in _arc_ids(g)}
     sol = solve_cut_lp(costs, lambda x: _separate_rooted(inst, x), max_rows=4000)
     fractional = sol.fractional_ids()
     if fractional:
@@ -346,10 +360,10 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
             f"rooted cut LP vertex is fractional on arcs {list(fractional)}"
         )
     arcs = frozenset(a for a, v in sol.x.items() if v == 1)
-    for t in range(dg.n):
+    for t in range(g.n):
         if t == inst.root:
             continue
-        if rooted_q_flow(dg, inst.caps, inst.root, t, arcs, cutoff=p) < p:
+        if rooted_q_flow(g, inst.caps, inst.root, t, arcs, cutoff=p) < p:
             raise SolverError(f"rooted solution leaves sink {t} short")
     return RootedSolveResult(arcs, sol.objective)
 
@@ -383,11 +397,10 @@ def solve_p_ncfgc(inst: NcFgcInstance) -> NcSolveResult:
             "a node that never fails is needed as the root"
         )
     root = min(inst.safe_nodes)
-    dg = to_antiparallel_digraph(g)
     caps = {v: p if v in inst.safe_nodes else 1 for v in range(g.n)}
-    rooted = RootedQConnInstance(dg, root, caps, p)
+    rooted = RootedQConnInstance(g, root, caps, p)
     result = solve_rooted_qconn(rooted)
-    edges = frozenset(dg.arc(aid).origin for aid in result.arcs)
+    edges = frozenset(aid >> 1 for aid in result.arcs)
     report = verify_ncfgc(inst, edges, mode="qconn")
     if not report.ok:
         bad = report.violations[0]

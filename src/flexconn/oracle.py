@@ -39,6 +39,8 @@ class OracleBudget:
     def __post_init__(self):
         if self.max_checks < 1:
             raise ValidationError("max_checks must be at least 1")
+        if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
+            raise ValidationError(f"time_limit {self.time_limit} is not at least 0")
         if self.strategy not in ("bnb", "enumerate"):
             raise ValidationError(f"unknown strategy {self.strategy!r}")
 

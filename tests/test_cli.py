@@ -202,6 +202,12 @@ def test_usage_errors_exit_64(capsys):
     assert main(["verify", "x.instance"]) == 64  # needs --solution or --edges
     assert main(["gen", "fst", "--count", "-1"]) == 64
     assert main(["ratio-report", "fst", "--count", "-3"]) == 64
+    # oracle budgets: checks at least 1, a time limit of at least 0 seconds
+    assert main(["oracle", "x.instance", "--max-checks", "0"]) == 64
+    assert main(["ratio-report", "fst", "--max-checks", "0"]) == 64
+    assert main(["oracle", "x.instance", "--max-checks", "many"]) == 64
+    for limit in ("-1", "nan", "soon"):
+        assert main(["oracle", "x.instance", "--time-limit", limit]) == 64
     capsys.readouterr()
 
 

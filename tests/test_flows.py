@@ -10,10 +10,10 @@ from flexconn import (
     InvalidQueryError,
     MultiGraph,
     Network,
+    UnknownEdgeError,
     edge_connectivity,
     max_flow_min_cut,
     rooted_q_flow,
-    to_antiparallel_digraph,
 )
 
 from flexconn.flows import integral
@@ -84,6 +84,15 @@ def test_absent_capacity_means_zero():
     assert value == 0 and cut.boundary == frozenset({0})
 
 
+def test_edge_ids_are_checked_and_counted_once():
+    g = MultiGraph.build(2, [(0, 1, Fraction(1), True)])
+    with pytest.raises(UnknownEdgeError):
+        max_flow_min_cut(g, {0: 1, 7: 1}, 0, 1)
+    with pytest.raises(UnknownEdgeError):
+        edge_connectivity(g, 0, 1, [0, 7])
+    assert edge_connectivity(g, 0, 1, [0, 0]) == 1
+
+
 @given(multigraphs(), st.data())
 def test_cut_capacity_equals_flow(g, data):
     s = data.draw(st.integers(0, g.n - 1))
@@ -95,6 +104,8 @@ def test_cut_capacity_equals_flow(g, data):
     value, cut = max_flow_min_cut(g, caps, s, t)
     assert s in cut.side and t not in cut.side
     assert sum((caps[e] for e in cut.boundary), Fraction(0)) == value
+    # arcs follow the order of caps; the value and the cut side do not
+    assert max_flow_min_cut(g, dict(reversed(caps.items())), s, t) == (value, cut)
 
 
 @given(multigraphs(), st.data())
@@ -112,6 +123,5 @@ def test_edge_connectivity_cutoff_truncates(g, data):
 def test_directed_antiparallel_matches_undirected(g, data):
     s = data.draw(st.integers(0, g.n - 1))
     t = (s + 1 + data.draw(st.integers(0, g.n - 2))) % g.n
-    dg = to_antiparallel_digraph(g)
     und, _ = max_flow_min_cut(g, {e: 1 for e in g.edge_ids}, s, t)
-    assert und == rooted_q_flow(dg, {v: None for v in range(g.n)}, s, t)
+    assert und == rooted_q_flow(g, {v: None for v in range(g.n)}, s, t)

@@ -13,9 +13,9 @@ from flexconn import (
     contract_edges,
     inflate_safe_nodes,
     split_parallel,
-    to_antiparallel_digraph,
 )
 from flexconn.graphs import Edge, as_cost
+from flexconn.ncfgc import arc
 
 from strategies import edge_subsets, multigraphs
 
@@ -181,16 +181,13 @@ def test_inflate_edge_count(g):
     assert res.graph.m == expect
 
 
-def test_antiparallel_digraph():
+def test_arcs_direct_each_edge_both_ways():
     g = square()
-    dg = to_antiparallel_digraph(g)
-    assert dg.n == g.n and len(dg.arc_ids) == 2 * g.m
     for e in g.edges:
-        fwd, bwd = dg.arc(2 * e.eid), dg.arc(2 * e.eid + 1)
-        assert (fwd.tail, fwd.head) == (e.u, e.v)
-        assert (bwd.tail, bwd.head) == (e.v, e.u)
-        assert fwd.cost == bwd.cost == e.cost
-        assert fwd.origin == bwd.origin == e.eid
+        assert arc(g, 2 * e.eid) == (e.u, e.v, e.cost)
+        assert arc(g, 2 * e.eid + 1) == (e.v, e.u, e.cost)
+    with pytest.raises(UnknownEdgeError):
+        arc(g, 2 * g.m)
 
 
 @given(multigraphs())

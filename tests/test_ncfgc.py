@@ -23,16 +23,21 @@ from flexconn import (
     rooted_q_flow,
     solve_p_ncfgc,
     solve_rooted_qconn,
-    to_antiparallel_digraph,
     verify_ncfgc,
 )
 from flexconn.flows import Network
 from flexconn.generators import GenConfig, random_multigraph
+from flexconn.graphs import Edge
 from flexconn.lp import CutRow
-from flexconn.ncfgc import _separate_rooted
+from flexconn.ncfgc import _separate_rooted, arc
 from flexconn.oracle import exact_opt
 
 from strategies import cut_lp_values, edge_subsets, multigraphs, node_pairs
+
+
+def all_arcs(g):
+    """Both arc ids of every edge: 2 * eid and 2 * eid + 1."""
+    return frozenset(2 * eid + d for eid in g.edge_ids for d in (0, 1))
 
 
 def double_path():
@@ -84,10 +89,9 @@ def test_endpoint_caps_do_not_matter(g, data):
     zero = {**caps, s: 0, t: 0}
     unlimited = {**caps, s: None, t: None}
     assert q_connectivity(g, zero, s, t) == q_connectivity(g, unlimited, s, t)
-    dg = to_antiparallel_digraph(g)
     for root, sink in ((s, t), (t, s)):
-        assert rooted_q_flow(dg, zero, root, sink) == rooted_q_flow(
-            dg, unlimited, root, sink
+        assert rooted_q_flow(g, zero, root, sink) == rooted_q_flow(
+            g, unlimited, root, sink
         )
 
 
@@ -191,10 +195,9 @@ def test_rooted_parallel_pair_buys_both_forward_arcs():
         (0, 1, Fraction(1), True),
         (0, 1, Fraction(2), True),
     ])
-    dg = to_antiparallel_digraph(g)
-    res = solve_rooted_qconn(RootedQConnInstance(dg, 0, {0: 2, 1: 2}, 2))
+    res = solve_rooted_qconn(RootedQConnInstance(g, 0, {0: 2, 1: 2}, 2))
     assert res.arcs == frozenset({0, 2})
-    assert all(dg.arc(a).tail == 0 for a in res.arcs)
+    assert all(arc(g, a)[0] == 0 for a in res.arcs)
     assert res.cost == 3
 
 
@@ -208,26 +211,35 @@ def test_rooted_solver_matches_brute_force():
         ) or frozenset({0})
         p = rng.choice([1, 2, 3])
         root = min(safe)
-        dg = to_antiparallel_digraph(g)
         caps = {v: p if v in safe else 1 for v in range(g.n)}
-        inst = RootedQConnInstance(dg, root, caps, p)
-        costs = {aid: dg.arc(aid).cost for aid in dg.arc_ids}
-
-        def feasible(arcs):
-            return all(
-                rooted_q_flow(dg, caps, root, t, arcs, cutoff=p) >= p
-                for t in range(dg.n)
-                if t != root
-            )
-
-        if not feasible(dg.arc_ids):
+        inst = RootedQConnInstance(g, root, caps, p)
+        if not rooted_feasible(inst, all_arcs(g)):
             with pytest.raises(InfeasibleInstanceError):
                 solve_rooted_qconn(inst)
             continue
-        res = solve_rooted_qconn(inst)
-        opt = minimum_cost_subset(dg.arc_ids, costs, feasible)
-        assert opt.feasible and res.cost == opt.cost
-        assert feasible(res.arcs)
+        assert_rooted_optimal(inst)
+
+
+def rooted_feasible(inst, arcs):
+    p = inst.requirement
+    return all(
+        rooted_q_flow(inst.graph, inst.caps, inst.root, t, arcs, cutoff=p) >= p
+        for t in range(inst.graph.n)
+        if t != inst.root
+    )
+
+
+def assert_rooted_optimal(inst):
+    """solve_rooted_qconn buys a feasible arc set of the brute-force optimum."""
+    g = inst.graph
+    res = solve_rooted_qconn(inst)
+    costs = {aid: g.edge(aid >> 1).cost for aid in all_arcs(g)}
+    opt = minimum_cost_subset(
+        all_arcs(g), costs, lambda arcs: rooted_feasible(inst, arcs)
+    )
+    assert opt.feasible and res.cost == opt.cost
+    assert res.arcs <= all_arcs(g) and rooted_feasible(inst, res.arcs)
+    return res
 
 
 def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, capsys):
@@ -241,9 +253,8 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
 
     monkeypatch.setattr(ncfgc, "solve_cut_lp", half_vertex)
     g = double_path()
-    dg = to_antiparallel_digraph(g)
     with pytest.raises(SolverError, match="fractional"):
-        solve_rooted_qconn(RootedQConnInstance(dg, 1, {0: 1, 1: 1, 2: 1}, 1))
+        solve_rooted_qconn(RootedQConnInstance(g, 1, {0: 1, 1: 1, 2: 1}, 1))
     instance = tmp_path / "double-path.instance"
     instance.write_text(
         "flexconn-instance v1\nkind ncfgc\nnodes 3\n"
@@ -260,34 +271,38 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
 def reference_separate_rooted(inst, x):
     """Rooted separation on Fraction capacities with a new network per sink;
     the root, the sink and uncapped nodes get infinite node arcs."""
-    dg = inst.digraph
+    g = inst.graph
     p = Fraction(inst.requirement)
+    arcs = sorted(
+        (aid, tail, head)
+        for e in g.edges
+        for aid, tail, head in ((2 * e.eid, e.u, e.v), (2 * e.eid + 1, e.v, e.u))
+    )
     best = None
-    for t in range(dg.n):
+    for t in range(g.n):
         if t == inst.root:
             continue
-        net = Network(2 * dg.n)
-        for v in range(dg.n):
+        net = Network(2 * g.n)
+        for v in range(g.n):
             cap = inst.caps.get(v)
             if cap is None or v in (inst.root, t):
                 cap = math.inf
             net.add_pair(2 * v, 2 * v + 1, cap, 0)
-        for aid in sorted(dg.arc_ids):
-            a = dg.arc(aid)
-            net.add_pair(2 * a.tail + 1, 2 * a.head, x.get(aid, Fraction(0)), 0)
+        for aid, tail, head in arcs:
+            net.add_pair(2 * tail + 1, 2 * head, x.get(aid, Fraction(0)), 0)
         viol = p - net.max_flow(2 * inst.root + 1, 2 * t)
         if viol <= 0:
             continue
         if best is None or viol > best[0]:
             side = net.reachable_from(2 * inst.root + 1)
             crossing = frozenset(
-                a.aid
-                for a in dg.arcs
-                if 2 * a.tail + 1 in side and 2 * a.head not in side
+                aid
+                for aid, tail, head in arcs
+                if 2 * tail + 1 in side and 2 * head not in side
             )
             node_cost = sum(
                 inst.caps[v] or 0
-                for v in range(dg.n)
+                for v in range(g.n)
                 if 2 * v in side and 2 * v + 1 not in side
             )
             best = (viol, CutRow(crossing, p - node_cost))
@@ -306,12 +321,11 @@ def test_rooted_separation_matches_fraction_reference(style):
             g = MultiGraph.build(n, rows)
         else:
             g = random_multigraph(rng, cfg)
-        dg = to_antiparallel_digraph(g)
         p = rng.randint(1, 3)
         safe = {v for v in range(g.n) if rng.random() < 0.4} | {0}
         caps = {v: (None if k % 3 == 0 else p) if v in safe else 1 for v in range(g.n)}
-        inst = RootedQConnInstance(dg, rng.choice(sorted(safe)), caps, p)
-        x = cut_lp_values(rng, style, sorted(dg.arc_ids))
+        inst = RootedQConnInstance(g, rng.choice(sorted(safe)), caps, p)
+        x = cut_lp_values(rng, style, sorted(all_arcs(g)))
         row = _separate_rooted(inst, x)
         assert row == reference_separate_rooted(inst, x)
         found += row is not None
@@ -383,3 +397,47 @@ def test_solved_instances_verify_and_respect_the_factor(g, data):
     assert opt.feasible and opt.cost <= res.cost <= 2 * opt.cost
     # doubling an optimal edge set is rooted-feasible, capping the arc cost
     assert res.rooted_cost <= 2 * opt.cost
+
+
+def relabel(g, ids):
+    """g with its edges renumbered to `ids`, in edge order."""
+    return MultiGraph(
+        g.n, [Edge(eid, e.u, e.v, e.cost, e.safe) for eid, e in zip(ids, g.edges)]
+    )
+
+
+def test_edge_ids_need_not_be_dense():
+    g = relabel(MultiGraph.build(3, [
+        (0, 1, Fraction(1), True),
+        (1, 2, Fraction(2), True),
+        (0, 2, Fraction(4), True),
+    ]), [5, 9, 12])
+    res = solve_p_ncfgc(NcFgcInstance(g, {0}, 1))
+    assert res.edges == frozenset({5, 9}) and res.cost == 3
+    rooted = assert_rooted_optimal(RootedQConnInstance(g, 0, {0: 1, 1: 1, 2: 1}, 1))
+    # 0 -> 1 on edge 5, then 1 -> 2 on edge 9
+    assert rooted.arcs == frozenset({10, 18})
+
+    rng = random.Random(12)
+    cfg = GenConfig(nodes=(3, 4), extra_edges=(0, 2))
+    solved = 0
+    for _ in range(20):
+        dense = random_multigraph(rng, cfg)
+        ids = sorted(rng.sample(range(3, 60), dense.m))
+        g = relabel(dense, ids)
+        safe = frozenset(v for v in range(g.n) if rng.random() < 0.5) or {0}
+        p = rng.choice([1, 2])
+        try:
+            res = solve_p_ncfgc(NcFgcInstance(g, safe, p))
+        except InfeasibleInstanceError:
+            continue
+        solved += 1
+        # the same solve as on ids 0..m-1, read through the new ids
+        base = solve_p_ncfgc(NcFgcInstance(dense, safe, p))
+        assert res.edges == {ids[eid] for eid in base.edges}
+        assert res.cost == g.cost(res.edges) == base.cost
+        opt = exact_opt(NcFgcInstance(g, safe, p))
+        assert res.cost <= 2 * opt.cost
+        caps = {v: p if v in safe else 1 for v in range(g.n)}
+        assert_rooted_optimal(RootedQConnInstance(g, min(safe), caps, p))
+    assert solved >= 10

@@ -31,6 +31,10 @@ def test_budget_validation():
         OracleBudget(max_checks=0)
     with pytest.raises(ValidationError):
         OracleBudget(strategy="dfs")
+    for limit in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            OracleBudget(time_limit=limit)
+    assert OracleBudget(time_limit=0.0).time_limit == 0
 
 
 def test_hand_predicate_minimum():
