@@ -28,7 +28,6 @@ from .fgc import (
     CapNdpInstance,
     CapNdpResult,
     FgcInstance,
-    FgcReport,
     FgcSolveResult,
     build_capndp_p1,
     build_capndp_q1,
@@ -41,7 +40,6 @@ from .fgc import (
 from .flows import Network, edge_connectivity, max_flow_min_cut
 from .fst import (
     FstInstance,
-    FstReport,
     FstResult,
     build_second_stage,
     solve_fst,
@@ -62,6 +60,7 @@ from .graphs import (
     Cut,
     Edge,
     MultiGraph,
+    Verdict,
     contract_edges,
     inflate_safe_nodes,
     split_parallel,
@@ -83,7 +82,6 @@ from .jain import JainResult, SndpInstance, jain_round
 from .lp import CutRow, FractionalSolution, solve_cut_lp
 from .ncfgc import (
     NcFgcInstance,
-    NcReport,
     NcSolveResult,
     RootedQConnInstance,
     q_connectivity,

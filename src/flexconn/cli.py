@@ -124,13 +124,12 @@ def cmd_verify(args) -> int:
     else:
         edges = _parse_edges(args.edges)
     kind = KINDS[doc.kind]
-    report = kind.verify(doc.instance, edges, args.mode)
-    if report.ok:
+    verdict = kind.verify(doc.instance, edges, args.mode)
+    if verdict.ok:
         print("feasible")
         return EX_OK
     print("infeasible")
-    for v in report.violations:
-        print(kind.witness(v))
+    print(kind.witness(verdict.violation))
     return EX_INFEASIBLE
 
 

@@ -31,7 +31,7 @@ from .errors import (
     WrongRegimeError,
 )
 from .flows import edge_connectivity, max_flow_min_cut
-from .graphs import MultiGraph, split_parallel
+from .graphs import MultiGraph, Verdict, split_parallel
 from .jain import SndpInstance, jain_round, normalize_pairs
 
 
@@ -138,26 +138,17 @@ class CapacitatedFailure:
     demand: int
 
 
-@dataclass(frozen=True)
-class CapacitatedReport:
-    ok: bool
-    failures: tuple[CapacitatedFailure, ...] = ()
-
-
-def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> CapacitatedReport:
+def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> Verdict:
     """Check every demand by an exact max flow over the chosen edges; the
-    report names the first demand that fails."""
-    chosen = frozenset(edge_ids)
-    for eid in chosen:
-        inst.graph.edge(eid)
-    caps = {eid: inst.capacities[eid] for eid in chosen}
+    verdict names the first demand that fails."""
+    caps = {eid: inst.capacities[eid] for eid in inst.graph.subset(edge_ids)}
     for (i, j), d in sorted(inst.demands.items()):
         if d == 0:
             continue
         value, _ = max_flow_min_cut(inst.graph, caps, i, j)
         if value < d:
-            return CapacitatedReport(False, (CapacitatedFailure((i, j), value, d),))
-    return CapacitatedReport(True)
+            return Verdict(CapacitatedFailure((i, j), value, d))
+    return Verdict()
 
 
 @dataclass(frozen=True)
@@ -178,9 +169,8 @@ def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
     requirements = {pair: d for pair, d in inst.demands.items() if d >= 1}
     rounded = jain_round(SndpInstance(split.graph, requirements))
     edges = frozenset(split.copy_map[sid] for sid in rounded.edges)
-    report = check_capacitated_cuts(inst, edges)
-    if not report.ok:
-        bad = report.failures[0]
+    bad = check_capacitated_cuts(inst, edges).violation
+    if bad is not None:
         raise SolverError(
             f"rounded solution moves {bad.flow} < {bad.demand} units for pair "
             f"{bad.pair}"
@@ -199,19 +189,13 @@ class FgcViolation:
     connectivity: int
 
 
-@dataclass(frozen=True)
-class FgcReport:
-    ok: bool
-    violations: tuple[FgcViolation, ...] = ()
-
-
 def verify_fgc(
     inst: FgcInstance,
     edge_ids,
     *,
     subset_guard: int = 10**6,
-) -> FgcReport:
-    """Check feasibility against the definition; the report names the first
+) -> Verdict:
+    """Check feasibility against the definition; the verdict names the first
     violation found.
 
     Removing unsafe edges never raises connectivity, so only the largest
@@ -220,16 +204,14 @@ def verify_fgc(
     while connectivity below p_ij condemns it with no removals at all.
     """
     g = inst.graph
-    chosen = frozenset(edge_ids)
-    for eid in chosen:
-        g.edge(eid)
+    chosen = g.subset(edge_ids)
     unsafe = sorted(eid for eid in chosen if not g.edge(eid).safe)
     for (i, j), p, q in inst.active_pairs():
         lam = edge_connectivity(g, i, j, chosen, cutoff=p + q)
         if lam >= p + q:
             continue
         if lam < p:
-            return FgcReport(False, (FgcViolation((i, j), frozenset(), lam),))
+            return Verdict(FgcViolation((i, j), frozenset(), lam))
         k = min(q, len(unsafe))
         if k == 0:
             continue
@@ -242,9 +224,8 @@ def verify_fgc(
             rest = chosen.difference(combo)
             lam_rest = edge_connectivity(g, i, j, rest, cutoff=p)
             if lam_rest < p:
-                hit = FgcViolation((i, j), frozenset(combo), lam_rest)
-                return FgcReport(False, (hit,))
-    return FgcReport(True)
+                return Verdict(FgcViolation((i, j), frozenset(combo), lam_rest))
+    return Verdict()
 
 
 @dataclass(frozen=True)
@@ -257,29 +238,21 @@ class CutCharViolation:
     total_crossing: int
 
 
-@dataclass(frozen=True)
-class CutCharReport:
-    ok: bool
-    violations: tuple[CutCharViolation, ...] = ()
-
-
 def check_cut_characterization(
     inst: FgcInstance,
     edge_ids,
     *,
     node_guard: int = 20,
-) -> CutCharReport:
+) -> Verdict:
     """Check feasibility through cuts instead of failure sets.
 
     F is feasible iff every cut separating a pair (i, j) carries at least
     p_ij safe edges of F or at least p_ij + q_ij edges of F in total.  Each
-    cut is enumerated once as its side avoiding node 0; the report names the
+    cut is enumerated once as its side avoiding node 0; the verdict names the
     first weak cut found.
     """
     g = inst.graph
-    chosen = frozenset(edge_ids)
-    for eid in chosen:
-        g.edge(eid)
+    chosen = g.subset(edge_ids)
     if g.n > node_guard:
         raise GuardExceededError(f"{g.n} nodes, cut guard is {node_guard}")
     active = inst.active_pairs()
@@ -299,8 +272,8 @@ def check_cut_characterization(
                 continue
             if safe >= p or total >= p + q:
                 continue
-            return CutCharReport(False, (CutCharViolation(side, (i, j), safe, total),))
-    return CutCharReport(True)
+            return Verdict(CutCharViolation(side, (i, j), safe, total))
+    return Verdict()
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,13 @@ class Network:
         return path
 
     def max_flow(self, s: int, t: int, cutoff=None):
-        """Exact max s-t flow value, stopping early once `cutoff` is reached."""
+        """Exact max s-t flow value, stopping early once `cutoff` is reached;
+        s and t must be two distinct nodes of the network."""
+        if s == t or not (0 <= s < self.n and 0 <= t < self.n):
+            raise InvalidQueryError(
+                f"max flow needs two distinct nodes in 0..{self.n - 1}, "
+                f"got s = {s}, t = {t}"
+            )
         total = 0
         while cutoff is None or total < cutoff:
             path = self._augmenting_path(s, t)
@@ -124,8 +130,6 @@ def max_flow_min_cut(g: MultiGraph, capacities: Mapping[int, object], s: int, t:
     side is the set of residual-reachable nodes from s, its boundary the ids
     of the edges crossing the cut.
     """
-    if s == t:
-        raise InvalidQueryError(f"max flow needs distinct endpoints, got s = t = {s}")
     net = undirected_network(g, capacities)
     value = net.max_flow(s, t)
     side = net.reachable_from(s)
@@ -145,8 +149,6 @@ def edge_connectivity(
     With `cutoff` the computation stops as soon as that many paths exist, which
     is all a threshold test needs.
     """
-    if s == t:
-        raise InvalidQueryError(f"connectivity needs distinct endpoints, got {s}")
     ids = g.edge_ids if edge_ids is None else edge_ids
     net = undirected_network(g, dict.fromkeys(sorted(ids), 1))
     return net.max_flow(s, t, cutoff=cutoff)

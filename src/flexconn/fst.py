@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleInstanceError, SolverError, ValidationError
-from .graphs import DisjointSets, MultiGraph, contract_edges
+from .graphs import DisjointSets, MultiGraph, Verdict, contract_edges
 from .jain import SndpInstance, jain_round
 
 
@@ -40,29 +40,21 @@ class FstViolation:
     removed: int | None
 
 
-@dataclass(frozen=True)
-class FstReport:
-    ok: bool
-    violations: tuple[FstViolation, ...] = ()
-
-
-def verify_fst(inst: FstInstance, edge_ids) -> FstReport:
+def verify_fst(inst: FstInstance, edge_ids) -> Verdict:
     """Check that the chosen edges connect the terminals and still do after
-    losing any one unsafe edge; the report names the first failure."""
+    losing any one unsafe edge; the verdict names the first failure."""
     g = inst.graph
-    chosen = frozenset(edge_ids)
-    for eid in chosen:
-        g.edge(eid)
+    chosen = g.subset(edge_ids)
     if len(inst.terminals) <= 1:
-        return FstReport(True)
+        return Verdict()
     if not g.connects(inst.terminals, chosen):
-        return FstReport(False, (FstViolation(None),))
+        return Verdict(FstViolation(None))
     for eid in sorted(chosen):
         if g.edge(eid).safe:
             continue
         if not g.connects(inst.terminals, chosen - {eid}):
-            return FstReport(False, (FstViolation(eid),))
-    return FstReport(True)
+            return Verdict(FstViolation(eid))
+    return Verdict()
 
 
 def _shortest_paths(g: MultiGraph, source: int):
@@ -170,12 +162,13 @@ def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[in
 @dataclass(frozen=True)
 class SecondStageInstance:
     """Residual problem after a tree F1: safe tree edges contracted, unsafe
-    tree edges free, two edge-disjoint paths wanted between terminal images."""
+    tree edges free, two edge-disjoint paths wanted between terminal images
+    (no pairs when the terminals contract to fewer than two nodes)."""
 
     graph: MultiGraph
     node_map: dict[int, int]
     terminals: frozenset[int]
-    sndp: SndpInstance | None
+    sndp: SndpInstance
 
 
 def build_second_stage(inst: FstInstance, stage_one_edges) -> SecondStageInstance:
@@ -191,11 +184,8 @@ def build_second_stage(inst: FstInstance, stage_one_edges) -> SecondStageInstanc
     }
     cg = cg.with_costs(free)
     t2 = frozenset(contraction.node_map[t] for t in inst.terminals)
-    sndp = None
-    if len(t2) >= 2:
-        pairs = {(a, b): 2 for a in t2 for b in t2 if a < b}
-        sndp = SndpInstance(cg, pairs)
-    return SecondStageInstance(cg, contraction.node_map, t2, sndp)
+    pairs = {(a, b): 2 for a in t2 for b in t2 if a < b}
+    return SecondStageInstance(cg, contraction.node_map, t2, SndpInstance(cg, pairs))
 
 
 @dataclass(frozen=True)
@@ -222,45 +212,23 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
         raise ValidationError(f"unknown stage-one method {stage_one!r}")
     bound = Fraction(3 if stage_one == "exact" else 4)
     g = inst.graph
-    full = verify_fst(inst, g.edge_ids)
-    if not full.ok:
-        bad = full.violations[0]
+    bad = verify_fst(inst, g.edge_ids).violation
+    if bad is not None:
         if bad.removed is None:
             raise InfeasibleInstanceError("terminals are disconnected")
         raise InfeasibleInstanceError(
             f"unsafe edge {bad.removed} is a bridge between terminals; every "
             f"connecting set needs it"
         )
-    if len(inst.terminals) <= 1:
-        return FstResult(
-            frozenset(), Fraction(0), frozenset(), frozenset(), stage_one,
-            bound, Fraction(0), 0,
-        )
     if stage_one == "exact":
         f1 = steiner_tree_exact(g, inst.terminals)
     else:
         f1 = steiner_tree_approx(g, inst.terminals)
-    stage2 = build_second_stage(inst, f1)
-    if stage2.sndp is None:
-        f2: frozenset[int] = frozenset()
-        lp_objective = Fraction(0)
-        iterations = 0
-    else:
-        rounded = jain_round(stage2.sndp)
-        f2 = rounded.edges
-        lp_objective = rounded.lp_objective
-        iterations = rounded.iterations
-    edges = f1 | f2
-    report = verify_fst(inst, edges)
-    if not report.ok:
+    rounded = jain_round(build_second_stage(inst, f1).sndp)
+    edges = f1 | rounded.edges
+    if not verify_fst(inst, edges).ok:
         raise SolverError("second stage left a terminal cut uncovered")
     return FstResult(
-        edges,
-        g.cost(edges),
-        f1,
-        f2,
-        stage_one,
-        bound,
-        lp_objective,
-        iterations,
+        edges, g.cost(edges), f1, rounded.edges, stage_one, bound,
+        rounded.lp_objective, rounded.iterations,
     )

@@ -65,9 +65,6 @@ class Edge:
             return self.u
         raise ValueError(f"node {node} is not an endpoint of edge {self.eid}")
 
-    def touches(self, node: int) -> bool:
-        return node == self.u or node == self.v
-
 
 class MultiGraph:
     """Loop-free undirected multigraph, treated as immutable after construction."""
@@ -117,6 +114,13 @@ class MultiGraph:
     def has_edge(self, eid: int) -> bool:
         return eid in self._by_id
 
+    def subset(self, ids: Iterable[int]) -> frozenset[int]:
+        """The ids as a frozenset; one that is not an edge raises UnknownEdgeError."""
+        chosen = frozenset(ids)
+        for eid in chosen.difference(self._by_id):
+            self.edge(eid)
+        return chosen
+
     def incident(self, node: int) -> tuple[Edge, ...]:
         return tuple(self._incident[node])
 
@@ -127,16 +131,9 @@ class MultiGraph:
         ids = self.edge_ids if edge_ids is None else edge_ids
         return sum((self.edge(e).cost for e in ids), Fraction(0))
 
-    def safe_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.edges if e.safe)
-
-    def unsafe_ids(self) -> frozenset[int]:
-        return frozenset(e.eid for e in self.edges if not e.safe)
-
     def with_costs(self, override: Mapping[int, Fraction]) -> "MultiGraph":
         """Copy of the graph with some edge costs replaced."""
-        for eid in override:
-            self.edge(eid)
+        self.subset(override)
         edges = tuple(
             Edge(e.eid, e.u, e.v, as_cost(override[e.eid]), e.safe)
             if e.eid in override
@@ -187,6 +184,18 @@ class Cut:
 
 
 @dataclass(frozen=True)
+class Verdict:
+    """A verifier's answer: the first violation it found, which serves as
+    the witness, or None when the edge set is feasible."""
+
+    violation: object = None
+
+    @property
+    def ok(self) -> bool:
+        return self.violation is None
+
+
+@dataclass(frozen=True)
 class ContractionResult:
     graph: MultiGraph
     node_map: dict[int, int]
@@ -212,10 +221,7 @@ def contract_edges(g: MultiGraph, edge_ids: Iterable[int]) -> ContractionResult:
     contracted component disappear, parallel edges are retained.  New node ids
     are assigned by the smallest original node in each component.
     """
-    ids = set(edge_ids)
-    for eid in ids:
-        g.edge(eid)
-    comps = g.components(ids)
+    comps = g.components(g.subset(edge_ids))
     node_map: dict[int, int] = {}
     for new_id, comp in enumerate(comps):
         for v in comp:

@@ -46,7 +46,8 @@ SOLUTION_HEADER = "flexconn-solution v1"
 
 class Kind(NamedTuple):
     """What serves one file kind: `solve(inst, stage_one)`,
-    `verify(inst, edges, mode)` and the witness line for one violation."""
+    `verify(inst, edges, mode)` returning a `Verdict`, and the witness line
+    for its violation."""
 
     instance_type: type
     solve: Callable

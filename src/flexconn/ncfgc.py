@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .flows import Network, edge_connectivity, integral
-from .graphs import MultiGraph, inflate_safe_nodes
+from .graphs import MultiGraph, Verdict, inflate_safe_nodes
 from .lp import CutRow, solve_cut_lp
 
 
@@ -124,12 +124,6 @@ class NcViolation:
     connectivity: int
 
 
-@dataclass(frozen=True)
-class NcReport:
-    ok: bool
-    violations: tuple[NcViolation, ...] = ()
-
-
 def _pair_ok_qconn(inst, caps, chosen, i, j):
     p = inst.requirement
     lam = q_connectivity(inst.graph, caps, i, j, chosen, cutoff=p)
@@ -168,9 +162,9 @@ def verify_ncfgc(
     *,
     mode: str = "both",
     subset_guard: int = 10**6,
-) -> NcReport:
+) -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both;
-    the report names the first pair that fails.
+    the verdict names the first pair that fails.
 
     In "both" mode the two routes are compared pair by pair and any
     disagreement raises, since it would mean one of them is wrong.
@@ -178,11 +172,9 @@ def verify_ncfgc(
     if mode not in ("qconn", "enumeration", "both"):
         raise ValidationError(f"unknown mode {mode!r}")
     g = inst.graph
-    chosen = frozenset(edge_ids)
-    for eid in chosen:
-        g.edge(eid)
+    chosen = g.subset(edge_ids)
     if inst.requirement == 0:
-        return NcReport(True)
+        return Verdict()
     caps = inst.node_caps()
     for i in range(g.n):
         for j in range(i + 1, g.n):
@@ -198,8 +190,8 @@ def verify_ncfgc(
                 )
             hit = hit_e if hit_e is not None else hit_q
             if hit is not None:
-                return NcReport(False, (hit,))
-    return NcReport(True)
+                return Verdict(hit)
+    return Verdict()
 
 
 @dataclass(frozen=True)
@@ -401,9 +393,8 @@ def solve_p_ncfgc(inst: NcFgcInstance) -> NcSolveResult:
     rooted = RootedQConnInstance(g, root, caps, p)
     result = solve_rooted_qconn(rooted)
     edges = frozenset(aid >> 1 for aid in result.arcs)
-    report = verify_ncfgc(inst, edges, mode="qconn")
-    if not report.ok:
-        bad = report.violations[0]
+    bad = verify_ncfgc(inst, edges, mode="qconn").violation
+    if bad is not None:
         raise SolverError(
             f"rooted solution leaves pair {bad.pair} at {bad.connectivity} < {p}"
         )

@@ -118,9 +118,7 @@ def test_capacitated_check_reports_flow_shortfall():
     assert check_capacitated_cuts(inst, {0, 1}).ok
     report = check_capacitated_cuts(inst, {0})
     assert not report.ok
-    assert report.failures[0] == (
-        report.failures[0].__class__((0, 1), 2, 3)
-    )
+    assert report.violation == report.violation.__class__((0, 1), 2, 3)
 
 
 def test_solve_capndp_prefers_cheap_capacity():
@@ -140,7 +138,7 @@ def test_verify_fgc_hand_cases():
     g = unsafe_path()
     ok = verify_fgc(FgcInstance(g, {(0, 2): (1, 1)}), g.edge_ids)
     assert not ok.ok
-    v = ok.violations[0]
+    v = ok.violation
     assert v.pair == (0, 2) and len(v.removed) == 1 and v.connectivity == 0
 
     safe_path = MultiGraph.build(3, [
@@ -150,7 +148,7 @@ def test_verify_fgc_hand_cases():
     assert verify_fgc(FgcInstance(safe_path, {(0, 2): (1, 1)}), {0, 1}).ok
 
     under = verify_fgc(FgcInstance(g, {(0, 2): (2, 1)}), g.edge_ids)
-    assert under.violations[0] == under.violations[0].__class__(
+    assert under.violation == under.violation.__class__(
         (0, 2), frozenset(), 1
     )
 
@@ -177,7 +175,7 @@ def test_cut_characterization_hand_case_and_guard():
     inst = FgcInstance(g, {(0, 2): (1, 1)})
     report = check_cut_characterization(inst, g.edge_ids)
     assert not report.ok
-    v = report.violations[0]
+    v = report.violation
     assert v.side == frozenset({2})
     assert (v.safe_crossing, v.total_crossing) == (0, 1)
     with pytest.raises(GuardExceededError):

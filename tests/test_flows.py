@@ -13,6 +13,7 @@ from flexconn import (
     UnknownEdgeError,
     edge_connectivity,
     max_flow_min_cut,
+    q_connectivity,
     rooted_q_flow,
 )
 
@@ -76,6 +77,18 @@ def test_max_flow_min_cut_rejects_same_endpoints():
         max_flow_min_cut(g, {0: 1}, 1, 1)
     with pytest.raises(InvalidQueryError):
         edge_connectivity(g, 0, 0)
+    # endpoints must be nodes of the network: none loops, wraps or crashes
+    path = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
+    for query in (
+        lambda: edge_connectivity(path, -1, 0),
+        lambda: max_flow_min_cut(path, {0: 1, 1: 1}, -1, 0),
+        lambda: q_connectivity(path, {}, -1, 0),
+        lambda: max_flow_min_cut(path, {0: 1}, 0, -2),
+        lambda: edge_connectivity(path, 0, 3),
+        lambda: Network(3).max_flow(0, 0),
+    ):
+        with pytest.raises(InvalidQueryError):
+            query()
 
 
 def test_absent_capacity_means_zero():

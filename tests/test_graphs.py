@@ -69,15 +69,12 @@ def test_edge_lookup_and_incidence():
     assert [e.eid for e in g.incident(0)] == [0, 3, 4]
     assert g.degree(0) == 3
     assert g.edge(0).other(0) == 1
-    assert g.edge(0).touches(1) and not g.edge(0).touches(2)
 
 
 def test_cost_and_label_selectors():
     g = square()
     assert g.cost() == Fraction(15)
     assert g.cost([0, 2]) == Fraction(4)
-    assert g.safe_ids() == frozenset({0, 2, 4})
-    assert g.unsafe_ids() == frozenset({1, 3})
 
 
 def test_with_costs_overrides_only_named_edges():

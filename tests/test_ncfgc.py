@@ -109,11 +109,11 @@ def test_verify_modes_and_hand_cases():
         verify_ncfgc(weak, g.edge_ids, mode="flow")
     report = verify_ncfgc(weak, g.edge_ids)
     assert not report.ok
-    v = report.violations[0]
+    v = report.violation
     # the enumeration route names the failing node
     assert v.pair == (0, 2) and v.removed == frozenset({1}) and v.connectivity == 0
     flow_only = verify_ncfgc(weak, g.edge_ids, mode="qconn")
-    assert not flow_only.ok and flow_only.violations[0].removed is None
+    assert not flow_only.ok and flow_only.violation.removed is None
     assert verify_ncfgc(NcFgcInstance(g, {1}, 2), g.edge_ids).ok
     assert verify_ncfgc(NcFgcInstance(g, set(), 0), set()).ok
 
@@ -127,7 +127,7 @@ def test_star_center_is_the_weak_point():
     assert verify_ncfgc(NcFgcInstance(g, safe_leaves, 1), g.edge_ids).ok
     report = verify_ncfgc(NcFgcInstance(g, safe_leaves, 2), g.edge_ids)
     assert not report.ok
-    v = report.violations[0]
+    v = report.violation
     assert v.pair == (1, 2) and v.removed == frozenset({0}) and v.connectivity == 0
 
 
