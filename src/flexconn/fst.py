@@ -16,8 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleInstanceError, SolverError, ValidationError
+from .flows import integral
 from .graphs import DisjointSets, MultiGraph, Verdict, contract_edges
 from .jain import SndpInstance, jain_round
+
+
+def _check_terminals(g: MultiGraph, terminals) -> None:
+    for t in terminals:
+        if not (0 <= t < g.n):
+            raise ValidationError(f"terminal {t} out of range")
 
 
 @dataclass(frozen=True)
@@ -27,9 +34,7 @@ class FstInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", frozenset(self.terminals))
-        for t in self.terminals:
-            if not (0 <= t < self.graph.n):
-                raise ValidationError(f"terminal {t} out of range")
+        _check_terminals(self.graph, self.terminals)
 
 
 @dataclass(frozen=True)
@@ -49,27 +54,64 @@ def verify_fst(inst: FstInstance, edge_ids) -> Verdict:
         return Verdict()
     if not g.connects(inst.terminals, chosen):
         return Verdict(FstViolation(None))
-    for eid in sorted(chosen):
-        if g.edge(eid).safe:
-            continue
-        if not g.connects(inst.terminals, chosen - {eid}):
-            return Verdict(FstViolation(eid))
-    return Verdict()
+    unsafe = [eid for eid in _splitting_bridges(g, chosen, inst.terminals)
+              if not g.edge(eid).safe]
+    return Verdict(FstViolation(min(unsafe))) if unsafe else Verdict()
 
 
-def _shortest_paths(g: MultiGraph, source: int):
-    """Dijkstra distances and the edge used to reach each node."""
-    dist: list[Fraction | None] = [None] * g.n
+def _splitting_bridges(g: MultiGraph, chosen, terminals) -> list[int]:
+    """Chosen edges whose loss splits the terminals, which must share one
+    component: the bridges of one DFS from the smallest terminal (Tarjan's
+    low links) with terminals on both sides.  The edge a node was entered by
+    is skipped by id, so a parallel copy of it counts as a back edge."""
+    root = min(terminals)
+    tin = [-1] * g.n
+    low = [0] * g.n
+    below = [0] * g.n    # terminals in each DFS subtree
+    tin[root] = 0
+    below[root] = 1
+    stack = [(root, None, iter(g.incident(root)))]
+    clock = 1
+    split = []
+    while stack:
+        u, entry, rest = stack[-1]
+        for e in rest:
+            if e.eid == entry or e.eid not in chosen:
+                continue
+            w = e.other(u)
+            if tin[w] >= 0:
+                low[u] = min(low[u], tin[w])
+                continue
+            tin[w] = low[w] = clock
+            clock += 1
+            below[w] = int(w in terminals)
+            stack.append((w, e.eid, iter(g.incident(w))))
+            break
+        else:
+            stack.pop()
+            if stack:
+                parent = stack[-1][0]
+                low[parent] = min(low[parent], low[u])
+                below[parent] += below[u]
+                if low[u] > tin[parent] and 0 < below[u] < len(terminals):
+                    split.append(entry)
+    return split
+
+
+def _shortest_paths(g: MultiGraph, weight, source: int):
+    """Dijkstra distances under int edge weights (keyed by edge id) and the
+    edge used to reach each node."""
+    dist: list[int | None] = [None] * g.n
     parent: list[int | None] = [None] * g.n
-    dist[source] = Fraction(0)
-    heap = [(Fraction(0), source)]
+    dist[source] = 0
+    heap = [(0, source)]
     while heap:
         d, v = heapq.heappop(heap)
         if d > dist[v]:
             continue
         for e in g.incident(v):
             w = e.other(v)
-            nd = d + e.cost
+            nd = d + weight[e.eid]
             if dist[w] is None or nd < dist[w]:
                 dist[w] = nd
                 parent[w] = e.eid
@@ -118,11 +160,17 @@ def _prune_to_tree(g: MultiGraph, eids, terminals) -> frozenset[int]:
 
 def steiner_tree_approx(g: MultiGraph, terminals) -> frozenset[int]:
     """Tree through the terminals via a spanning tree of their shortest-path
-    metric; costs at most twice the cheapest connecting subgraph."""
+    metric; costs at most twice the cheapest connecting subgraph.
+
+    Dijkstra runs on the costs times their common denominator: one positive
+    scale keeps every comparison and tie, so the tree is the one rational
+    distances would give."""
     terms = sorted(set(terminals))
+    _check_terminals(g, terms)
     if len(terms) <= 1:
         return frozenset()
-    paths = {t: _shortest_paths(g, t) for t in terms}
+    _, weight = integral({e.eid: e.cost for e in g.edges})
+    paths = {t: _shortest_paths(g, weight, t) for t in terms}
     closure = []
     for ai, a in enumerate(terms):
         dist, _ = paths[a]
@@ -147,6 +195,7 @@ def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[in
     from .oracle import minimum_cost_subset
 
     terms = frozenset(terminals)
+    _check_terminals(g, terms)
     if len(terms) <= 1:
         return frozenset()
     if not g.connects(terms, g.edge_ids):

@@ -56,11 +56,14 @@ class SndpInstance:
 
 
 def check_requirements_satisfiable(inst: SndpInstance) -> None:
-    """Raise InfeasibleInstanceError with a witness cut if the graph is too sparse."""
-    caps = {e.eid: 1 for e in inst.graph.edges}
+    """Raise InfeasibleInstanceError with a witness cut if the graph is too sparse.
+
+    A pair is first tested by a flow that stops at its requirement; only a
+    pair that falls short pays for the full flow and its min cut."""
     for (i, j), r in inst.active_pairs():
-        value, cut = max_flow_min_cut(inst.graph, caps, i, j)
-        if value < r:
+        if edge_connectivity(inst.graph, i, j, cutoff=r) < r:
+            caps = {e.eid: 1 for e in inst.graph.edges}
+            value, cut = max_flow_min_cut(inst.graph, caps, i, j)
             raise InfeasibleInstanceError(
                 f"pair ({i}, {j}) needs {r} edge-disjoint paths but the graph "
                 f"admits only {value}",

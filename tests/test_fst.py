@@ -1,5 +1,7 @@
 """Two-stage solver for tree connectivity that survives one unsafe failure."""
 
+import heapq
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from flexconn import (
     FstInstance,
     InfeasibleInstanceError,
     MultiGraph,
+    UnknownEdgeError,
     ValidationError,
     build_second_stage,
     solve_fst,
@@ -17,6 +20,10 @@ from flexconn import (
     steiner_tree_exact,
     verify_fst,
 )
+from flexconn import fst
+from flexconn.flows import integral
+from flexconn.fst import FstViolation, _shortest_paths
+from flexconn.graphs import Verdict
 from flexconn.oracle import exact_opt
 
 from strategies import multigraphs
@@ -39,6 +46,15 @@ def test_terminal_validation():
     assert inst.terminals == frozenset({0, 1})
     with pytest.raises(ValidationError):
         FstInstance(g, {0, 2})
+
+
+@pytest.mark.parametrize("terminals", [{0, -1}, {0, 3}, {3}])
+def test_steiner_trees_reject_out_of_range_terminals(terminals):
+    g = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
+    for tree in (steiner_tree_approx, steiner_tree_exact):
+        bad = min(t for t in terminals if not 0 <= t < 3)
+        with pytest.raises(ValidationError, match=f"terminal {bad} out of range"):
+            tree(g, terminals)
 
 
 def test_verify_reports_the_failing_mode():
@@ -198,3 +214,121 @@ def test_solved_instances_verify_and_respect_the_factor(g, data):
     assert res.cost == g.cost(res.edges)
     opt = exact_opt(inst)
     assert opt.feasible and opt.cost <= res.cost <= res.bound * opt.cost
+
+
+def verify_by_definition(inst, edge_ids):
+    """`verify_fst` as the definition reads: one connectivity test per unsafe
+    chosen edge, in id order."""
+    g = inst.graph
+    chosen = g.subset(edge_ids)
+    if len(inst.terminals) <= 1:
+        return Verdict()
+    if not g.connects(inst.terminals, chosen):
+        return Verdict(FstViolation(None))
+    for eid in sorted(chosen):
+        if not g.edge(eid).safe and not g.connects(inst.terminals, chosen - {eid}):
+            return Verdict(FstViolation(eid))
+    return Verdict()
+
+
+def test_bridge_pass_handles_parallel_and_safe_bridges():
+    # 0 =(unsafe pair)= 1 -(safe)- 2 -(unsafe)- 3, plus a terminal-free 4-5
+    g = MultiGraph.build(6, [
+        (0, 1, Fraction(1), False),
+        (0, 1, Fraction(1), False),
+        (1, 2, Fraction(1), True),
+        (2, 3, Fraction(1), False),
+        (4, 5, Fraction(1), False),
+    ])
+    inst = FstInstance(g, {0, 2})
+    for chosen, want in [
+        ({0, 1, 2}, None),          # the parallel pair is no bridge
+        ({0, 1, 2, 3, 4}, None),    # pendant and terminal-free edges split no terminals
+        ({0, 2}, FstViolation(0)),  # one copy alone is an unsafe bridge
+        ({1, 2, 4}, FstViolation(1)),
+        ({0, 1}, FstViolation(None)),
+    ]:
+        assert verify_fst(inst, chosen).violation == want
+        assert verify_by_definition(inst, chosen).violation == want
+    assert verify_fst(FstInstance(g, {0, 3}), {0, 2, 3}).violation == FstViolation(0)
+    assert verify_fst(FstInstance(g, {1, 2}), {2}).ok    # a safe bridge
+    assert verify_fst(FstInstance(g, {0, 4}), g.edge_ids).violation == FstViolation(None)
+    with pytest.raises(UnknownEdgeError):
+        verify_fst(inst, {0, 1, 2, 9})
+
+
+def test_bridge_pass_matches_the_definition_on_random_multigraphs():
+    rng = random.Random(14)
+    seen = {"ok": 0, "split": 0, "disconnected": 0, "parallel": 0}
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(0, 2 * n + 2)):
+            if n < 2:
+                break
+            u, v = rng.sample(range(n), 2)
+            for _ in range(rng.choice([1, 1, 1, 2])):    # parallel copies
+                rows.append((u, v, Fraction(1), rng.random() < 0.3))
+        g = MultiGraph.build(n, rows)
+        terminals = frozenset(v for v in range(n) if rng.random() < 0.5)
+        chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.8)
+        inst = FstInstance(g, terminals)
+        want = verify_by_definition(inst, chosen)
+        assert verify_fst(inst, chosen) == want
+        if want.ok:
+            seen["ok"] += 1
+        else:
+            seen["disconnected" if want.violation.removed is None else "split"] += 1
+        ends = [tuple(sorted((g.edge(e).u, g.edge(e).v))) for e in chosen]
+        seen["parallel"] += len(set(ends)) < len(ends) and want.ok
+    assert min(seen.values()) >= 50, seen
+
+
+def fraction_shortest_paths(g, source):
+    """Dijkstra on `Fraction` costs, as stage one ran before it moved to ints."""
+    dist = [None] * g.n
+    parent = [None] * g.n
+    dist[source] = Fraction(0)
+    heap = [(Fraction(0), source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d > dist[v]:
+            continue
+        for e in g.incident(v):
+            w = e.other(v)
+            nd = d + e.cost
+            if dist[w] is None or nd < dist[w]:
+                dist[w] = nd
+                parent[w] = e.eid
+                heapq.heappush(heap, (nd, w))
+    return dist, parent
+
+
+@pytest.mark.parametrize("costs", [
+    [Fraction(k, 3) for k in (1, 2, 4)] + [Fraction(k, 7) for k in (1, 3, 5)],
+    [Fraction(1, 3), Fraction(2, 3)],    # few values, so distances tie often
+    [Fraction(1, 7)],                    # every path of a given length ties
+])
+def test_integer_dijkstra_matches_the_fraction_one(costs, monkeypatch):
+    rng = random.Random(len(costs))
+    cases = []
+    for _ in range(120):
+        n = rng.randint(2, 10)
+        rows = [(rng.randrange(v), v, rng.choice(costs), True) for v in range(1, n)]
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            rows.append((u, v, rng.choice(costs), True))
+        g = MultiGraph.build(n, rows)
+        terminals = frozenset(rng.sample(range(n), rng.randint(2, n)))
+        scale, weight = integral({e.eid: e.cost for e in g.edges})
+        for source in terminals:
+            dist, parent = _shortest_paths(g, weight, source)
+            ref_dist, ref_parent = fraction_shortest_paths(g, source)
+            assert parent == ref_parent
+            assert dist == [d * scale for d in ref_dist]
+        cases.append((g, terminals, steiner_tree_approx(g, terminals)))
+    monkeypatch.setattr(
+        fst, "_shortest_paths", lambda g, weight, source: fraction_shortest_paths(g, source)
+    )
+    for g, terminals, tree in cases:
+        assert steiner_tree_approx(g, terminals) == tree

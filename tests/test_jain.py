@@ -15,7 +15,7 @@ from flexconn import (
     edge_connectivity,
     jain_round,
 )
-from flexconn.flows import max_flow_min_cut
+from flexconn.flows import integral, max_flow_min_cut
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
 from flexconn.jain import separation
@@ -149,8 +149,9 @@ def test_unit_requirement_reduces_to_a_shortest_path():
         g = random_multigraph(rng, cfg)
         i, j = sorted(rng.sample(range(g.n), 2))
         res = jain_round(SndpInstance(g, {(i, j): 1}))
-        dist, _ = _shortest_paths(g, i)
-        assert g.cost(res.edges) == dist[j]
+        scale, weight = integral({e.eid: e.cost for e in g.edges})
+        dist, _ = _shortest_paths(g, weight, i)
+        assert g.cost(res.edges) * scale == dist[j]
 
 
 def test_parallel_cheap_route_is_preferred():
