@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a ratio past its proven bound, 2 infeasible,
-3 oracle refusal, 64 bad usage, 65 unreadable or invalid input, 70 an
-internal error of the solver stack.
+3 a refusal (an oracle budget or an enumeration guard exceeded: the
+question is valid but too large to answer exactly), 64 bad usage, 65
+unreadable or invalid input, 70 an internal error of the solver stack.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ _DATA_ERRORS = (
     InvalidQueryError,
     UnsupportedInstanceError,
     WrongRegimeError,
-    GuardExceededError,
 )
 
 class _Parser(argparse.ArgumentParser):
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}")
         return EX_INFEASIBLE
-    except OracleRefusalError as exc:
+    except (OracleRefusalError, GuardExceededError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EX_REFUSED
     except _DATA_ERRORS as exc:

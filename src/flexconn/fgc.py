@@ -30,8 +30,9 @@ from .errors import (
     ValidationError,
     WrongRegimeError,
 )
-from .flows import edge_connectivity, max_flow_min_cut
-from .graphs import MultiGraph, Verdict, split_parallel
+from .flows import edge_connectivity, undirected_network
+from .flows import max_flow_min_cut  # unused here; perfbench/spans.py wraps this name
+from .graphs import MultiGraph, Verdict, check_count, split_parallel
 from .jain import SndpInstance, jain_round, normalize_pairs
 
 
@@ -45,8 +46,8 @@ class FgcInstance:
     def __post_init__(self):
         pairs = normalize_pairs(self.pairs, self.graph.n)
         for (a, b), (p, q) in self.pairs.items():
-            if p < 0 or q < 0:
-                raise ValidationError(f"negative requirement for pair ({a}, {b})")
+            check_count(p, f"p for pair ({a}, {b})")
+            check_count(q, f"q for pair ({a}, {b})")
         object.__setattr__(self, "pairs", pairs)
 
     @classmethod
@@ -92,14 +93,11 @@ class CapNdpInstance:
 
     def __post_init__(self):
         for e in self.graph.edges:
-            u = self.capacities.get(e.eid)
-            if not isinstance(u, int) or isinstance(u, bool) or u < 0:
-                raise ValidationError(f"edge {e.eid} needs an integer capacity >= 0")
+            check_count(self.capacities.get(e.eid), f"capacity of edge {e.eid}")
         for (a, b), d in self.demands.items():
             if a == b or not (0 <= a < self.graph.n and 0 <= b < self.graph.n):
                 raise ValidationError(f"bad demand pair ({a}, {b})")
-            if d < 0:
-                raise ValidationError(f"negative demand for pair ({a}, {b})")
+            check_count(d, f"demand for pair ({a}, {b})")
 
 
 def build_capndp_q1(inst: FgcInstance) -> CapNdpInstance:
@@ -139,13 +137,14 @@ class CapacitatedFailure:
 
 
 def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> Verdict:
-    """Check every demand by an exact max flow over the chosen edges; the
-    verdict names the first demand that fails."""
-    caps = {eid: inst.capacities[eid] for eid in inst.graph.subset(edge_ids)}
+    """Check every demand by an exact max flow over the chosen edges, one
+    network for all of them; the verdict names the first demand that fails."""
+    chosen = inst.graph.subset(edge_ids)
+    net = undirected_network(inst.graph, {eid: inst.capacities[eid] for eid in chosen})
     for (i, j), d in sorted(inst.demands.items()):
         if d == 0:
             continue
-        value, _ = max_flow_min_cut(inst.graph, caps, i, j)
+        value = net.max_flow(i, j, cutoff=d)
         if value < d:
             return Verdict(CapacitatedFailure((i, j), value, d))
     return Verdict()
@@ -201,13 +200,15 @@ def verify_fgc(
     Removing unsafe edges never raises connectivity, so only the largest
     allowed failure sets need checking, and two screens are decisive on
     their own: connectivity p_ij + q_ij within F clears the pair outright,
-    while connectivity below p_ij condemns it with no removals at all.
+    while connectivity below p_ij condemns it with no removals at all.  The
+    screens share one network over F.
     """
     g = inst.graph
     chosen = g.subset(edge_ids)
     unsafe = sorted(eid for eid in chosen if not g.edge(eid).safe)
+    net = undirected_network(g, dict.fromkeys(sorted(chosen), 1))
     for (i, j), p, q in inst.active_pairs():
-        lam = edge_connectivity(g, i, j, chosen, cutoff=p + q)
+        lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
             continue
         if lam < p:

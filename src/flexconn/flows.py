@@ -4,6 +4,10 @@ Capacities are ints or exact rationals.  All arithmetic is exact, augmenting
 paths are found by BFS in arc insertion order, and the reported min cut side
 is always the set of nodes residual-reachable from s.
 
+A `Network` keeps the capacities it was built with and starts every max
+flow from them, so one network answers any number of (s, t) queries about
+one edge set; the residual of the last query stays readable for its cut.
+
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
 the same paths and the same cut side, since BFS only asks which residuals
@@ -31,11 +35,13 @@ def integral(values: Mapping[K, object]) -> tuple[int, dict[K, int]]:
 
 
 class Network:
-    """Residual flow network; arcs 2k and 2k+1 are mutual reverses."""
+    """Flow network; arcs 2k and 2k+1 are mutual reverses.  `base` holds the
+    capacities as built, `cap` the residual the last max flow left."""
 
     def __init__(self, n: int):
         self.n = n
         self.to: list[int] = []
+        self.base: list = []
         self.cap: list = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
@@ -47,6 +53,7 @@ class Network:
         """
         i = len(self.to)
         self.to.extend((v, u))
+        self.base.extend((cap_uv, cap_vu))
         self.cap.extend((cap_uv, cap_vu))
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
@@ -76,13 +83,15 @@ class Network:
         return path
 
     def max_flow(self, s: int, t: int, cutoff=None):
-        """Exact max s-t flow value, stopping early once `cutoff` is reached;
-        s and t must be two distinct nodes of the network."""
+        """Exact max s-t flow value from the built capacities, stopping early
+        once `cutoff` is reached; s and t must be two distinct nodes of the
+        network.  A value short of `cutoff` is the max flow."""
         if s == t or not (0 <= s < self.n and 0 <= t < self.n):
             raise InvalidQueryError(
                 f"max flow needs two distinct nodes in 0..{self.n - 1}, "
                 f"got s = {s}, t = {t}"
             )
+        self.cap = self.base.copy()
         total = 0
         while cutoff is None or total < cutoff:
             path = self._augmenting_path(s, t)
@@ -98,7 +107,8 @@ class Network:
         return total
 
     def reachable_from(self, s: int) -> frozenset[int]:
-        """Nodes reachable from s along residual-positive arcs."""
+        """Nodes reachable from s along residual-positive arcs of the last
+        max flow (of the built capacities before the first)."""
         seen = {s}
         queue = deque([s])
         while queue:

@@ -26,6 +26,13 @@ def as_cost(value) -> Fraction:
     return cost
 
 
+def check_count(value, what: str) -> None:
+    """Raise ValidationError naming `what` unless value is an int >= 0; a
+    bool is not a count."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValidationError(f"{what} must be an integer >= 0, got {value!r}")
+
+
 class DisjointSets:
     """Union-find over nodes 0..n-1; each set's root is its smallest node."""
 

@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Collection, Mapping
 
 from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
-from .flows import edge_connectivity, integral, max_flow_min_cut, undirected_network
-from .graphs import MultiGraph
+from .flows import integral, max_flow_min_cut, undirected_network
+from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
+from .graphs import MultiGraph, check_count
 from .lp import CutRow, FractionalSolution, solve_cut_lp
 
 
@@ -47,29 +48,47 @@ class SndpInstance:
     def __post_init__(self):
         requirements = normalize_pairs(self.requirements, self.graph.n)
         for (a, b), r in self.requirements.items():
-            if r < 0:
-                raise ValidationError(f"negative requirement {r} for pair ({a}, {b})")
+            check_count(r, f"requirement for pair ({a}, {b})")
         object.__setattr__(self, "requirements", requirements)
 
     def active_pairs(self) -> list[tuple[tuple[int, int], int]]:
         return [(p, r) for p, r in sorted(self.requirements.items()) if r >= 1]
 
 
+def first_unmet_pair(
+    graph: MultiGraph,
+    requirements: Mapping[tuple[int, int], int],
+    edge_ids: Collection[int] | None = None,
+) -> tuple[int, int] | None:
+    """First pair in sorted order with fewer edge-disjoint paths within
+    `edge_ids` (default: every edge) than it requires, or None.
+
+    One unit-capacity network serves every pair, and each flow stops at the
+    pair's requirement."""
+    ids = graph.edge_ids if edge_ids is None else edge_ids
+    net = undirected_network(graph, dict.fromkeys(sorted(ids), 1))
+    for (i, j), r in sorted(requirements.items()):
+        if r >= 1 and net.max_flow(i, j, cutoff=r) < r:
+            return i, j
+    return None
+
+
 def check_requirements_satisfiable(inst: SndpInstance) -> None:
     """Raise InfeasibleInstanceError with a witness cut if the graph is too sparse.
 
-    A pair is first tested by a flow that stops at its requirement; only a
-    pair that falls short pays for the full flow and its min cut."""
-    for (i, j), r in inst.active_pairs():
-        if edge_connectivity(inst.graph, i, j, cutoff=r) < r:
-            caps = {e.eid: 1 for e in inst.graph.edges}
-            value, cut = max_flow_min_cut(inst.graph, caps, i, j)
-            raise InfeasibleInstanceError(
-                f"pair ({i}, {j}) needs {r} edge-disjoint paths but the graph "
-                f"admits only {value}",
-                pair=(i, j),
-                cut=cut,
-            )
+    Only the first pair that falls short pays for the full flow and its min
+    cut."""
+    pair = first_unmet_pair(inst.graph, inst.requirements)
+    if pair is not None:
+        i, j = pair
+        caps = {e.eid: 1 for e in inst.graph.edges}
+        value, cut = max_flow_min_cut(inst.graph, caps, i, j)
+        raise InfeasibleInstanceError(
+            f"pair ({i}, {j}) needs {inst.requirements[pair]} edge-disjoint "
+            f"paths but the graph admits only {value}",
+            pair=pair,
+            cut=cut,
+        )
 
 
 def separation(
@@ -91,11 +110,9 @@ def separation(
         e.eid: 1 if e.eid in chosen else x.get(e.eid, 0) for e in graph.edges
     })
     net = undirected_network(graph, caps)
-    base = net.cap
     best = None
     pairs = sorted((p, r) for p, r in requirements.items() if r >= 1)
     for (i, j), r in pairs:
-        net.cap = base.copy()
         viol = r * scale - net.max_flow(i, j)
         if viol <= 0:
             continue
@@ -110,13 +127,6 @@ def separation(
     undecided = frozenset(e for e in boundary if e not in chosen)
     rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
     return CutRow(undecided, Fraction(rhs - (len(boundary) - len(undecided))))
-
-
-def _met(graph: MultiGraph, requirements, chosen) -> bool:
-    for (i, j), r in sorted(requirements.items()):
-        if r >= 1 and edge_connectivity(graph, i, j, chosen, cutoff=r) < r:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -137,7 +147,7 @@ def jain_round(inst: SndpInstance) -> JainResult:
     first_objective: Fraction | None = None
     iterations = 0
     threshold = Fraction(1, 2)
-    while not _met(graph, requirements, chosen):
+    while first_unmet_pair(graph, requirements, chosen) is not None:
         sol: FractionalSolution = solve_cut_lp(
             {e: c for e, c in costs.items() if e not in chosen},
             lambda x: separation(graph, x, requirements, chosen),

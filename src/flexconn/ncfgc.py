@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .flows import Network, edge_connectivity, integral
-from .graphs import MultiGraph, Verdict, inflate_safe_nodes
+from .graphs import MultiGraph, Verdict, check_count, inflate_safe_nodes
 from .lp import CutRow, solve_cut_lp
 
 
@@ -56,8 +56,7 @@ class NcFgcInstance:
         for v in self.safe_nodes:
             if not (0 <= v < self.graph.n):
                 raise ValidationError(f"safe node {v} out of range")
-        if self.requirement < 0:
-            raise ValidationError("negative requirement")
+        check_count(self.requirement, "requirement")
 
     def node_caps(self) -> dict[int, int | None]:
         """Path budget per intermediate node; None means unlimited."""
@@ -97,21 +96,12 @@ def q_connectivity(
     *,
     cutoff: int | None = None,
 ) -> int:
-    """Max (s, t)-flow with unit edges and capacitated intermediate nodes.
-
-    Node v becomes 2v -> 2v+1 with capacity caps[v]; each edge contributes
-    one unit arc per direction between the out and in halves.  The endpoints'
-    own caps do not matter.
+    """Max (s, t)-flow with unit edges and capacitated intermediate nodes:
+    the rooted q-flow over both arcs of each edge in `edge_ids` (default:
+    every edge).  The endpoints' own caps do not matter.
     """
-    if s == t:
-        raise InvalidQueryError("s and t must differ")
-    ids = sorted(g.edge_ids) if edge_ids is None else sorted(set(edge_ids))
-    arcs = []
-    for eid in ids:
-        e = g.edge(eid)
-        arcs += [(e.u, e.v, 1), (e.v, e.u, 1)]
-    net = _split_network(g.n, caps, arcs)
-    return net.max_flow(2 * s + 1, 2 * t, cutoff=cutoff)
+    ids = g.edge_ids if edge_ids is None else edge_ids
+    return rooted_q_flow(g, caps, s, t, _both_arcs(ids), cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -122,14 +112,6 @@ class NcViolation:
     pair: tuple[int, int]
     removed: frozenset[int] | None
     connectivity: int
-
-
-def _pair_ok_qconn(inst, caps, chosen, i, j):
-    p = inst.requirement
-    lam = q_connectivity(inst.graph, caps, i, j, chosen, cutoff=p)
-    if lam >= p:
-        return None
-    return NcViolation((i, j), None, lam)
 
 
 def _pair_ok_enum(inst, chosen, i, j, subset_guard):
@@ -164,7 +146,8 @@ def verify_ncfgc(
     subset_guard: int = 10**6,
 ) -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both;
-    the verdict names the first pair that fails.
+    the verdict names the first pair that fails.  The flow route asks one
+    split-node network over F about every pair.
 
     In "both" mode the two routes are compared pair by pair and any
     disagreement raises, since it would mean one of them is wrong.
@@ -173,14 +156,18 @@ def verify_ncfgc(
         raise ValidationError(f"unknown mode {mode!r}")
     g = inst.graph
     chosen = g.subset(edge_ids)
-    if inst.requirement == 0:
+    p = inst.requirement
+    if p == 0:
         return Verdict()
-    caps = inst.node_caps()
+    if mode in ("qconn", "both"):
+        net = _unit_network(g, inst.node_caps(), _both_arcs(chosen))
     for i in range(g.n):
         for j in range(i + 1, g.n):
             hit_q = hit_e = None
             if mode in ("qconn", "both"):
-                hit_q = _pair_ok_qconn(inst, caps, chosen, i, j)
+                lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
+                if lam < p:
+                    hit_q = NcViolation((i, j), None, lam)
             if mode in ("enumeration", "both"):
                 hit_e = _pair_ok_enum(inst, chosen, i, j, subset_guard)
             if mode == "both" and (hit_q is None) != (hit_e is None):
@@ -225,8 +212,19 @@ def arc(g: MultiGraph, aid: int) -> tuple[int, int, Fraction]:
     return (e.v, e.u, e.cost) if aid & 1 else (e.u, e.v, e.cost)
 
 
-def _arc_ids(g: MultiGraph) -> list[int]:
-    return [a for eid in sorted(g.edge_ids) for a in (2 * eid, 2 * eid + 1)]
+def _both_arcs(edge_ids) -> list[int]:
+    """Both arc ids of every edge id, in sorted order."""
+    return [a for eid in sorted(edge_ids) for a in (2 * eid, 2 * eid + 1)]
+
+
+def _unit_network(g: MultiGraph, caps, arcs=None) -> Network:
+    """Split-node network with one unit arc per arc id of g in `arcs`
+    (default: every arc), in sorted order; the flow from a root to t runs
+    from node 2*root + 1 to node 2*t."""
+    ids = _both_arcs(g.edge_ids) if arcs is None else sorted(set(arcs))
+    return _split_network(
+        g.n, caps, [(u, v, 1) for aid in ids for u, v, _ in [arc(g, aid)]]
+    )
 
 
 def rooted_q_flow(
@@ -242,10 +240,7 @@ def rooted_q_flow(
     with capacitated intermediate nodes; `arcs` defaults to every arc."""
     if root == t:
         raise InvalidQueryError("root and t must differ")
-    ids = _arc_ids(g) if arcs is None else sorted(set(arcs))
-    unit = [(u, v, 1) for aid in ids for u, v, _ in [arc(g, aid)]]
-    net = _split_network(g.n, caps, unit)
-    return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
+    return _unit_network(g, caps, arcs).max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -261,8 +256,10 @@ class RootedQConnInstance:
     def __post_init__(self):
         if not (0 <= self.root < self.graph.n):
             raise ValidationError("root out of range")
-        if self.requirement < 0:
-            raise ValidationError("negative requirement")
+        check_count(self.requirement, "requirement")
+        for v, cap in self.caps.items():
+            if cap is not None:
+                check_count(cap, f"cap of node {v}")
 
 
 def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
@@ -273,18 +270,16 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
     flows exact.
     """
     g = inst.graph
-    ids = _arc_ids(g)
+    ids = _both_arcs(g.edge_ids)
     scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
     caps = {v: None if c is None else c * scale for v, c in inst.caps.items()}
     arcs = [(u, v, xs[aid]) for aid in ids for u, v, _ in [arc(g, aid)]]
     net = _split_network(g.n, caps, arcs)
-    base = net.cap
     s = 2 * inst.root + 1
     best = None
     for t in range(g.n):
         if t == inst.root:
             continue
-        net.cap = base.copy()
         viol = inst.requirement * scale - net.max_flow(s, 2 * t)
         if viol > 0 and (best is None or viol > best[0]):
             best = (viol, net.reachable_from(s))
@@ -333,18 +328,18 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     """
     g = inst.graph
     p = inst.requirement
-    for t in range(g.n):
-        if t == inst.root:
-            continue
-        if rooted_q_flow(g, inst.caps, inst.root, t, cutoff=p) < p:
+    sinks = [t for t in range(g.n) if t != inst.root]
+    net = _unit_network(g, inst.caps)
+    for t in sinks:
+        flow = net.max_flow(2 * inst.root + 1, 2 * t, cutoff=p)
+        if flow < p:
             raise InfeasibleInstanceError(
-                f"the full arc set gives the root only "
-                f"{rooted_q_flow(g, inst.caps, inst.root, t)} units toward {t}",
+                f"the full arc set gives the root only {flow} units toward {t}",
                 pair=(inst.root, t),
             )
     if p == 0 or g.n <= 1:
         return RootedSolveResult(frozenset(), Fraction(0))
-    costs = {aid: arc(g, aid)[2] for aid in _arc_ids(g)}
+    costs = {aid: arc(g, aid)[2] for aid in _both_arcs(g.edge_ids)}
     sol = solve_cut_lp(costs, lambda x: _separate_rooted(inst, x), max_rows=4000)
     fractional = sol.fractional_ids()
     if fractional:
@@ -352,10 +347,9 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
             f"rooted cut LP vertex is fractional on arcs {list(fractional)}"
         )
     arcs = frozenset(a for a, v in sol.x.items() if v == 1)
-    for t in range(g.n):
-        if t == inst.root:
-            continue
-        if rooted_q_flow(g, inst.caps, inst.root, t, arcs, cutoff=p) < p:
+    net = _unit_network(g, inst.caps, arcs)
+    for t in sinks:
+        if net.max_flow(2 * inst.root + 1, 2 * t, cutoff=p) < p:
             raise SolverError(f"rooted solution leaves sink {t} short")
     return RootedSolveResult(arcs, sol.objective)
 

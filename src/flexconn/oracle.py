@@ -22,10 +22,10 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import OracleRefusalError, SolverError, ValidationError
 from .fgc import FgcInstance, CapNdpInstance, check_capacitated_cuts, verify_fgc
-from .flows import edge_connectivity
+from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
 from .fst import FstInstance, verify_fst
 from .instance_io import KINDS, kind_of
-from .jain import SndpInstance
+from .jain import SndpInstance, first_unmet_pair
 from .ncfgc import NcFgcInstance, verify_ncfgc
 
 REPORT_KINDS = ("fgc-q1", "fgc-p1", "fst", "ncfgc")
@@ -156,10 +156,7 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
 
 
 def _sndp_feasible(inst: SndpInstance, subset: frozenset[int]) -> bool:
-    return all(
-        edge_connectivity(inst.graph, i, j, subset, cutoff=r) >= r
-        for (i, j), r in inst.active_pairs()
-    )
+    return first_unmet_pair(inst.graph, inst.requirements, subset) is None
 
 
 def exact_opt(instance, *, budget: OracleBudget | None = None) -> OptResult:

@@ -240,6 +240,40 @@ def test_data_errors_exit_65(tmp_path, capsys, monkeypatch, error):
 
 
 @pytest.mark.parametrize(
+    "error", [errors.OracleRefusalError, errors.GuardExceededError],
+    ids=lambda error: error.__name__,
+)
+def test_refusals_exit_3(tmp_path, capsys, monkeypatch, error):
+    break_fgc_solver(monkeypatch, error)
+    instance = gen_one(tmp_path, "fgc-q1")
+    capsys.readouterr()
+    assert main(["solve", str(instance)]) == cli.EX_REFUSED == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: solver stack broke\n"
+
+
+def test_verify_refuses_past_the_enumeration_guard(tmp_path, capsys):
+    """A valid fgc question with more failure sets than the guard allows:
+    one safe edge joins the pair, and C(35, 6) sets of 6 of the 35 unsafe
+    edges elsewhere could fail."""
+    instance = tmp_path / "guard.instance"
+    instance.write_text(
+        "flexconn-instance v1\nkind fgc\nnodes 4\nedge 0 1 1 safe\n"
+        + "edge 2 3 1 unsafe\n" * 35
+        + "pair 0 1 1 6\n"
+    )
+    edges = ",".join(str(eid) for eid in range(36))
+    capsys.readouterr()
+    assert main(["verify", str(instance), "--edges", edges]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: pair (0, 1) needs 1623160 failure sets, guard is 1000000\n"
+    )
+
+
+@pytest.mark.parametrize(
     "error",
     ["LpResourceError", "LpInfeasibleError", "SolverError",
      "JainProgressError", "OracleContractError", "FlexconnError"],

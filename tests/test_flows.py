@@ -17,7 +17,7 @@ from flexconn import (
     rooted_q_flow,
 )
 
-from flexconn.flows import integral
+from flexconn.flows import integral, undirected_network
 
 from strategies import multigraphs
 
@@ -138,3 +138,19 @@ def test_directed_antiparallel_matches_undirected(g, data):
     t = (s + 1 + data.draw(st.integers(0, g.n - 2))) % g.n
     und, _ = max_flow_min_cut(g, {e: 1 for e in g.edge_ids}, s, t)
     assert und == rooted_q_flow(g, {v: None for v in range(g.n)}, s, t)
+
+
+@given(multigraphs(), st.data())
+def test_one_network_answers_repeated_queries(g, data):
+    caps = {eid: data.draw(st.integers(0, 3)) for eid in sorted(g.edge_ids)}
+    net = undirected_network(g, caps)
+    for _ in range(data.draw(st.integers(1, 6))):
+        s = data.draw(st.integers(0, g.n - 1))
+        t = (s + 1 + data.draw(st.integers(0, g.n - 2))) % g.n
+        cutoff = data.draw(st.none() | st.integers(0, 6))
+        value = net.max_flow(s, t, cutoff)
+        assert value == undirected_network(g, caps).max_flow(s, t, cutoff)
+        # once the flow is maximal its residual shows the canonical min cut
+        full, cut = max_flow_min_cut(g, caps, s, t)
+        if value == full:
+            assert net.reachable_from(s) == cut.side

@@ -7,7 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flexconn import (
+    CapNdpInstance,
+    FgcInstance,
     MultiGraph,
+    NcFgcInstance,
+    RootedQConnInstance,
+    SndpInstance,
     UnknownEdgeError,
     ValidationError,
     contract_edges,
@@ -47,6 +52,39 @@ def test_as_cost_accepts_exact_forms():
         as_cost(-1)
     with pytest.raises(ValidationError):
         as_cost("spam")
+
+
+def triangle():
+    return MultiGraph.build(3, [
+        (0, 1, Fraction(1), True),
+        (1, 2, Fraction(1), False),
+        (0, 2, Fraction(1), True),
+    ])
+
+
+UNIT_CAPS = {0: 1, 1: 1, 2: 1}
+
+
+@pytest.mark.parametrize("build, named", [
+    (lambda g: SndpInstance(g, {(0, 1): Fraction(3, 2)}), r"pair \(0, 1\)"),
+    (lambda g: SndpInstance(g, {(1, 2): True}), r"pair \(1, 2\)"),
+    (lambda g: SndpInstance(g, {(0, 2): -1}), r"pair \(0, 2\)"),
+    (lambda g: FgcInstance(g, {(0, 1): (Fraction(3, 2), 1)}), r"p for pair \(0, 1\)"),
+    (lambda g: FgcInstance(g, {(0, 1): (1, Fraction(1, 2))}), r"q for pair \(0, 1\)"),
+    (lambda g: FgcInstance(g, {(1, 2): (1, False)}), r"q for pair \(1, 2\)"),
+    (lambda g: NcFgcInstance(g, {0}, 1.5), "requirement"),
+    (lambda g: NcFgcInstance(g, {0}, True), "requirement"),
+    (lambda g: CapNdpInstance(g, UNIT_CAPS, {(0, 1): 0.5}), r"demand for pair \(0, 1\)"),
+    (lambda g: CapNdpInstance(g, {**UNIT_CAPS, 2: True}, {}), "capacity of edge 2"),
+    (lambda g: RootedQConnInstance(g, 0, UNIT_CAPS, Fraction(1, 2)), "requirement"),
+    (lambda g: RootedQConnInstance(g, 0, {0: None, 1: -1, 2: 1}, 1), "cap of node 1"),
+    (lambda g: RootedQConnInstance(g, 0, {0: None, 1: 1, 2: 1.0}, 1), "cap of node 2"),
+])
+def test_counts_must_be_integers(build, named):
+    """Requirements, demands and caps are ints >= 0: a fraction, a bool or a
+    negative value is refused when the instance is built."""
+    with pytest.raises(ValidationError, match=f"{named} must be an integer >= 0"):
+        build(triangle())
 
 
 def test_build_rejects_bad_rows():

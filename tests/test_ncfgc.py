@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexconn import (
@@ -218,6 +218,23 @@ def test_rooted_solver_matches_brute_force():
                 solve_rooted_qconn(inst)
             continue
         assert_rooted_optimal(inst)
+
+
+@given(multigraphs(), st.data())
+def test_rooted_infeasibility_names_the_first_short_sink(g, data):
+    root = data.draw(st.integers(0, g.n - 1))
+    caps = {v: data.draw(st.sampled_from([None, 0, 1, 2])) for v in range(g.n)}
+    p = data.draw(st.integers(1, 3))
+    flows = {t: rooted_q_flow(g, caps, root, t) for t in range(g.n) if t != root}
+    short = [t for t, flow in flows.items() if flow < p]
+    assume(short)
+    with pytest.raises(InfeasibleInstanceError) as info:
+        solve_rooted_qconn(RootedQConnInstance(g, root, caps, p))
+    t = short[0]
+    assert info.value.pair == (root, t)
+    assert str(info.value) == (
+        f"the full arc set gives the root only {flows[t]} units toward {t}"
+    )
 
 
 def rooted_feasible(inst, arcs):
