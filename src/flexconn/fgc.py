@@ -18,7 +18,6 @@ either carries p_ij safe edges of F or p_ij + q_ij edges of F in total.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -30,8 +29,8 @@ from .errors import (
     ValidationError,
     WrongRegimeError,
 )
-from .flows import edge_connectivity, undirected_network
-from .flows import max_flow_min_cut  # unused here; perfbench/spans.py wraps this name
+from .flows import undirected_network
+from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import MultiGraph, Verdict, check_count, split_parallel
 from .jain import SndpInstance, jain_round, normalize_pairs
 
@@ -195,18 +194,26 @@ def verify_fgc(
     subset_guard: int = 10**6,
 ) -> Verdict:
     """Check feasibility against the definition; the verdict names the first
-    violation found.
+    pair, in sorted order, that some failure set breaks.
 
-    Removing unsafe edges never raises connectivity, so only the largest
-    allowed failure sets need checking, and two screens are decisive on
-    their own: connectivity p_ij + q_ij within F clears the pair outright,
-    while connectivity below p_ij condemns it with no removals at all.  The
-    screens share one network over F.
+    Two screens are decisive on their own: connectivity p_ij + q_ij within F
+    clears the pair outright, while connectivity below p_ij condemns it with
+    no removals at all.  Otherwise removal sets R of unsafe edges of F are
+    searched level by level, |R| = 0, 1, ..., k = min(q_ij, |U ∩ F|), on the
+    pair's one network with R's arcs blocked.  R fails when fewer than p_ij
+    paths remain; a set of size k that keeps them is safe, and a smaller one
+    branches on each unsafe edge its flow uses, since a failing superset of
+    R must cut one of the p_ij paths found.  So every failing set of the
+    smallest size is reached, whatever paths the flows took, and the witness
+    is the least failing set by (size, sorted ids): the first failure on the
+    first level that holds one, its sets tried in sorted order.
     """
     g = inst.graph
-    chosen = g.subset(edge_ids)
-    unsafe = sorted(eid for eid in chosen if not g.edge(eid).safe)
-    net = undirected_network(g, dict.fromkeys(sorted(chosen), 1))
+    chosen = sorted(g.subset(edge_ids))
+    net = undirected_network(g, dict.fromkeys(chosen, 1))
+    # edge chosen[k] is the arc pair 2k, 2k + 1
+    arcs = {eid: 2 * k for k, eid in enumerate(chosen)}
+    unsafe = {arcs[eid]: eid for eid in chosen if not g.edge(eid).safe}
     for (i, j), p, q in inst.active_pairs():
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
@@ -221,11 +228,20 @@ def verify_fgc(
                 f"pair ({i}, {j}) needs {comb(len(unsafe), k)} failure sets, "
                 f"guard is {subset_guard}"
             )
-        for combo in itertools.combinations(unsafe, k):
-            rest = chosen.difference(combo)
-            lam_rest = edge_connectivity(g, i, j, rest, cutoff=p)
-            if lam_rest < p:
-                return Verdict(FgcViolation((i, j), frozenset(combo), lam_rest))
+        level = {()}
+        for size in range(k + 1):
+            grown = set()
+            for removed in sorted(level):
+                value = net.max_flow(
+                    i, j, cutoff=p, blocked=[arcs[eid] for eid in removed]
+                )
+                if value < p:
+                    return Verdict(FgcViolation((i, j), frozenset(removed), value))
+                if size < k:
+                    for a in net.carrying():
+                        if a in unsafe:
+                            grown.add(tuple(sorted((*removed, unsafe[a]))))
+            level = grown
     return Verdict()
 
 

@@ -7,6 +7,8 @@ is always the set of nodes residual-reachable from s.
 A `Network` keeps the capacities it was built with and starts every max
 flow from them, so one network answers any number of (s, t) queries about
 one edge set; the residual of the last query stays readable for its cut.
+A query may also block some arc pairs, which answers it for the edge set
+less those edges on the same network.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -17,8 +19,7 @@ are positive and every push is scaled by the same positive factor.
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Iterable, Mapping, TypeVar
+from typing import Collection, Iterable, Mapping, TypeVar
 
 from .errors import InvalidQueryError
 from .graphs import Cut, MultiGraph
@@ -36,13 +37,15 @@ def integral(values: Mapping[K, object]) -> tuple[int, dict[K, int]]:
 
 class Network:
     """Flow network; arcs 2k and 2k+1 are mutual reverses.  `base` holds the
-    capacities as built, `cap` the residual the last max flow left."""
+    capacities as built, `cap` the residual the last max flow left and
+    `blocked` the arc pairs it shut."""
 
     def __init__(self, n: int):
         self.n = n
         self.to: list[int] = []
         self.base: list = []
         self.cap: list = []
+        self.blocked: Collection[int] = ()
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
     def add_pair(self, u: int, v: int, cap_uv, cap_vu) -> int:
@@ -60,62 +63,75 @@ class Network:
         return i
 
     def _augmenting_path(self, s: int, t: int) -> list[int] | None:
+        """Arcs of the first shortest residual s-t path found by BFS in arc
+        insertion order; the search ends as soon as it reaches t."""
+        cap, to, adj = self.cap, self.to, self.adj
         parent: list[int] = [-1] * self.n
         parent[s] = -2
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            if u == t:
-                break
-            for i in self.adj[u]:
-                if self.cap[i] > 0 and parent[self.to[i]] == -1:
-                    parent[self.to[i]] = i
-                    queue.append(self.to[i])
-        if parent[t] == -1:
-            return None
-        path = []
-        v = t
-        while v != s:
-            i = parent[v]
-            path.append(i)
-            v = self.to[i ^ 1]
-        path.reverse()
-        return path
+        queue = [s]
+        for u in queue:
+            for i in adj[u]:
+                v = to[i]
+                if parent[v] == -1 and cap[i] > 0:
+                    parent[v] = i
+                    if v == t:
+                        path = []
+                        while v != s:
+                            i = parent[v]
+                            path.append(i)
+                            v = to[i ^ 1]
+                        path.reverse()
+                        return path
+                    queue.append(v)
+        return None
 
-    def max_flow(self, s: int, t: int, cutoff=None):
+    def max_flow(self, s: int, t: int, cutoff=None, *, blocked: Collection[int] = ()):
         """Exact max s-t flow value from the built capacities, stopping early
         once `cutoff` is reached; s and t must be two distinct nodes of the
-        network.  A value short of `cutoff` is the max flow."""
+        network.  A value short of `cutoff` is the max flow.  The arc pairs
+        named in `blocked` by their forward arc index carry nothing."""
         if s == t or not (0 <= s < self.n and 0 <= t < self.n):
             raise InvalidQueryError(
                 f"max flow needs two distinct nodes in 0..{self.n - 1}, "
                 f"got s = {s}, t = {t}"
             )
-        self.cap = self.base.copy()
+        cap = self.cap = self.base.copy()
+        for i in blocked:
+            cap[i] = cap[i ^ 1] = 0
+        self.blocked = blocked
         total = 0
         while cutoff is None or total < cutoff:
             path = self._augmenting_path(s, t)
             if path is None:
                 break
-            push = min(self.cap[i] for i in path)
+            push = min(cap[i] for i in path)
             if cutoff is not None:
                 push = min(push, cutoff - total)
             for i in path:
-                self.cap[i] -= push
-                self.cap[i ^ 1] += push
+                cap[i] -= push
+                cap[i ^ 1] += push
             total += push
         return total
+
+    def carrying(self) -> list[int]:
+        """Forward arc indices, ascending, of the arc pairs the last max flow
+        sends flow through."""
+        cap, base, blocked = self.cap, self.base, self.blocked
+        return [
+            i for i in range(0, len(cap), 2)
+            if cap[i] != base[i] and i not in blocked
+        ]
 
     def reachable_from(self, s: int) -> frozenset[int]:
         """Nodes reachable from s along residual-positive arcs of the last
         max flow (of the built capacities before the first)."""
+        cap, to, adj = self.cap, self.to, self.adj
         seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for i in self.adj[u]:
-                v = self.to[i]
-                if self.cap[i] > 0 and v not in seen:
+        queue = [s]
+        for u in queue:
+            for i in adj[u]:
+                v = to[i]
+                if v not in seen and cap[i] > 0:
                     seen.add(v)
                     queue.append(v)
         return frozenset(seen)

@@ -51,9 +51,6 @@ class SndpInstance:
             check_count(r, f"requirement for pair ({a}, {b})")
         object.__setattr__(self, "requirements", requirements)
 
-    def active_pairs(self) -> list[tuple[tuple[int, int], int]]:
-        return [(p, r) for p, r in sorted(self.requirements.items()) if r >= 1]
-
 
 def first_unmet_pair(
     graph: MultiGraph,

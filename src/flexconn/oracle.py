@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Mapping
 
 from .errors import OracleRefusalError, SolverError, ValidationError
 from .fgc import FgcInstance, CapNdpInstance, check_capacitated_cuts, verify_fgc
+from .flows import integral
 from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
 from .fst import FstInstance, verify_fst
 from .instance_io import KINDS, kind_of
@@ -70,7 +71,7 @@ def minimum_cost_subset(
     return _branch_and_bound(order, costs, predicate, budget)
 
 
-def _key(cost: Fraction, edges: frozenset[int]):
+def _key(cost, edges: frozenset[int]):
     return (cost, tuple(sorted(edges)))
 
 
@@ -141,18 +142,20 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
             f"{2 ** len(order)} subsets exceed the {budget.max_checks} check budget"
         )
     meter = _Meter(budget)
+    # costs over their common denominator order subsets as the costs do
+    scale, scaled = integral({eid: costs[eid] for eid in order})
     best = None
     for mask in range(2 ** len(order)):
         subset = frozenset(order[b] for b in range(len(order)) if mask >> b & 1)
         meter.tick()
         if not predicate(subset):
             continue
-        key = _key(sum((costs[e] for e in subset), Fraction(0)), subset)
+        key = _key(sum(scaled[e] for e in subset), subset)
         if best is None or key < best:
             best = key
     if best is None:
         return OptResult(False, None, None)
-    return OptResult(True, best[0], frozenset(best[1]))
+    return OptResult(True, Fraction(best[0], scale), frozenset(best[1]))
 
 
 def _sndp_feasible(inst: SndpInstance, subset: frozenset[int]) -> bool:

@@ -151,7 +151,8 @@ def test_rounding_engine_vertex_progress_and_factor():
         iterations = 0
         while not all(
             edge_connectivity(graph, i, j, chosen, cutoff=r) >= r
-            for (i, j), r in inst.active_pairs()
+            for (i, j), r in inst.requirements.items()
+            if r >= 1
         ):
             sol = solve_cut_lp(
                 {e: c for e, c in costs.items() if e not in chosen},

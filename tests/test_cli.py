@@ -104,6 +104,7 @@ WITNESS_FGC = (
     "edge 0 2 1 unsafe\n"
     "edge 0 2 1 unsafe\n"
     "edge 0 1 1 safe\n"
+    "edge 1 2 1 unsafe\n"
     "pair 0 2 1 2\n"
 )
 
@@ -128,6 +129,9 @@ WITNESS_NCFGC = (
          "pair 0,2: connectivity 0 after removing 0,1"),
         (WITNESS_FGC, "3", "both",
          "pair 0,2: connectivity 0 after removing nothing"),
+        # q = 2 allows two failures, but one already cuts the only path
+        (WITNESS_FGC, "0,4", "both",
+         "pair 0,2: connectivity 0 after removing 0"),
         (INFEASIBLE_FST, "", "both", "terminals are disconnected"),
         (INFEASIBLE_FST, "0,1", "both",
          "terminals disconnected after removing unsafe edge 1"),

@@ -1,5 +1,7 @@
 """Reductions, verifiers and the end-to-end solver for (p, q) requirements."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,8 @@ from flexconn import (
     solve_fgc,
     verify_fgc,
 )
+from flexconn.flows import edge_connectivity
+from flexconn.generators import GenConfig, gen_fgc
 from flexconn.oracle import exact_opt
 
 from strategies import edge_subsets, multigraphs, node_pairs
@@ -161,6 +165,53 @@ def test_verify_fgc_hand_cases():
         1, 1,
     )
     assert verify_fgc(tri, tri.graph.edge_ids).ok
+
+
+def _first_failure(inst, chosen):
+    """(pair, removed) of the first pair some failure set breaks and its
+    smallest failing set by (size, sorted ids), by trying every set of at
+    most q_ij unsafe edges of F; None when F is feasible."""
+    g = inst.graph
+    chosen = frozenset(chosen)
+    unsafe = sorted(eid for eid in chosen if not g.edge(eid).safe)
+    for (i, j), p, q in inst.active_pairs():
+        for size in range(min(q, len(unsafe)) + 1):
+            for combo in itertools.combinations(unsafe, size):
+                if edge_connectivity(g, i, j, chosen.difference(combo)) < p:
+                    return (i, j), frozenset(combo)
+    return None
+
+
+def test_verify_fgc_matches_full_enumeration():
+    # few nodes and many extra edges: parallel edges are common
+    cfg = GenConfig(nodes=(3, 6), extra_edges=(3, 9), pairs=(1, 3))
+    rng = random.Random(16)
+    checked = failures = 0
+    for seed in range(60):
+        for regime in ("any", "q1", "p1"):
+            inst = gen_fgc(seed, regime=regime, cfg=cfg, ensure_feasible=False)
+            ids = sorted(inst.graph.edge_ids)
+            subsets = [frozenset(e for e in ids if rng.random() < share)
+                       for share in (0.5, 0.7, 0.9)]
+            if verify_fgc(inst, ids).ok and regime != "any":
+                # a solver output and every set one edge short of it
+                edges = solve_fgc(inst).edges
+                subsets += [edges] + [edges - {eid} for eid in edges]
+            for chosen in subsets:
+                verdict = verify_fgc(inst, chosen)
+                expected = _first_failure(inst, chosen)
+                assert verdict.ok == (expected is None)
+                checked += 1
+                if expected is None:
+                    continue
+                failures += 1
+                v = verdict.violation
+                assert (v.pair, v.removed) == expected
+                (i, j), removed = expected
+                p = inst.pairs[(i, j)][0]
+                rest = chosen - removed
+                assert v.connectivity == edge_connectivity(inst.graph, i, j, rest) < p
+    assert failures > 100 and checked - failures > 100
 
 
 def test_verify_fgc_guard():

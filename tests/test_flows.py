@@ -1,5 +1,6 @@
 """Exact max flow, min cuts, and edge connectivity."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -154,3 +155,86 @@ def test_one_network_answers_repeated_queries(g, data):
         full, cut = max_flow_min_cut(g, caps, s, t)
         if value == full:
             assert net.reachable_from(s) == cut.side
+
+
+def _reference_augmenting_path(net, s, t):
+    """The BFS `Network._augmenting_path` ran before it stopped at t."""
+    parent = [-1] * net.n
+    parent[s] = -2
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        if u == t:
+            break
+        for i in net.adj[u]:
+            if net.cap[i] > 0 and parent[net.to[i]] == -1:
+                parent[net.to[i]] = i
+                queue.append(net.to[i])
+    if parent[t] == -1:
+        return None
+    path = []
+    v = t
+    while v != s:
+        i = parent[v]
+        path.append(i)
+        v = net.to[i ^ 1]
+    path.reverse()
+    return path
+
+
+class _Recording(Network):
+    """A network that logs every augmenting path its `find` returns."""
+
+    def __init__(self, n, find):
+        super().__init__(n)
+        self.find = find
+        self.paths = []
+
+    def _augmenting_path(self, s, t):
+        path = self.find(self, s, t)
+        self.paths.append(path)
+        return path
+
+
+@given(st.data())
+def test_augmenting_paths_match_the_reference_bfs(data):
+    n = data.draw(st.integers(2, 7))
+    fractional = data.draw(st.booleans())
+    capacity = st.integers(0, 4)
+    if fractional:
+        capacity = st.builds(Fraction, capacity, st.sampled_from([1, 2, 3, 7]))
+    arcs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), capacity,
+                  capacity | st.just(0)),
+        max_size=14,
+    ))
+    nets = [_Recording(n, find) for find in
+            (Network._augmenting_path, _reference_augmenting_path)]
+    for net in nets:
+        for u, v, cap_uv, cap_vu in arcs:
+            net.add_pair(u, v, cap_uv, cap_vu)
+    pairs = list(range(0, 2 * len(arcs), 2))
+    for _ in range(data.draw(st.integers(1, 4))):
+        s = data.draw(st.integers(0, n - 1))
+        t = (s + 1 + data.draw(st.integers(0, n - 2))) % n
+        cutoff = data.draw(st.none() | st.integers(0, 6))
+        blocked = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                            if pairs else st.just([]))
+        runs = []
+        for net in nets:
+            net.paths.clear()
+            value = net.max_flow(s, t, cutoff, blocked=blocked)
+            runs.append((value, net.paths[:], net.reachable_from(s), net.carrying()))
+        assert runs[0] == runs[1]
+        value, paths, _, carrying = runs[0]
+        # blocked pairs carry nothing, and the flow lives on the pairs that
+        # carry it: shutting every other pair leaves the value as it was
+        assert not set(carrying) & set(blocked)
+        others = [i for i in pairs if i not in carrying]
+        assert nets[0].max_flow(s, t, cutoff, blocked=others) == value
+        # blocking a pair is building the network without it
+        rest = Network(n)
+        for k, (u, v, cap_uv, cap_vu) in enumerate(arcs):
+            if 2 * k not in blocked:
+                rest.add_pair(u, v, cap_uv, cap_vu)
+        assert rest.max_flow(s, t, cutoff) == value

@@ -1,5 +1,6 @@
 """Exhaustive optimum search and the ratio reporting built on it."""
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -107,6 +108,43 @@ def test_strategies_agree_on_random_monotone_predicates():
             minimum_cost_subset(ids, costs, pred, budget=b) for b in BOTH
         ]
         assert results[0] == results[1]
+
+
+def _fraction_key_optimum(ids, costs, pred):
+    """The cheapest subset by exact `Fraction` sums, ties to the smallest
+    sorted ids, over every subset of ids."""
+    best = None
+    for size in range(len(ids) + 1):
+        for subset in itertools.combinations(sorted(ids), size):
+            if pred(frozenset(subset)):
+                key = (sum((costs[e] for e in subset), Fraction(0)), subset)
+                best = key if best is None or key < best else best
+    return best
+
+
+def test_integer_keys_match_fraction_keys():
+    rng = random.Random(16)
+    for trial in range(60):
+        m = rng.randint(1, 8)
+        ids = list(range(m))
+        # thirds and sevenths, zeros, and repeated values for ties
+        values = [Fraction(0), Fraction(rng.randint(1, 6), rng.choice([1, 3, 7]))]
+        values += [Fraction(rng.randint(0, 9), rng.choice([3, 7, 21]))]
+        costs = {eid: rng.choice(values) for eid in ids}
+        weights = {eid: rng.randint(0, 2) for eid in ids}
+        need = rng.randint(0, 5)
+
+        def pred(subset, weights=weights, need=need):
+            return sum(weights[eid] for eid in subset) >= need
+
+        expected = _fraction_key_optimum(ids, costs, pred)
+        for budget in BOTH:
+            res = minimum_cost_subset(ids, costs, pred, budget=budget)
+            if expected is None:
+                assert not res.feasible
+                continue
+            assert res.edges == frozenset(expected[1])
+            assert type(res.cost) is Fraction and res.cost == expected[0]
 
 
 def test_check_budget_refusals():
