@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     WrongRegimeError,
 )
-from .flows import undirected_network
+from .flows import smallest_failing_set, undirected_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import MultiGraph, Verdict, check_count, split_parallel
 from .jain import SndpInstance, jain_round, normalize_pairs
@@ -198,50 +198,31 @@ def verify_fgc(
 
     Two screens are decisive on their own: connectivity p_ij + q_ij within F
     clears the pair outright, while connectivity below p_ij condemns it with
-    no removals at all.  Otherwise removal sets R of unsafe edges of F are
-    searched level by level, |R| = 0, 1, ..., k = min(q_ij, |U ∩ F|), on the
-    pair's one network with R's arcs blocked.  R fails when fewer than p_ij
-    paths remain; a set of size k that keeps them is safe, and a smaller one
-    branches on each unsafe edge its flow uses, since a failing superset of
-    R must cut one of the p_ij paths found.  So every failing set of the
-    smallest size is reached, whatever paths the flows took, and the witness
-    is the least failing set by (size, sorted ids): the first failure on the
-    first level that holds one, its sets tried in sorted order.
+    no removals at all.  Otherwise `flows.smallest_failing_set` finds the
+    least failing set of at most min(q_ij, |U ∩ F|) unsafe edges of F.
     """
     g = inst.graph
     chosen = sorted(g.subset(edge_ids))
     net = undirected_network(g, dict.fromkeys(chosen, 1))
-    # edge chosen[k] is the arc pair 2k, 2k + 1
-    arcs = {eid: 2 * k for k, eid in enumerate(chosen)}
-    unsafe = {arcs[eid]: eid for eid in chosen if not g.edge(eid).safe}
+    # edge chosen[k] is the arc pair 2k, 2k + 1; an unsafe edge shuts its own
+    shuts = {eid: (2 * k,) for k, eid in enumerate(chosen) if not g.edge(eid).safe}
     for (i, j), p, q in inst.active_pairs():
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
             continue
         if lam < p:
             return Verdict(FgcViolation((i, j), frozenset(), lam))
-        k = min(q, len(unsafe))
+        k = min(q, len(shuts))
         if k == 0:
             continue
-        if comb(len(unsafe), k) > subset_guard:
+        if comb(len(shuts), k) > subset_guard:
             raise GuardExceededError(
-                f"pair ({i}, {j}) needs {comb(len(unsafe), k)} failure sets, "
+                f"pair ({i}, {j}) needs {comb(len(shuts), k)} failure sets, "
                 f"guard is {subset_guard}"
             )
-        level = {()}
-        for size in range(k + 1):
-            grown = set()
-            for removed in sorted(level):
-                value = net.max_flow(
-                    i, j, cutoff=p, blocked=[arcs[eid] for eid in removed]
-                )
-                if value < p:
-                    return Verdict(FgcViolation((i, j), frozenset(removed), value))
-                if size < k:
-                    for a in net.carrying():
-                        if a in unsafe:
-                            grown.add(tuple(sorted((*removed, unsafe[a]))))
-            level = grown
+        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts)
+        if hit is not None:
+            return Verdict(FgcViolation((i, j), *hit))
     return Verdict()
 
 

@@ -8,7 +8,7 @@ A `Network` keeps the capacities it was built with and starts every max
 flow from them, so one network answers any number of (s, t) queries about
 one edge set; the residual of the last query stays readable for its cut.
 A query may also block some arc pairs, which answers it for the edge set
-less those edges on the same network.
+less those edges on the same network: see `smallest_failing_set`.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -135,6 +135,27 @@ class Network:
                     seen.add(v)
                     queue.append(v)
         return frozenset(seen)
+
+
+def smallest_failing_set(net: Network, s: int, t: int, need, shuts):
+    """Least set R of failure elements, by (size, sorted ids), that leaves
+    under need[|R|] s-t units when each x in R blocks the arc pairs shuts[x],
+    and the flow it leaves, or None.  A set that holds grows only by elements
+    on its flow: with need non-increasing, a failing superset must cut it."""
+    level = [()]
+    for size, want in enumerate(need, 1):
+        grown = set()
+        for down in level:
+            value = net.max_flow(s, t, want, blocked=[a for x in down for a in shuts[x]])
+            if value < want:
+                return frozenset(down), value
+            if size < len(need):
+                used = set(net.carrying())
+                for x, pairs in shuts.items():
+                    if not used.isdisjoint(pairs):
+                        grown.add(tuple(sorted((*down, x))))
+        level = sorted(grown)
+    return None
 
 
 def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:

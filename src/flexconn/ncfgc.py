@@ -19,12 +19,12 @@ costs at most twice the undirected optimum.
 
 Feasibility has a second, definitional reading: for every set of failing
 unsafe nodes, the survivors must keep max(0, p - failures) edge-disjoint
-paths.  Both readings are implemented and cross-checked.
+paths.  Both readings are implemented and cross-checked; the definitional
+one runs `flows.smallest_failing_set`, as `verify_fgc` does for edges.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -37,7 +37,8 @@ from .errors import (
     UnsupportedInstanceError,
     ValidationError,
 )
-from .flows import Network, edge_connectivity, integral
+from .flows import Network, integral, smallest_failing_set, undirected_network
+from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
 from .graphs import MultiGraph, Verdict, check_count, inflate_safe_nodes
 from .lp import CutRow, solve_cut_lp
 
@@ -114,28 +115,16 @@ class NcViolation:
     connectivity: int
 
 
-def _pair_ok_enum(inst, chosen, i, j, subset_guard):
-    g = inst.graph
-    p = inst.requirement
-    pool = [v for v in inst.unsafe_nodes() if v not in (i, j)]
-    total = sum(comb(len(pool), k) for k in range(min(p, len(pool) + 1)))
+def _pair_ok_enum(p, net, shuts, i, j, subset_guard):
+    pool = {v: pairs for v, pairs in shuts.items() if v not in (i, j)}
+    sizes = range(min(p, len(pool) + 1))
+    total = sum(comb(len(pool), k) for k in sizes)
     if total > subset_guard:
         raise GuardExceededError(
             f"pair ({i}, {j}) needs {total} failure sets, guard is {subset_guard}"
         )
-    for k in range(min(p, len(pool) + 1)):
-        need = p - k
-        for combo in itertools.combinations(pool, k):
-            down = set(combo)
-            alive = [
-                eid
-                for eid in sorted(chosen)
-                if down.isdisjoint((g.edge(eid).u, g.edge(eid).v))
-            ]
-            lam = edge_connectivity(g, i, j, alive, cutoff=need)
-            if lam < need:
-                return NcViolation((i, j), frozenset(combo), lam)
-    return None
+    hit = smallest_failing_set(net, i, j, [p - k for k in sizes], pool)
+    return None if hit is None else NcViolation((i, j), *hit)
 
 
 def verify_ncfgc(
@@ -147,7 +136,8 @@ def verify_ncfgc(
 ) -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both;
     the verdict names the first pair that fails.  The flow route asks one
-    split-node network over F about every pair.
+    split-node network over F about every pair, the enumeration route one
+    unit network for the least failing unsafe-node set, by (size, sorted ids).
 
     In "both" mode the two routes are compared pair by pair and any
     disagreement raises, since it would mean one of them is wrong.
@@ -161,6 +151,13 @@ def verify_ncfgc(
         return Verdict()
     if mode in ("qconn", "both"):
         net = _unit_network(g, inst.node_caps(), _both_arcs(chosen))
+    if mode in ("enumeration", "both"):
+        arcs = {eid: 2 * k for k, eid in enumerate(sorted(chosen))}
+        unit = undirected_network(g, dict.fromkeys(arcs, 1))
+        shuts = {
+            v: [arcs[e.eid] for e in g.incident(v) if e.eid in arcs]
+            for v in inst.unsafe_nodes()
+        }
     for i in range(g.n):
         for j in range(i + 1, g.n):
             hit_q = hit_e = None
@@ -169,7 +166,7 @@ def verify_ncfgc(
                 if lam < p:
                     hit_q = NcViolation((i, j), None, lam)
             if mode in ("enumeration", "both"):
-                hit_e = _pair_ok_enum(inst, chosen, i, j, subset_guard)
+                hit_e = _pair_ok_enum(p, unit, shuts, i, j, subset_guard)
             if mode == "both" and (hit_q is None) != (hit_e is None):
                 raise SolverError(
                     f"feasibility routes disagree on pair ({i}, {j}): "
@@ -258,6 +255,8 @@ class RootedQConnInstance:
             raise ValidationError("root out of range")
         check_count(self.requirement, "requirement")
         for v, cap in self.caps.items():
+            if not (0 <= v < self.graph.n):
+                raise ValidationError(f"cap for node {v} out of range")
             if cap is not None:
                 check_count(cap, f"cap of node {v}")
 

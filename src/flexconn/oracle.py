@@ -38,8 +38,11 @@ class OracleBudget:
     strategy: str = "bnb"
 
     def __post_init__(self):
-        if self.max_checks < 1:
-            raise ValidationError("max_checks must be at least 1")
+        checks = self.max_checks
+        if not isinstance(checks, int) or isinstance(checks, bool) or checks < 1:
+            raise ValidationError(
+                f"max_checks must be an integer >= 1, got {checks!r}"
+            )
         if self.time_limit is not None and not self.time_limit >= 0:  # NaN too
             raise ValidationError(f"time_limit {self.time_limit} is not at least 0")
         if self.strategy not in ("bnb", "enumerate"):

@@ -277,6 +277,26 @@ def test_verify_refuses_past_the_enumeration_guard(tmp_path, capsys):
     )
 
 
+def test_verify_refuses_past_the_ncfgc_enumeration_guard(tmp_path, capsys):
+    """Every node of a 42-node path can fail and p = 7: pair (0, 1) alone
+    has sum of C(40, s) over s < 7 failure sets among the other 40 nodes."""
+    instance = tmp_path / "guard.instance"
+    instance.write_text(
+        "flexconn-instance v1\nkind ncfgc\nnodes 42\n"
+        + "".join(f"edge {v} {v + 1} 1 safe\n" for v in range(41))
+        + "requirement 7\n"
+    )
+    edges = ",".join(str(eid) for eid in range(41))
+    capsys.readouterr()
+    args = ["verify", str(instance), "--edges", edges, "--mode", "enumeration"]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "refused: pair (0, 1) needs 4598479 failure sets, guard is 1000000\n"
+    )
+
+
 @pytest.mark.parametrize(
     "error",
     ["LpResourceError", "LpInfeasibleError", "SolverError",

@@ -1,5 +1,6 @@
 """Node-failure connectivity: verifiers, inflation, and the rooted solver."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flexconn import (
+    GuardExceededError,
     InfeasibleInstanceError,
     InvalidQueryError,
     MultiGraph,
@@ -26,10 +28,10 @@ from flexconn import (
     verify_ncfgc,
 )
 from flexconn.flows import Network
-from flexconn.generators import GenConfig, random_multigraph
+from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
 from flexconn.graphs import Edge
 from flexconn.lp import CutRow
-from flexconn.ncfgc import _separate_rooted, arc
+from flexconn.ncfgc import NcViolation, _separate_rooted, arc
 from flexconn.oracle import exact_opt
 
 from strategies import cut_lp_values, edge_subsets, multigraphs, node_pairs
@@ -118,6 +120,25 @@ def test_verify_modes_and_hand_cases():
     assert verify_ncfgc(NcFgcInstance(g, set(), 0), set()).ok
 
 
+def test_enumeration_guard_counts_failure_sets_per_pair():
+    # six nodes that can all fail, p = 3: pair (0, 1) picks failure sets of
+    # at most 2 among the other 4 nodes, 1 + 4 + 6 = 11 of them
+    g = MultiGraph.build(6, [
+        (u, v, Fraction(1), True) for u in range(6) for v in range(u + 1, 6)
+    ])
+    inst = NcFgcInstance(g, set(), 3)
+    with pytest.raises(
+        GuardExceededError,
+        match=r"^pair \(0, 1\) needs 11 failure sets, guard is 10$",
+    ):
+        verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=10)
+    assert verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=11).ok
+    # a safe node never fails: 1 + 3 + 3 = 7 sets of the nodes 2, 3 and 4
+    inst = NcFgcInstance(g, {5}, 3)
+    with pytest.raises(GuardExceededError, match=r"needs 7 failure sets, guard is 6$"):
+        verify_ncfgc(inst, g.edge_ids, mode="both", subset_guard=6)
+
+
 def test_star_center_is_the_weak_point():
     # two parallel spokes per leaf, so only the shared center is scarce
     g = MultiGraph.build(4, [
@@ -141,6 +162,81 @@ def test_flow_and_enumeration_routes_agree(g, data):
     assert by_flow == by_enum
     # "both" cross-checks internally and raises on any split verdict
     assert verify_ncfgc(inst, chosen, mode="both").ok == by_flow
+
+
+def _pair_ok_enum(inst, chosen, i, j, subset_guard):
+    """The enumeration route as it was before the shared failure-set search:
+    every set of fewer than p unsafe nodes other than i and j, smallest
+    first and in `combinations` order, each on a network of its own."""
+    g = inst.graph
+    p = inst.requirement
+    pool = [v for v in inst.unsafe_nodes() if v not in (i, j)]
+    total = sum(math.comb(len(pool), k) for k in range(min(p, len(pool) + 1)))
+    if total > subset_guard:
+        raise GuardExceededError(
+            f"pair ({i}, {j}) needs {total} failure sets, guard is {subset_guard}"
+        )
+    for k in range(min(p, len(pool) + 1)):
+        need = p - k
+        for combo in itertools.combinations(pool, k):
+            down = set(combo)
+            alive = [
+                eid
+                for eid in sorted(chosen)
+                if down.isdisjoint((g.edge(eid).u, g.edge(eid).v))
+            ]
+            lam = edge_connectivity(g, i, j, alive, cutoff=need)
+            if lam < need:
+                return NcViolation((i, j), frozenset(combo), lam)
+    return None
+
+
+def _reference_violation(inst, chosen):
+    """The first pair's violation by `_pair_ok_enum`, or None."""
+    n = inst.graph.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            hit = _pair_ok_enum(inst, chosen, i, j, 10**6)
+            if hit is not None:
+                return hit
+    return None
+
+
+def test_enumeration_route_matches_the_combination_reference():
+    # two doubled routes 0-2-1 and 0-3-1: only both middles failing cuts 0-1
+    g = MultiGraph.build(4, [
+        (u, v, Fraction(1), True) for u, v in [(0, 2), (2, 1), (0, 3), (3, 1)]
+        for _ in range(2)
+    ])
+    hand = NcFgcInstance(g, set(), 3)
+    witness = NcViolation((0, 1), frozenset({2, 3}), 0)
+    assert verify_ncfgc(hand, g.edge_ids, mode="enumeration").violation == witness
+    cases = [(hand, [g.edge_ids])]
+    # few nodes and many extra edges: parallel edges are common
+    rng = random.Random(17)
+    for cfg in (GenConfig(nodes=(3, 7), extra_edges=(3, 10), ncfgc_p=(1, 3)),
+                GenConfig(nodes=(4, 6), extra_edges=(10, 20), ncfgc_p=(3, 3))):
+        for seed in range(40):
+            inst = gen_ncfgc(seed, cfg=cfg, ensure_feasible=False)
+            ids = sorted(inst.graph.edge_ids)
+            subsets = [frozenset(e for e in ids if rng.random() < share)
+                       for share in (0.5, 0.7, 0.9)]
+            if verify_ncfgc(inst, ids, mode="qconn").ok:
+                # a solver output and every set one edge short of it
+                edges = solve_p_ncfgc(inst).edges
+                subsets += [edges] + [edges - {eid} for eid in edges]
+            cases.append((inst, subsets))
+    checked = failures = deep = 0
+    for inst, subsets in cases:
+        for chosen in subsets:
+            expected = _reference_violation(inst, chosen)
+            v = verify_ncfgc(inst, chosen, mode="enumeration").violation
+            assert v == expected
+            checked += 1
+            if v is not None:
+                failures += 1
+                deep += len(v.removed) > 0
+    assert failures > 100 and checked - failures > 100 and deep > 20
 
 
 def test_inflation_structure():
@@ -199,6 +295,14 @@ def test_rooted_parallel_pair_buys_both_forward_arcs():
     assert res.arcs == frozenset({0, 2})
     assert all(arc(g, a)[0] == 0 for a in res.arcs)
     assert res.cost == 3
+
+
+def test_rooted_instance_rejects_caps_outside_the_graph():
+    g = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
+    for v in (9, 3, -1):
+        with pytest.raises(ValidationError, match=f"cap for node {v} out of range"):
+            RootedQConnInstance(g, 0, {v: 1}, 1)
+    assert RootedQConnInstance(g, 0, {2: 1}, 1).caps == {2: 1}
 
 
 def test_rooted_solver_matches_brute_force():

@@ -36,6 +36,11 @@ def test_budget_validation():
         with pytest.raises(ValidationError):
             OracleBudget(time_limit=limit)
     assert OracleBudget(time_limit=0.0).time_limit == 0
+    # `nan < 1` is False, so only a type check keeps NaN from lifting the limit
+    for checks in (float("nan"), True, 2.5, "10"):
+        with pytest.raises(ValidationError, match="max_checks must be an integer"):
+            OracleBudget(max_checks=checks)
+    assert OracleBudget(max_checks=1).max_checks == 1
 
 
 def test_hand_predicate_minimum():
