@@ -87,6 +87,8 @@ def _parse_edges(spec: str) -> frozenset[int]:
     if not spec:
         return frozenset()
     try:
+        if not spec.isascii() or "_" in spec:  # int() takes 1_0 and non-ASCII digits
+            raise ValueError
         return frozenset(int(token) for token in spec.split(","))
     except ValueError:
         raise ValidationError(f"bad edge list {spec!r}, expected ids like 0,2,5")

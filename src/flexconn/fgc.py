@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import (
     GuardExceededError,
@@ -199,7 +198,9 @@ def verify_fgc(
     Two screens are decisive on their own: connectivity p_ij + q_ij within F
     clears the pair outright, while connectivity below p_ij condemns it with
     no removals at all.  Otherwise `flows.smallest_failing_set` finds the
-    least failing set of at most min(q_ij, |U ∩ F|) unsafe edges of F.
+    least failing set of at most min(q_ij, |U ∩ F|) unsafe edges of F, and
+    raises GuardExceededError when it would try more than `subset_guard`
+    edge sets for one pair.
     """
     g = inst.graph
     chosen = sorted(g.subset(edge_ids))
@@ -215,12 +216,7 @@ def verify_fgc(
         k = min(q, len(shuts))
         if k == 0:
             continue
-        if comb(len(shuts), k) > subset_guard:
-            raise GuardExceededError(
-                f"pair ({i}, {j}) needs {comb(len(shuts), k)} failure sets, "
-                f"guard is {subset_guard}"
-            )
-        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts)
+        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts, subset_guard)
         if hit is not None:
             return Verdict(FgcViolation((i, j), *hit))
     return Verdict()

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Collection, Iterable, Mapping, TypeVar
 
-from .errors import InvalidQueryError
+from .errors import GuardExceededError, InvalidQueryError
 from .graphs import Cut, MultiGraph
 
 K = TypeVar("K")
@@ -137,13 +137,21 @@ class Network:
         return frozenset(seen)
 
 
-def smallest_failing_set(net: Network, s: int, t: int, need, shuts):
+def smallest_failing_set(net: Network, s: int, t: int, need, shuts, limit: int):
     """Least set R of failure elements, by (size, sorted ids), that leaves
     under need[|R|] s-t units when each x in R blocks the arc pairs shuts[x],
     and the flow it leaves, or None.  A set that holds grows only by elements
-    on its flow: with need non-increasing, a failing superset must cut it."""
+    on its flow: with need non-increasing, a failing superset must cut it.
+    Each level's sets are counted before any runs, and GuardExceededError
+    is raised once the count passes `limit`: at most `limit` flows run."""
     level = [()]
+    tried = 0
     for size, want in enumerate(need, 1):
+        tried += len(level)
+        if tried > limit:
+            raise GuardExceededError(
+                f"pair ({s}, {t}) needs up to {tried} failure sets, guard is {limit}"
+            )
         grown = set()
         for down in level:
             value = net.max_flow(s, t, want, blocked=[a for x in down for a in shuts[x]])

@@ -149,8 +149,15 @@ def _significant_lines(text: str):
         yield number, line
 
 
+def _plain(token: str) -> bool:
+    """No `_` or non-ASCII digit, which int() and Fraction() would accept."""
+    return token.isascii() and "_" not in token
+
+
 def _int(token: str, what: str, number: int) -> int:
     try:
+        if not _plain(token):
+            raise ValueError
         return int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=number)
@@ -158,6 +165,8 @@ def _int(token: str, what: str, number: int) -> int:
 
 def _fraction(token: str, number: int) -> Fraction:
     try:
+        if not _plain(token):
+            raise ValueError
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad cost {token!r}", line=number)
@@ -173,14 +182,33 @@ def _node(token: str, n: int, number: int) -> int:
     return v
 
 
-def parse_instance(text: str) -> InstanceDoc:
+def _body(text: str, header: str, what: str):
+    """(line number, tokens) of each significant line after the header.
+    The one kind line is checked here and passed on like the others."""
     lines = _significant_lines(text)
     try:
         number, line = next(lines)
     except StopIteration:
-        raise ParseError("empty input, expected the instance header")
-    if line != INSTANCE_HEADER:
-        raise ParseError(f"expected {INSTANCE_HEADER!r}", line=number)
+        raise ParseError(f"empty input, expected the {what} header")
+    if line != header:
+        raise ParseError(f"expected {header!r}", line=number)
+    seen_kind = False
+    for number, line in lines:
+        tokens = line.split()
+        if tokens[0] == "kind":
+            if seen_kind:
+                raise ParseError("kind given twice", line=number)
+            if len(tokens) != 2 or tokens[1] not in KINDS:
+                raise ParseError(
+                    f"kind must be one of {', '.join(KINDS)}", line=number
+                )
+            seen_kind = True
+        yield number, tokens
+    if not seen_kind:
+        raise ParseError("missing kind line")
+
+
+def parse_instance(text: str) -> InstanceDoc:
     kind = None
     n = None
     rows: list[tuple[int, int, Fraction, bool]] = []
@@ -188,16 +216,9 @@ def parse_instance(text: str) -> InstanceDoc:
     terminals: set[int] = set()
     safe_nodes: set[int] = set()
     requirement = None
-    for number, line in lines:
-        tokens = line.split()
+    for number, tokens in _body(text, INSTANCE_HEADER, "instance"):
         word = tokens[0]
         if word == "kind":
-            if kind is not None:
-                raise ParseError("kind given twice", line=number)
-            if len(tokens) != 2 or tokens[1] not in KINDS:
-                raise ParseError(
-                    f"kind must be one of {', '.join(KINDS)}", line=number
-                )
             kind = tokens[1]
             continue
         if kind is None:
@@ -268,8 +289,6 @@ def parse_instance(text: str) -> InstanceDoc:
                 raise ParseError("requirement must not be negative", line=number)
         else:
             raise ParseError(f"unknown line {word!r}", line=number)
-    if kind is None:
-        raise ParseError("missing kind line")
     if n is None:
         raise ParseError("missing nodes line")
     graph = MultiGraph.build(n, rows)
@@ -302,26 +321,12 @@ def render_instance(doc: InstanceDoc) -> str:
 
 
 def parse_solution(text: str) -> SolutionDoc:
-    lines = _significant_lines(text)
-    try:
-        number, line = next(lines)
-    except StopIteration:
-        raise ParseError("empty input, expected the solution header")
-    if line != SOLUTION_HEADER:
-        raise ParseError(f"expected {SOLUTION_HEADER!r}", line=number)
     kind = None
     cost = None
     edges: set[int] = set()
-    for number, line in lines:
-        tokens = line.split()
+    for number, tokens in _body(text, SOLUTION_HEADER, "solution"):
         word = tokens[0]
         if word == "kind":
-            if kind is not None:
-                raise ParseError("kind given twice", line=number)
-            if len(tokens) != 2 or tokens[1] not in KINDS:
-                raise ParseError(
-                    f"kind must be one of {', '.join(KINDS)}", line=number
-                )
             kind = tokens[1]
         elif word == "cost":
             if cost is not None:
@@ -340,8 +345,6 @@ def parse_solution(text: str) -> SolutionDoc:
             edges.add(eid)
         else:
             raise ParseError(f"unknown line {word!r}", line=number)
-    if kind is None:
-        raise ParseError("missing kind line")
     if cost is None:
         raise ParseError("missing cost line")
     return SolutionDoc(kind, cost, tuple(edges))

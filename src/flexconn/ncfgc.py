@@ -27,10 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from .errors import (
-    GuardExceededError,
     InfeasibleInstanceError,
     InvalidQueryError,
     SolverError,
@@ -115,18 +113,6 @@ class NcViolation:
     connectivity: int
 
 
-def _pair_ok_enum(p, net, shuts, i, j, subset_guard):
-    pool = {v: pairs for v, pairs in shuts.items() if v not in (i, j)}
-    sizes = range(min(p, len(pool) + 1))
-    total = sum(comb(len(pool), k) for k in sizes)
-    if total > subset_guard:
-        raise GuardExceededError(
-            f"pair ({i}, {j}) needs {total} failure sets, guard is {subset_guard}"
-        )
-    hit = smallest_failing_set(net, i, j, [p - k for k in sizes], pool)
-    return None if hit is None else NcViolation((i, j), *hit)
-
-
 def verify_ncfgc(
     inst: NcFgcInstance,
     edge_ids,
@@ -138,6 +124,8 @@ def verify_ncfgc(
     the verdict names the first pair that fails.  The flow route asks one
     split-node network over F about every pair, the enumeration route one
     unit network for the least failing unsafe-node set, by (size, sorted ids).
+    The enumeration route raises GuardExceededError when its search for a
+    pair would try more than `subset_guard` node sets.
 
     In "both" mode the two routes are compared pair by pair and any
     disagreement raises, since it would mean one of them is wrong.
@@ -166,7 +154,10 @@ def verify_ncfgc(
                 if lam < p:
                     hit_q = NcViolation((i, j), None, lam)
             if mode in ("enumeration", "both"):
-                hit_e = _pair_ok_enum(p, unit, shuts, i, j, subset_guard)
+                pool = {v: pairs for v, pairs in shuts.items() if v not in (i, j)}
+                need = [p - s for s in range(min(p, len(pool) + 1))]
+                found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
+                hit_e = None if found is None else NcViolation((i, j), *found)
             if mode == "both" and (hit_q is None) != (hit_e is None):
                 raise SolverError(
                     f"feasibility routes disagree on pair ({i}, {j}): "

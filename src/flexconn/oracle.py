@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Mapping
 
 from .errors import OracleRefusalError, SolverError, ValidationError
@@ -148,14 +149,15 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
     # costs over their common denominator order subsets as the costs do
     scale, scaled = integral({eid: costs[eid] for eid in order})
     best = None
-    for mask in range(2 ** len(order)):
-        subset = frozenset(order[b] for b in range(len(order)) if mask >> b & 1)
-        meter.tick()
-        if not predicate(subset):
-            continue
-        key = _key(sum(scaled[e] for e in subset), subset)
-        if best is None or key < best:
-            best = key
+    # order is sorted, so each combination is its own tie-break key
+    for size in range(len(order) + 1):
+        for subset in combinations(order, size):
+            meter.tick()
+            if not predicate(frozenset(subset)):
+                continue
+            key = (sum(scaled[e] for e in subset), subset)
+            if best is None or key < best:
+                best = key
     if best is None:
         return OptResult(False, None, None)
     return OptResult(True, Fraction(best[0], scale), frozenset(best[1]))

@@ -1,5 +1,6 @@
 """End-to-end command line behavior, driven through main()."""
 
+import functools
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,10 @@ def test_verify_edge_list_and_witness(tmp_path, capsys):
     assert main(["verify", str(instance), "--edges", "0,1"]) == 2
     assert "unsafe edge 1" in capsys.readouterr().out
     assert main(["verify", str(instance), "--edges", "0,x"]) == 65
+    # int() would read these as 10 and 0
+    for spec in ("1_0", "\u0660"):
+        assert main(["verify", str(instance), "--edges", spec]) == 65
+        assert "bad edge list" in capsys.readouterr().err
 
 
 WITNESS_FGC = (
@@ -257,11 +262,53 @@ def test_refusals_exit_3(tmp_path, capsys, monkeypatch, error):
     assert captured.err == "refused: solver stack broke\n"
 
 
-def test_verify_refuses_past_the_enumeration_guard(tmp_path, capsys):
-    """A valid fgc question with more failure sets than the guard allows:
-    one safe edge joins the pair, and C(35, 6) sets of 6 of the 35 unsafe
-    edges elsewhere could fail."""
+def lower_guard(monkeypatch, name, guard):
+    """Run the kind's verifier with `subset_guard=guard`."""
+    verify = getattr(instance_io, name)
+    monkeypatch.setattr(instance_io, name, functools.partial(verify, subset_guard=guard))
+
+
+def test_verify_refuses_past_the_enumeration_guard(tmp_path, capsys, monkeypatch):
+    """Three unsafe parallel edges and (p, q) = (3, 2): the search would try
+    the empty set and then the three single edges, one more than the guard."""
+    lower_guard(monkeypatch, "verify_fgc", 3)
     instance = tmp_path / "guard.instance"
+    instance.write_text(
+        "flexconn-instance v1\nkind fgc\nnodes 2\n"
+        + "edge 0 1 1 unsafe\n" * 3
+        + "pair 0 1 3 2\n"
+    )
+    capsys.readouterr()
+    assert main(["verify", str(instance), "--edges", "0,1,2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: pair (0, 1) needs up to 4 failure sets, guard is 3\n"
+
+
+def test_verify_refuses_past_the_ncfgc_enumeration_guard(tmp_path, capsys, monkeypatch):
+    """Six nodes that can all fail, every edge between them and p = 3: for
+    pair (0, 1) the search tries the empty set, the two nodes on its flow
+    and then the one pair of them, one more set than the guard."""
+    lower_guard(monkeypatch, "verify_ncfgc", 3)
+    instance = tmp_path / "guard.instance"
+    instance.write_text(
+        "flexconn-instance v1\nkind ncfgc\nnodes 6\n"
+        + "".join(f"edge {u} {v} 1 safe\n" for u in range(6) for v in range(u + 1, 6))
+        + "requirement 3\n"
+    )
+    capsys.readouterr()
+    args = ["verify", str(instance), "--edges", ",".join(map(str, range(15)))]
+    assert main([*args, "--mode", "enumeration"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "refused: pair (0, 1) needs up to 4 failure sets, guard is 3\n"
+
+
+def test_verify_answers_many_unsafe_edges_off_the_flow(tmp_path, capsys):
+    """One safe edge joins the pair and 35 unsafe edges lie elsewhere: the
+    first flow uses none of them, so no set of them can cut it, although
+    C(35, 6) = 1623160 sets of 6 exist."""
+    instance = tmp_path / "wide.instance"
     instance.write_text(
         "flexconn-instance v1\nkind fgc\nnodes 4\nedge 0 1 1 safe\n"
         + "edge 2 3 1 unsafe\n" * 35
@@ -269,18 +316,15 @@ def test_verify_refuses_past_the_enumeration_guard(tmp_path, capsys):
     )
     edges = ",".join(str(eid) for eid in range(36))
     capsys.readouterr()
-    assert main(["verify", str(instance), "--edges", edges]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "refused: pair (0, 1) needs 1623160 failure sets, guard is 1000000\n"
-    )
+    assert main(["verify", str(instance), "--edges", edges]) == 0
+    assert capsys.readouterr() == ("feasible\n", "")
 
 
-def test_verify_refuses_past_the_ncfgc_enumeration_guard(tmp_path, capsys):
-    """Every node of a 42-node path can fail and p = 7: pair (0, 1) alone
-    has sum of C(40, s) over s < 7 failure sets among the other 40 nodes."""
-    instance = tmp_path / "guard.instance"
+def test_verify_answers_a_long_ncfgc_path_before_any_node_fails(tmp_path, capsys):
+    """Every node of a 42-node path can fail and p = 7: pair (0, 1) has one
+    path with no node failing, so the empty set is the witness, although
+    the sum of C(40, s) over s < 7 is 4598479 sets."""
+    instance = tmp_path / "path.instance"
     instance.write_text(
         "flexconn-instance v1\nkind ncfgc\nnodes 42\n"
         + "".join(f"edge {v} {v + 1} 1 safe\n" for v in range(41))
@@ -289,11 +333,9 @@ def test_verify_refuses_past_the_ncfgc_enumeration_guard(tmp_path, capsys):
     edges = ",".join(str(eid) for eid in range(41))
     capsys.readouterr()
     args = ["verify", str(instance), "--edges", edges, "--mode", "enumeration"]
-    assert main(args) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "refused: pair (0, 1) needs 4598479 failure sets, guard is 1000000\n"
+    assert main(args) == 2
+    assert capsys.readouterr() == (
+        "infeasible\npair 0,1: connectivity 1 after nodes nothing fail\n", ""
     )
 
 

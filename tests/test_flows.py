@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flexconn import (
+    GuardExceededError,
     InvalidQueryError,
     MultiGraph,
     Network,
@@ -18,9 +19,9 @@ from flexconn import (
     rooted_q_flow,
 )
 
-from flexconn.flows import integral, undirected_network
+from flexconn.flows import integral, smallest_failing_set, undirected_network
 
-from strategies import multigraphs
+from strategies import multigraphs, node_pairs
 
 
 def test_network_basic_flow():
@@ -155,6 +156,28 @@ def test_one_network_answers_repeated_queries(g, data):
         full, cut = max_flow_min_cut(g, caps, s, t)
         if value == full:
             assert net.reachable_from(s) == cut.side
+
+
+@given(multigraphs(max_nodes=6, max_extra=6), st.data())
+def test_failing_set_search_runs_at_most_limit_flows(g, data):
+    """Whatever the limit, the search refuses before a level would take it
+    past the limit, and a search it lets finish gives the unbounded answer."""
+    s, t = data.draw(node_pairs(g.n))
+    chosen = sorted(g.edge_ids)
+    net = undirected_network(g, dict.fromkeys(chosen, 1))
+    shuts = {eid: (2 * k,) for k, eid in enumerate(chosen) if not g.edge(eid).safe}
+    need = [data.draw(st.integers(1, 3))] * data.draw(st.integers(1, 4))
+    flows = []
+    max_flow = net.max_flow
+    net.max_flow = lambda *args, **kwargs: flows.append(args) or max_flow(*args, **kwargs)
+    answer = smallest_failing_set(net, s, t, need, shuts, 10**6)
+    for limit in range(1, len(flows) + 1):
+        flows.clear()
+        try:
+            assert smallest_failing_set(net, s, t, need, shuts, limit) == answer
+        except GuardExceededError as refusal:
+            assert str(refusal).endswith(f" failure sets, guard is {limit}")
+        assert len(flows) <= limit
 
 
 def _reference_augmenting_path(net, s, t):

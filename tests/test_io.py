@@ -114,6 +114,11 @@ BAD_INSTANCES = [
     ("flexconn-instance v1\nkind ncfgc\nnodes 2\n", None, "missing requirement"),
     ("flexconn-instance v1\n", None, "missing kind"),
     ("flexconn-instance v1\nkind fgc\n", None, "missing nodes"),
+    # int() and Fraction() take underscores and other scripts' digits; the
+    # grammar does not, and such files would not render back byte for byte
+    ("flexconn-instance v1\nkind fgc\nnodes 1_0\n", 3, "node count must be an integer"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2\nedge 0 1 1_5 safe\n", 4, "bad cost '1_5'"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2\nedge \u0660 1 1 safe\n", 4, "node must be"),
 ]
 
 
@@ -154,6 +159,7 @@ BAD_SOLUTIONS = [
     ("flexconn-solution v1\nkind fgc\ncost 1\nedge -1\n", "not negative"),
     ("flexconn-solution v1\nkind fgc\ncost 1\ncost 2\n", "twice"),
     ("flexconn-solution v1\nkind fgc\ncost 1\nbuy 0\n", "unknown line"),
+    ("flexconn-solution v1\nkind fgc\ncost 1\nedge 1_0\n", "edge id must be an integer"),
 ]
 
 

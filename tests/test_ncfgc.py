@@ -121,22 +121,34 @@ def test_verify_modes_and_hand_cases():
 
 
 def test_enumeration_guard_counts_failure_sets_per_pair():
-    # six nodes that can all fail, p = 3: pair (0, 1) picks failure sets of
-    # at most 2 among the other 4 nodes, 1 + 4 + 6 = 11 of them
+    # six nodes that can all fail, p = 3: for pair (0, 1) the search tries
+    # the empty set, then nodes 2 and 3 on its flow, then {2, 3}, 4 sets
     g = MultiGraph.build(6, [
         (u, v, Fraction(1), True) for u in range(6) for v in range(u + 1, 6)
     ])
     inst = NcFgcInstance(g, set(), 3)
     with pytest.raises(
         GuardExceededError,
-        match=r"^pair \(0, 1\) needs 11 failure sets, guard is 10$",
+        match=r"^pair \(0, 1\) needs up to 4 failure sets, guard is 3$",
     ):
-        verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=10)
-    assert verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=11).ok
-    # a safe node never fails: 1 + 3 + 3 = 7 sets of the nodes 2, 3 and 4
-    inst = NcFgcInstance(g, {5}, 3)
-    with pytest.raises(GuardExceededError, match=r"needs 7 failure sets, guard is 6$"):
-        verify_ncfgc(inst, g.edge_ids, mode="both", subset_guard=6)
+        verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=3)
+    assert verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=4).ok
+    # a safe node never fails: with node 2 safe only {3} joins the empty set
+    # for pair (0, 1); the guard holds per pair, so (0, 2) is the next to pass it
+    inst = NcFgcInstance(g, {2}, 3)
+    for guard, message in [
+        (1, r"^pair \(0, 1\) needs up to 2 failure sets, guard is 1$"),
+        (2, r"^pair \(0, 2\) needs up to 3 failure sets, guard is 2$"),
+    ]:
+        with pytest.raises(GuardExceededError, match=message):
+            verify_ncfgc(inst, g.edge_ids, mode="both", subset_guard=guard)
+    assert verify_ncfgc(inst, g.edge_ids, mode="both", subset_guard=4).ok
+    # a pair cut before any node fails is answered by the first flow
+    path = MultiGraph.build(42, [(v, v + 1, Fraction(1), True) for v in range(41)])
+    v = verify_ncfgc(
+        NcFgcInstance(path, set(), 7), path.edge_ids, mode="enumeration", subset_guard=1
+    ).violation
+    assert (v.pair, v.removed, v.connectivity) == ((0, 1), frozenset(), 1)
 
 
 def test_star_center_is_the_weak_point():
