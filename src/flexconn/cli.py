@@ -29,6 +29,7 @@ from .instance_io import (
     KINDS,
     InstanceDoc,
     SolutionDoc,
+    canonical_int,
     kind_of,
     read_instance,
     read_solution,
@@ -87,9 +88,7 @@ def _parse_edges(spec: str) -> frozenset[int]:
     if not spec:
         return frozenset()
     try:
-        if not spec.isascii() or "_" in spec:  # int() takes 1_0 and non-ASCII digits
-            raise ValueError
-        return frozenset(int(token) for token in spec.split(","))
+        return frozenset(canonical_int(token.strip()) for token in spec.split(","))
     except ValueError:
         raise ValidationError(f"bad edge list {spec!r}, expected ids like 0,2,5")
 

@@ -3,9 +3,9 @@
 An instance file is a header, a kind, a node count, then one line per edge
 and per kind-specific item; edge ids are the zero-based order of the edge
 lines.  Costs are rendered as exact fractions ("3/2", "2") and parsed
-exactly, including decimal forms.  Rendering is canonical: a parsed
-canonical file renders back byte for byte, which is what the golden corpus
-pins down.
+exactly, including decimal forms; integers are taken only as rendered
+(0|-?[1-9][0-9]*).  Rendering is canonical: a parsed canonical file renders
+back byte for byte, which is what the golden corpus pins down.
 
     flexconn-instance v1
     kind fgc
@@ -29,6 +29,7 @@ emitted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -149,23 +150,27 @@ def _significant_lines(text: str):
         yield number, line
 
 
-def _plain(token: str) -> bool:
-    """No `_` or non-ASCII digit, which int() and Fraction() would accept."""
-    return token.isascii() and "_" not in token
+_CANONICAL_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def canonical_int(token: str) -> int:
+    """int(token) for an integer in its rendered form; ValueError for the
+    other forms int() takes (`+`, leading zeros, `-0`, `_`, other digits)."""
+    if not _CANONICAL_INT.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def _int(token: str, what: str, number: int) -> int:
     try:
-        if not _plain(token):
-            raise ValueError
-        return int(token)
+        return canonical_int(token)
     except ValueError:
         raise ParseError(f"{what} must be an integer, got {token!r}", line=number)
 
 
 def _fraction(token: str, number: int) -> Fraction:
     try:
-        if not _plain(token):
+        if not token.isascii() or "_" in token:  # Fraction() takes both
             raise ValueError
         value = Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -409,18 +409,14 @@ def solve_cut_lp(
     while True:
         # Float stage: feed every new active row to the live tableau and
         # re-solve until the oracle has nothing new to say about its vertex.
-        basis = None
-        if k > 0:
-            if tableau is None:
-                tableau = _DualTableau(k, cvec)
-            for cols, cap in active[tableau.rows:]:
-                tableau.add_row(cols, cap)
-            try:
-                y_float, basis, upper = tableau.solve()
-            except _SimplexStall:
-                tableau = None
-        else:
-            y_float, basis, upper = [], [], set()
+        if tableau is None:
+            tableau = _DualTableau(k, cvec)
+        for cols, cap in active[tableau.rows:]:
+            tableau.add_row(cols, cap)
+        try:
+            y_float, basis, upper = tableau.solve()
+        except _SimplexStall:
+            tableau = basis = None
 
         if basis is not None:
             cut = ask({

@@ -4,8 +4,10 @@ Here the failure-prone elements are nodes, not edges.  The connectivity
 measure between s and t, written q-connectivity, is the largest number of
 (s, t)-paths that share no edge and visit each unsafe intermediate node at
 most once; it is computed as a max flow after splitting every node into an
-in/out pair joined by a capacitated arc.  A solution F is feasible for
-requirement p when every node pair has q-connectivity at least p within F.
+in/out pair joined by a capacitated arc, on the one split-node network
+`_split_network` builds for verifier and solver alike.  A solution F is
+feasible for requirement p when every node pair has q-connectivity at least
+p within F.
 
 The solver picks a safe root and directs every edge both ways by arc id,
 on the graph itself: arcs 2*eid and 2*eid + 1 are edge eid's two
@@ -19,14 +21,16 @@ costs at most twice the undirected optimum.
 
 Feasibility has a second, definitional reading: for every set of failing
 unsafe nodes, the survivors must keep max(0, p - failures) edge-disjoint
-paths.  Both readings are implemented and cross-checked; the definitional
-one runs `flows.smallest_failing_set`, as `verify_fgc` does for edges.
+paths.  `verify_ncfgc` runs each reading on its own up to its first
+failing pair and cross-checks the two pairs; the definitional one runs
+`flows.smallest_failing_set`, as `verify_fgc` does for edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     InfeasibleInstanceError,
@@ -67,21 +71,20 @@ class NcFgcInstance:
         return [v for v in range(self.graph.n) if v not in self.safe_nodes]
 
 
-def _split_network(n: int, caps, arcs) -> Network:
-    """Flow network on 2n nodes with every node split into an in/out pair.
-
-    Node v becomes the arc 2v -> 2v+1 with capacity caps.get(v); each
-    (u, v, cap) in `arcs` runs from u's out half 2u+1 to v's in half 2v.
-    Node v's arc has index 2v.  A cap of None (or none given) means
-    unlimited and becomes 1 + the total arc capacity: every out-to-in path
-    crosses an arc of `arcs`, so no flow reaches it and no min cut uses it.
-    """
-    unlimited = 1 + sum(cap for _, _, cap in arcs)
-    net = Network(2 * n)
-    for v in range(n):
+def _split_network(g: MultiGraph, caps, arc_caps) -> Network:
+    """Network on 2 * g.n nodes, each node v split into the arc 2v -> 2v+1
+    of capacity caps.get(v) (index 2v), then one arc per arc id of g in
+    `arc_caps`, in its order, from its tail's out half 2u+1 to its head's in
+    half 2v with capacity arc_caps[aid] (see `arc`).  A cap of None (or none
+    given) means unlimited and becomes 1 + the total arc capacity: every
+    out-to-in path crosses an arc of `arc_caps`, so no flow reaches it."""
+    unlimited = 1 + sum(arc_caps.values())
+    net = Network(2 * g.n)
+    for v in range(g.n):
         cap = caps.get(v)
         net.add_pair(2 * v, 2 * v + 1, unlimited if cap is None else cap, 0)
-    for u, v, cap in arcs:
+    for aid, cap in arc_caps.items():
+        u, v, _ = arc(g, aid)
         net.add_pair(2 * u + 1, 2 * v, cap, 0)
     return net
 
@@ -120,15 +123,14 @@ def verify_ncfgc(
     mode: str = "both",
     subset_guard: int = 10**6,
 ) -> Verdict:
-    """Check feasibility by capacitated flow, by failure enumeration, or both;
-    the verdict names the first pair that fails.  The flow route asks one
-    split-node network over F about every pair, the enumeration route one
-    unit network for the least failing unsafe-node set, by (size, sorted ids).
-    The enumeration route raises GuardExceededError when its search for a
-    pair would try more than `subset_guard` node sets.
-
-    In "both" mode the two routes are compared pair by pair and any
-    disagreement raises, since it would mean one of them is wrong.
+    """Check feasibility by capacitated flow, by failure enumeration, or both.
+    Each route runs on its own up to its first failing pair, in sorted order:
+    the flow route asks one split-node network over F about every pair, the
+    enumeration route one unit network for the least failing unsafe-node
+    set, by (size, sorted ids), and raises GuardExceededError when its search
+    for a pair would try more than `subset_guard` node sets.  In "both" mode
+    the two must fail the same pair, or none, else one is wrong and
+    SolverError is raised; the verdict carries the enumeration witness.
     """
     if mode not in ("qconn", "enumeration", "both"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -137,36 +139,35 @@ def verify_ncfgc(
     p = inst.requirement
     if p == 0:
         return Verdict()
-    if mode in ("qconn", "both"):
-        net = _unit_network(g, inst.node_caps(), _both_arcs(chosen))
-    if mode in ("enumeration", "both"):
+    hit_q = hit_e = None
+    if mode != "enumeration":
+        net = _split_network(g, inst.node_caps(), dict.fromkeys(_both_arcs(chosen), 1))
+        for i, j in combinations(range(g.n), 2):
+            lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
+            if lam < p:
+                hit_q = NcViolation((i, j), None, lam)
+                break
+    if mode != "qconn":
         arcs = {eid: 2 * k for k, eid in enumerate(sorted(chosen))}
         unit = undirected_network(g, dict.fromkeys(arcs, 1))
         shuts = {
             v: [arcs[e.eid] for e in g.incident(v) if e.eid in arcs]
             for v in inst.unsafe_nodes()
         }
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            hit_q = hit_e = None
-            if mode in ("qconn", "both"):
-                lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
-                if lam < p:
-                    hit_q = NcViolation((i, j), None, lam)
-            if mode in ("enumeration", "both"):
-                pool = {v: pairs for v, pairs in shuts.items() if v not in (i, j)}
-                need = [p - s for s in range(min(p, len(pool) + 1))]
-                found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
-                hit_e = None if found is None else NcViolation((i, j), *found)
-            if mode == "both" and (hit_q is None) != (hit_e is None):
-                raise SolverError(
-                    f"feasibility routes disagree on pair ({i}, {j}): "
-                    f"flow says {hit_q is None}, enumeration says {hit_e is None}"
-                )
-            hit = hit_e if hit_e is not None else hit_q
-            if hit is not None:
-                return Verdict(hit)
-    return Verdict()
+        for i, j in combinations(range(g.n), 2):
+            pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
+            need = [p - s for s in range(min(p, len(pool) + 1))]
+            found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
+            if found is not None:
+                hit_e = NcViolation((i, j), *found)
+                break
+    first_q, first_e = (hit and hit.pair for hit in (hit_q, hit_e))
+    if mode == "both" and first_q != first_e:
+        raise SolverError(
+            f"feasibility routes disagree: flow fails pair {first_q} first, "
+            f"enumeration fails pair {first_e} first"
+        )
+    return Verdict(hit_e or hit_q)
 
 
 @dataclass(frozen=True)
@@ -205,16 +206,6 @@ def _both_arcs(edge_ids) -> list[int]:
     return [a for eid in sorted(edge_ids) for a in (2 * eid, 2 * eid + 1)]
 
 
-def _unit_network(g: MultiGraph, caps, arcs=None) -> Network:
-    """Split-node network with one unit arc per arc id of g in `arcs`
-    (default: every arc), in sorted order; the flow from a root to t runs
-    from node 2*root + 1 to node 2*t."""
-    ids = _both_arcs(g.edge_ids) if arcs is None else sorted(set(arcs))
-    return _split_network(
-        g.n, caps, [(u, v, 1) for aid in ids for u, v, _ in [arc(g, aid)]]
-    )
-
-
 def rooted_q_flow(
     g: MultiGraph,
     caps,
@@ -228,7 +219,9 @@ def rooted_q_flow(
     with capacitated intermediate nodes; `arcs` defaults to every arc."""
     if root == t:
         raise InvalidQueryError("root and t must differ")
-    return _unit_network(g, caps, arcs).max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
+    ids = _both_arcs(g.edge_ids) if arcs is None else sorted(arcs)
+    net = _split_network(g, caps, dict.fromkeys(ids, 1))
+    return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -263,8 +256,7 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
     ids = _both_arcs(g.edge_ids)
     scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
     caps = {v: None if c is None else c * scale for v, c in inst.caps.items()}
-    arcs = [(u, v, xs[aid]) for aid in ids for u, v, _ in [arc(g, aid)]]
-    net = _split_network(g.n, caps, arcs)
+    net = _split_network(g, caps, xs)
     s = 2 * inst.root + 1
     best = None
     for t in range(g.n):
@@ -277,8 +269,7 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
         return None
     side = best[1]
     crossing = frozenset(
-        aid
-        for aid, (u, v, _) in zip(ids, arcs)
+        aid for aid in ids for u, v, _ in [arc(g, aid)]
         if 2 * u + 1 in side and 2 * v not in side
     )
     node_cost = sum(
@@ -319,7 +310,8 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     g = inst.graph
     p = inst.requirement
     sinks = [t for t in range(g.n) if t != inst.root]
-    net = _unit_network(g, inst.caps)
+    ids = _both_arcs(g.edge_ids)
+    net = _split_network(g, inst.caps, dict.fromkeys(ids, 1))
     for t in sinks:
         flow = net.max_flow(2 * inst.root + 1, 2 * t, cutoff=p)
         if flow < p:
@@ -329,7 +321,7 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
             )
     if p == 0 or g.n <= 1:
         return RootedSolveResult(frozenset(), Fraction(0))
-    costs = {aid: arc(g, aid)[2] for aid in _both_arcs(g.edge_ids)}
+    costs = {aid: arc(g, aid)[2] for aid in ids}
     sol = solve_cut_lp(costs, lambda x: _separate_rooted(inst, x), max_rows=4000)
     fractional = sol.fractional_ids()
     if fractional:
@@ -337,7 +329,7 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
             f"rooted cut LP vertex is fractional on arcs {list(fractional)}"
         )
     arcs = frozenset(a for a, v in sol.x.items() if v == 1)
-    net = _unit_network(g, inst.caps, arcs)
+    net = _split_network(g, inst.caps, dict.fromkeys(sorted(arcs), 1))
     for t in sinks:
         if net.max_flow(2 * inst.root + 1, 2 * t, cutoff=p) < p:
             raise SolverError(f"rooted solution leaves sink {t} short")

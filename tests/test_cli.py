@@ -95,10 +95,14 @@ def test_verify_edge_list_and_witness(tmp_path, capsys):
     assert main(["verify", str(instance), "--edges", "0,1"]) == 2
     assert "unsafe edge 1" in capsys.readouterr().out
     assert main(["verify", str(instance), "--edges", "0,x"]) == 65
-    # int() would read these as 10 and 0
-    for spec in ("1_0", "\u0660"):
+    # int() would read these as 10, 0, 1, 1 and 0; ids are written as
+    # solution files write them
+    for spec in ("1_0", "\u0660", "01", "0,+1", "-0"):
         assert main(["verify", str(instance), "--edges", spec]) == 65
         assert "bad edge list" in capsys.readouterr().err
+    # blanks around an id are stripped
+    assert main(["verify", str(instance), "--edges", " 0 , 1 "]) == 2
+    assert "unsafe edge 1" in capsys.readouterr().out
 
 
 WITNESS_FGC = (

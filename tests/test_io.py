@@ -119,6 +119,34 @@ BAD_INSTANCES = [
     ("flexconn-instance v1\nkind fgc\nnodes 1_0\n", 3, "node count must be an integer"),
     ("flexconn-instance v1\nkind fgc\nnodes 2\nedge 0 1 1_5 safe\n", 4, "bad cost '1_5'"),
     ("flexconn-instance v1\nkind fgc\nnodes 2\nedge \u0660 1 1 safe\n", 4, "node must be"),
+    # nor a sign, leading zeros or -0, which int() takes but render drops
+    ("flexconn-instance v1\nkind fgc\nnodes +2\n", 3, "node count must be an integer, got '+2'"),
+    (
+        "flexconn-instance v1\nkind fgc\nnodes 2\nedge 00 1 1 safe\n",
+        4,
+        "node must be an integer, got '00'",
+    ),
+    (
+        "flexconn-instance v1\nkind fgc\nnodes 2\npair 0 1 +1 -0\n",
+        4,
+        "p must be an integer, got '+1'",
+    ),
+    (
+        "flexconn-instance v1\nkind fgc\nnodes 2\npair 0 1 1 -0\n",
+        4,
+        "q must be an integer, got '-0'",
+    ),
+    (
+        "flexconn-instance v1\nkind ncfgc\nnodes 2\nrequirement 01\n",
+        4,
+        "requirement must be an integer",
+    ),
+    ("flexconn-instance v1\nkind ncfgc\nnodes 2\nsafe-node +0\n", 4, "node must be an integer"),
+    # canonical negative values still reach their own messages
+    ("flexconn-instance v1\nkind fgc\nnodes -2\n", 3, "need at least one node"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2\nedge -1 1 1 safe\n", 4, "node -1 out of range"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2\npair 0 1 1 -1\n", 4, "must not be negative"),
+    ("flexconn-instance v1\nkind ncfgc\nnodes 2\nrequirement -3\n", 4, "must not be negative"),
 ]
 
 
@@ -160,6 +188,9 @@ BAD_SOLUTIONS = [
     ("flexconn-solution v1\nkind fgc\ncost 1\ncost 2\n", "twice"),
     ("flexconn-solution v1\nkind fgc\ncost 1\nbuy 0\n", "unknown line"),
     ("flexconn-solution v1\nkind fgc\ncost 1\nedge 1_0\n", "edge id must be an integer"),
+    ("flexconn-solution v1\nkind fgc\ncost 1\nedge +1\n", "edge id must be an integer, got '+1'"),
+    ("flexconn-solution v1\nkind fgc\ncost 1\nedge 01\n", "edge id must be an integer, got '01'"),
+    ("flexconn-solution v1\nkind fgc\ncost 1\nedge -0\n", "edge id must be an integer, got '-0'"),
 ]
 
 

@@ -75,6 +75,16 @@ def test_infeasible_row_detected():
         solve_cut_lp(costs, static_oracle([CutRow(frozenset({0}), Fraction(3))]))
 
 
+def test_lp_without_variables():
+    # the float tableau over no columns solves at once: objective 0
+    sol = solve_cut_lp({}, lambda x: None)
+    assert (sol.x, sol.objective, sol.rows) == ({}, 0, ())
+    # a row over no edges cannot be met once it asks for anything
+    for rhs in (1, 2):
+        with pytest.raises(LpInfeasibleError, match=f"cut needs {rhs} but only 0"):
+            solve_cut_lp({}, static_oracle([CutRow(frozenset(), Fraction(rhs))]))
+
+
 def test_oracle_must_name_known_edges():
     def oracle(x):
         return CutRow(frozenset({99}), Fraction(1))

@@ -16,6 +16,7 @@ from flexconn import (
     MultiGraph,
     NcFgcInstance,
     RootedQConnInstance,
+    SolverError,
     UnsupportedInstanceError,
     ValidationError,
     edge_connectivity,
@@ -27,7 +28,7 @@ from flexconn import (
     solve_rooted_qconn,
     verify_ncfgc,
 )
-from flexconn.flows import Network
+from flexconn.flows import Network, smallest_failing_set, undirected_network
 from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
 from flexconn.graphs import Edge
 from flexconn.lp import CutRow
@@ -249,6 +250,102 @@ def test_enumeration_route_matches_the_combination_reference():
                 failures += 1
                 deep += len(v.removed) > 0
     assert failures > 100 and checked - failures > 100 and deep > 20
+
+
+def interleaved_verify(inst, edge_ids, mode):
+    """`verify_ncfgc` as it ran with both routes interleaved pair by pair:
+    the first pair either route fails ends the loop, a pair the routes split
+    on raises, and the enumeration witness wins.  The flow is measured by
+    `q_connectivity` on a network of its own per pair."""
+    g = inst.graph
+    chosen = g.subset(edge_ids)
+    p = inst.requirement
+    if p == 0:
+        return None
+    caps = inst.node_caps()
+    arcs = {eid: 2 * k for k, eid in enumerate(sorted(chosen))}
+    unit = undirected_network(g, dict.fromkeys(arcs, 1))
+    shuts = {
+        v: [arcs[e.eid] for e in g.incident(v) if e.eid in arcs]
+        for v in inst.unsafe_nodes()
+    }
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            hit_q = hit_e = None
+            if mode in ("qconn", "both"):
+                lam = q_connectivity(g, caps, i, j, chosen, cutoff=p)
+                if lam < p:
+                    hit_q = NcViolation((i, j), None, lam)
+            if mode in ("enumeration", "both"):
+                pool = {v: pairs for v, pairs in shuts.items() if v not in (i, j)}
+                need = [p - s for s in range(min(p, len(pool) + 1))]
+                found = smallest_failing_set(unit, i, j, need, pool, 10**6)
+                hit_e = None if found is None else NcViolation((i, j), *found)
+            if mode == "both" and (hit_q is None) != (hit_e is None):
+                raise SolverError(f"routes disagree on pair ({i}, {j})")
+            hit = hit_e if hit_e is not None else hit_q
+            if hit is not None:
+                return hit
+    return None
+
+
+def test_whole_routes_match_the_interleaved_loop():
+    rng = random.Random(19)
+    checked = failures = 0
+    for cfg in (GenConfig(nodes=(3, 7), extra_edges=(3, 10), ncfgc_p=(1, 3)),
+                GenConfig(nodes=(5, 8), extra_edges=(8, 16), ncfgc_p=(2, 3))):
+        for seed in range(25):
+            inst = gen_ncfgc(seed, cfg=cfg, ensure_feasible=False)
+            ids = sorted(inst.graph.edge_ids)
+            subsets = [ids, []] + [
+                [e for e in ids if rng.random() < share] for share in (0.5, 0.8)
+            ]
+            if verify_ncfgc(inst, ids, mode="qconn").ok:
+                edges = sorted(solve_p_ncfgc(inst).edges)
+                subsets += [edges] + [[e for e in edges if e != eid] for eid in edges]
+            for chosen in subsets:
+                for mode in ("qconn", "enumeration", "both"):
+                    verdict = verify_ncfgc(inst, chosen, mode=mode)
+                    expected = interleaved_verify(inst, chosen, mode)
+                    assert verdict.ok == (expected is None)
+                    assert verdict.violation == expected
+                checked += 1
+                failures += expected is not None
+    assert failures > 50 and checked - failures > 50
+
+
+def test_routes_that_disagree_raise_in_both_mode(monkeypatch):
+    from flexconn import ncfgc
+
+    g = double_path()
+    weak = NcFgcInstance(g, set(), 2)
+    # an enumeration route that never finds a failing set
+    monkeypatch.setattr(ncfgc, "smallest_failing_set", lambda *args: None)
+    assert verify_ncfgc(weak, g.edge_ids, mode="enumeration").ok
+    assert verify_ncfgc(weak, g.edge_ids, mode="qconn").violation.pair == (0, 2)
+    with pytest.raises(
+        SolverError,
+        match=r"^feasibility routes disagree: flow fails pair \(0, 2\) first, "
+        r"enumeration fails pair None first$",
+    ):
+        verify_ncfgc(weak, g.edge_ids, mode="both")
+    # one that fails a later pair than the flow route does
+    monkeypatch.setattr(
+        ncfgc, "smallest_failing_set",
+        lambda net, s, t, *rest: (frozenset(), 0) if (s, t) == (1, 2) else None,
+    )
+    with pytest.raises(
+        SolverError, match=r"flow fails pair \(0, 2\) first, enumeration fails pair \(1, 2\)"
+    ):
+        verify_ncfgc(weak, g.edge_ids, mode="both")
+    # and one that fails every pair on the first set it tries
+    monkeypatch.setattr(ncfgc, "smallest_failing_set", lambda *args: (frozenset(), 0))
+    strong = NcFgcInstance(g, {1}, 2)
+    assert verify_ncfgc(strong, g.edge_ids, mode="qconn").ok
+    with pytest.raises(
+        SolverError, match=r"flow fails pair None first, enumeration fails pair \(0, 1\)"
+    ):
+        verify_ncfgc(strong, g.edge_ids, mode="both")
 
 
 def test_inflation_structure():
