@@ -7,8 +7,9 @@ A solution F is feasible when, for every pair (i, j) with requirement
 Two regimes admit a capacitated reduction solved by iterative rounding:
 all q_ij <= 1 (capacities p+1 safe / p unsafe, demand (p+q_ij)*p_ij) and all
 p_ij = 1 (capacities q+1 safe / 1 unsafe, demand q_ij + 1), where p and q
-are the largest requirement values.  Capacitated instances are solved by
-splitting each edge into unit copies and rounding the cut LP.
+are the largest requirement values.  A capacitated instance is checked for
+feasibility on its own edges at their capacities, then solved by splitting
+each edge into unit copies and rounding the cut LP.
 
 Feasibility can be checked two independent ways: directly against the
 definition (verify_fgc, with sound shortcuts) or through the cut view
@@ -21,17 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GuardExceededError,
-    SolverError,
-    UnsupportedInstanceError,
-    ValidationError,
-    WrongRegimeError,
-)
+from .errors import GuardExceededError, SolverError, UnsupportedInstanceError, WrongRegimeError
 from .flows import smallest_failing_set, undirected_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import MultiGraph, Verdict, check_count, split_parallel
-from .jain import SndpInstance, jain_round, normalize_pairs
+from .jain import SndpInstance, check_requirements_satisfiable, first_unmet_pair
+from .jain import jain_round, normalize_pairs
 
 
 @dataclass(frozen=True)
@@ -90,12 +86,13 @@ class CapNdpInstance:
     demands: dict[tuple[int, int], int]
 
     def __post_init__(self):
+        self.graph.subset(self.capacities)
         for e in self.graph.edges:
             check_count(self.capacities.get(e.eid), f"capacity of edge {e.eid}")
+        demands = normalize_pairs(self.demands, self.graph.n)
         for (a, b), d in self.demands.items():
-            if a == b or not (0 <= a < self.graph.n and 0 <= b < self.graph.n):
-                raise ValidationError(f"bad demand pair ({a}, {b})")
             check_count(d, f"demand for pair ({a}, {b})")
+        object.__setattr__(self, "demands", demands)
 
 
 def build_capndp_q1(inst: FgcInstance) -> CapNdpInstance:
@@ -135,17 +132,14 @@ class CapacitatedFailure:
 
 
 def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> Verdict:
-    """Check every demand by an exact max flow over the chosen edges, one
-    network for all of them; the verdict names the first demand that fails."""
+    """Check every demand by an exact max flow over the chosen edges at their
+    capacities; the verdict names the first demand that fails."""
     chosen = inst.graph.subset(edge_ids)
-    net = undirected_network(inst.graph, {eid: inst.capacities[eid] for eid in chosen})
-    for (i, j), d in sorted(inst.demands.items()):
-        if d == 0:
-            continue
-        value = net.max_flow(i, j, cutoff=d)
-        if value < d:
-            return Verdict(CapacitatedFailure((i, j), value, d))
-    return Verdict()
+    hit = first_unmet_pair(inst.graph, inst.demands, {e: inst.capacities[e] for e in chosen})
+    if hit is None:
+        return Verdict()
+    pair, flow = hit
+    return Verdict(CapacitatedFailure(pair, flow, inst.demands[pair]))
 
 
 @dataclass(frozen=True)
@@ -157,14 +151,16 @@ class CapNdpResult:
 
 
 def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
-    """Split edges into unit copies, round the cut LP, keep touched originals.
-
-    The returned set is re-checked against the capacitated demands; a failure
-    there would mean the rounding itself is broken.
+    """Decide infeasibility on the instance's own edges at their capacities,
+    then split each edge of capacity u >= 1 into u unit copies, round the cut
+    LP and keep the touched originals.  The returned set is re-checked against
+    the capacitated demands; a failure there would mean the rounding is broken.
     """
-    split = split_parallel(inst.graph, inst.capacities)
-    requirements = {pair: d for pair, d in inst.demands.items() if d >= 1}
-    rounded = jain_round(SndpInstance(split.graph, requirements))
+    g = inst.graph
+    check_requirements_satisfiable(g, inst.demands, inst.capacities)
+    usable = MultiGraph(g.n, [e for e in g.edges if inst.capacities[e.eid] >= 1])
+    split = split_parallel(usable, inst.capacities)
+    rounded = jain_round(SndpInstance(split.graph, inst.demands))
     edges = frozenset(split.copy_map[sid] for sid in rounded.edges)
     bad = check_capacitated_cuts(inst, edges).violation
     if bad is not None:
@@ -172,9 +168,7 @@ def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
             f"rounded solution moves {bad.flow} < {bad.demand} units for pair "
             f"{bad.pair}"
         )
-    return CapNdpResult(
-        edges, inst.graph.cost(edges), rounded.lp_objective, rounded.iterations
-    )
+    return CapNdpResult(edges, g.cost(edges), rounded.lp_objective, rounded.iterations)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ met by the chosen edges alone.  A residual row asks a cut for its requirement
 less the chosen edges that cross it, and names only the undecided ones.
 Every vertex must offer an undecided edge at 1/2 or more; a miss is a bug in
 vertex recovery, not an instance property, and raises JainProgressError.
+`first_unmet_pair` is the one requirement check, on unit edges here and on
+capacitated ones for Cap-NDP (see fgc).
 """
 
 from __future__ import annotations
@@ -55,36 +57,37 @@ class SndpInstance:
 def first_unmet_pair(
     graph: MultiGraph,
     requirements: Mapping[tuple[int, int], int],
-    edge_ids: Collection[int] | None = None,
-) -> tuple[int, int] | None:
-    """First pair in sorted order with fewer edge-disjoint paths within
-    `edge_ids` (default: every edge) than it requires, or None.
-
-    One unit-capacity network serves every pair, and each flow stops at the
-    pair's requirement."""
-    ids = graph.edge_ids if edge_ids is None else edge_ids
-    net = undirected_network(graph, dict.fromkeys(sorted(ids), 1))
-    for (i, j), r in sorted(requirements.items()):
-        if r >= 1 and net.max_flow(i, j, cutoff=r) < r:
-            return i, j
+    caps: Mapping[int, int],
+) -> tuple[tuple[int, int], int] | None:
+    """First pair in sorted order, with its flow, whose max flow under `caps`
+    (edge id to capacity; absent edges carry nothing) falls short of its
+    requirement, or None.  One network serves every pair, and each flow stops
+    at the pair's requirement, so a zero requirement is never short."""
+    net = undirected_network(graph, caps)
+    for pair, r in sorted(requirements.items()):
+        flow = net.max_flow(*pair, cutoff=r)
+        if flow < r:
+            return pair, flow
     return None
 
 
-def check_requirements_satisfiable(inst: SndpInstance) -> None:
-    """Raise InfeasibleInstanceError with a witness cut if the graph is too sparse.
-
-    Only the first pair that falls short pays for the full flow and its min
-    cut."""
-    pair = first_unmet_pair(inst.graph, inst.requirements)
-    if pair is not None:
-        i, j = pair
-        caps = {e.eid: 1 for e in inst.graph.edges}
-        value, cut = max_flow_min_cut(inst.graph, caps, i, j)
+def check_requirements_satisfiable(
+    graph: MultiGraph,
+    requirements: Mapping[tuple[int, int], int],
+    caps: Mapping[int, int],
+) -> None:
+    """Raise InfeasibleInstanceError naming the first pair that `caps` leaves
+    short, its max flow and its min cut over the edge ids of `graph`; the cut
+    side is the inclusion-minimal one, residual-reachable from the pair's
+    first node, so it does not depend on the order of `caps`."""
+    hit = first_unmet_pair(graph, requirements, caps)
+    if hit is not None:
+        (i, j), flow = hit
         raise InfeasibleInstanceError(
-            f"pair ({i}, {j}) needs {inst.requirements[pair]} edge-disjoint "
-            f"paths but the graph admits only {value}",
-            pair=pair,
-            cut=cut,
+            f"pair ({i}, {j}) needs {requirements[i, j]} edge-disjoint "
+            f"paths but the graph admits only {flow}",
+            pair=(i, j),
+            cut=max_flow_min_cut(graph, caps, i, j)[1],
         )
 
 
@@ -108,7 +111,7 @@ def separation(
     })
     net = undirected_network(graph, caps)
     best = None
-    pairs = sorted((p, r) for p, r in requirements.items() if r >= 1)
+    pairs = sorted(requirements.items())
     for (i, j), r in pairs:
         viol = r * scale - net.max_flow(i, j)
         if viol <= 0:
@@ -138,13 +141,13 @@ def jain_round(inst: SndpInstance) -> JainResult:
     first LP objective."""
     graph = inst.graph
     requirements = inst.requirements
-    check_requirements_satisfiable(inst)
+    check_requirements_satisfiable(graph, requirements, {e.eid: 1 for e in graph.edges})
     costs = {e.eid: e.cost for e in graph.edges}
     chosen: set[int] = set()
     first_objective: Fraction | None = None
     iterations = 0
     threshold = Fraction(1, 2)
-    while first_unmet_pair(graph, requirements, chosen) is not None:
+    while first_unmet_pair(graph, requirements, dict.fromkeys(sorted(chosen), 1)):
         sol: FractionalSolution = solve_cut_lp(
             {e: c for e, c in costs.items() if e not in chosen},
             lambda x: separation(graph, x, requirements, chosen),

@@ -17,10 +17,10 @@ solve one square 0/1 system of tight rows by basic y, the check on its
 transpose, by Bareiss's fraction-free elimination on right-hand sides scaled
 to ints by their common denominator, and compare integer numerators;
 `Fraction`s are built only for the returned vertex.  When the float tableau
-stalls or its basis fails the check, the same dual simplex runs again from a
-cold start on `Fraction`s with no tolerance, and its basis goes through the
-same rebuild and check.  Identical inputs produce identical row sequences and
-solutions.
+stalls, cannot hold a cost or cap as a float, or its basis fails the check,
+the same dual simplex runs again from a cold start on `Fraction`s with no
+tolerance, and its basis goes through the same rebuild and check.  Identical
+inputs produce identical row sequences and solutions.
 """
 
 from __future__ import annotations
@@ -409,13 +409,14 @@ def solve_cut_lp(
     while True:
         # Float stage: feed every new active row to the live tableau and
         # re-solve until the oracle has nothing new to say about its vertex.
-        if tableau is None:
-            tableau = _DualTableau(k, cvec)
-        for cols, cap in active[tableau.rows:]:
-            tableau.add_row(cols, cap)
+        # A cost or cap past float range goes exact, as a stall does.
         try:
+            if tableau is None:
+                tableau = _DualTableau(k, cvec)
+            for cols, cap in active[tableau.rows:]:
+                tableau.add_row(cols, cap)
             y_float, basis, upper = tableau.solve()
-        except _SimplexStall:
+        except (_SimplexStall, OverflowError):
             tableau = basis = None
 
         if basis is not None:

@@ -137,8 +137,6 @@ def verify_ncfgc(
     g = inst.graph
     chosen = g.subset(edge_ids)
     p = inst.requirement
-    if p == 0:
-        return Verdict()
     hit_q = hit_e = None
     if mode != "enumeration":
         net = _split_network(g, inst.node_caps(), dict.fromkeys(_both_arcs(chosen), 1))
@@ -319,8 +317,6 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
                 f"the full arc set gives the root only {flow} units toward {t}",
                 pair=(inst.root, t),
             )
-    if p == 0 or g.n <= 1:
-        return RootedSolveResult(frozenset(), Fraction(0))
     costs = {aid: arc(g, aid)[2] for aid in ids}
     sol = solve_cut_lp(costs, lambda x: _separate_rooted(inst, x), max_rows=4000)
     fractional = sol.fractional_ids()

@@ -164,7 +164,8 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
 
 
 def _sndp_feasible(inst: SndpInstance, subset: frozenset[int]) -> bool:
-    return first_unmet_pair(inst.graph, inst.requirements, subset) is None
+    unit = dict.fromkeys(sorted(subset), 1)
+    return first_unmet_pair(inst.graph, inst.requirements, unit) is None
 
 
 def exact_opt(instance, *, budget: OracleBudget | None = None) -> OptResult:

@@ -144,8 +144,10 @@ def test_rounding_engine_vertex_progress_and_factor():
     worst = Fraction(0)
     for _ in range(100):
         inst = _random_sndp(rng, cfg)
-        check_requirements_satisfiable(inst)
         graph = inst.graph
+        check_requirements_satisfiable(
+            graph, inst.requirements, {e.eid: 1 for e in graph.edges}
+        )
         costs = {e.eid: e.cost for e in graph.edges}
         chosen: set[int] = set()
         iterations = 0

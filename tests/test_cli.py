@@ -165,6 +165,29 @@ def test_solve_reports_infeasibility(tmp_path, capsys):
     instance.write_text(INFEASIBLE_FST)
     assert main(["solve", str(instance)]) == 2
     assert capsys.readouterr().out.startswith("infeasible:")
+    assert main(["oracle", str(instance)]) == 2
+    assert capsys.readouterr().out == "infeasible\n"
+
+
+# one edge each whose cost 10**400 no float holds; the cut LP goes exact
+HUGE_COST = [
+    "kind fgc\nnodes 3\nedge 0 1 1 safe\nedge 1 2 1 safe\nedge 0 2 1e400 safe\n"
+    "pair 0 2 1 0\n",
+    "kind fst\nnodes 3\nedge 0 1 1 unsafe\nedge 1 2 1 safe\nedge 0 1 3 unsafe\n"
+    "edge 0 2 1e400 safe\nterminal 0\nterminal 2\n",
+    "kind ncfgc\nnodes 3\nedge 0 1 1 unsafe\nedge 1 2 2 unsafe\n"
+    "edge 0 2 1e400 unsafe\nsafe-node 0\nrequirement 1\n",
+]
+
+
+@pytest.mark.parametrize("body", HUGE_COST, ids=["fgc", "fst", "ncfgc"])
+def test_costs_past_float_range_solve_to_the_optimum(tmp_path, capsys, body):
+    instance = tmp_path / "huge.instance"
+    instance.write_text("flexconn-instance v1\n" + body)
+    assert main(["solve", str(instance)]) == 0
+    solved = parse_solution(capsys.readouterr().out)
+    assert main(["oracle", str(instance)]) == 0
+    assert solved.cost == parse_solution(capsys.readouterr().out).cost
 
 
 def test_oracle_finds_optima_and_respects_budget(tmp_path, capsys):

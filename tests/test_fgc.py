@@ -12,7 +12,9 @@ from flexconn import (
     CapNdpInstance,
     FgcInstance,
     GuardExceededError,
+    InfeasibleInstanceError,
     MultiGraph,
+    UnknownEdgeError,
     UnsupportedInstanceError,
     ValidationError,
     WrongRegimeError,
@@ -24,7 +26,10 @@ from flexconn import (
     solve_fgc,
     verify_fgc,
 )
+from flexconn import flows
+from flexconn.fgc import CapacitatedFailure
 from flexconn.flows import edge_connectivity
+from flexconn.graphs import Cut
 from flexconn.generators import GenConfig, gen_fgc
 from flexconn.oracle import exact_opt
 
@@ -111,6 +116,9 @@ def test_capndp_validation():
         CapNdpInstance(g, {0: 1, 1: 1, 2: 1}, {(0, 0): 1})
     with pytest.raises(ValidationError):
         CapNdpInstance(g, {0: 1, 1: 1, 2: 1}, {(0, 1): -2})
+    with pytest.raises(UnknownEdgeError):
+        CapNdpInstance(g, {0: 1, 1: 1, 2: 1, 7: 1}, {})
+    assert CapNdpInstance(g, {0: 1, 1: 1, 2: 1}, {(2, 0): 1}).demands == {(0, 2): 1}
 
 
 def test_capacitated_check_reports_flow_shortfall():
@@ -123,6 +131,49 @@ def test_capacitated_check_reports_flow_shortfall():
     report = check_capacitated_cuts(inst, {0})
     assert not report.ok
     assert report.violation == report.violation.__class__((0, 1), 2, 3)
+
+
+def test_capacitated_check_ignores_zero_demands():
+    inst = CapNdpInstance(mixed_triangle(), {0: 1, 1: 1, 2: 1}, {(0, 1): 0, (0, 2): 1})
+    assert check_capacitated_cuts(inst, set()).violation == CapacitatedFailure((0, 2), 0, 1)
+    assert check_capacitated_cuts(inst, {2}).ok
+
+
+@pytest.mark.parametrize("p", [3, 2000])
+def test_capacities_decide_infeasibility_before_splitting(monkeypatch, p):
+    """The q1 reduction gives the triangle capacities p + 1, p and p + 1 and
+    the pair demand (p + 1) p; the refusal runs on those three edges, not on
+    their 3p + 2 unit copies, and its cut names them."""
+    g = mixed_triangle()
+    built = 0
+    add_pair = flows.Network.add_pair
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        return add_pair(self, *args)
+
+    monkeypatch.setattr(flows.Network, "add_pair", counted)
+    with pytest.raises(InfeasibleInstanceError) as err:
+        solve_fgc(FgcInstance(g, {(0, 2): (p, 1)}))
+    assert built < 50
+    exc = err.value
+    assert str(exc) == (
+        f"pair (0, 2) needs {(p + 1) * p} edge-disjoint paths but the graph "
+        f"admits only {2 * p + 1}"
+    )
+    assert exc.pair == (0, 2)
+    assert exc.cut.boundary <= g.edge_ids
+    assert exc.cut == Cut(frozenset({0, 1}), frozenset({1, 2}))
+
+
+def test_zero_capacity_edges_are_never_bought():
+    # the cheapest edge carries nothing; the path around it is the optimum
+    g = MultiGraph.build(3, [(0, 1, 2, True), (1, 2, 2, True), (0, 2, 1, True)])
+    inst = CapNdpInstance(g, {0: 1, 1: 1, 2: 0}, {(0, 2): 1})
+    res = solve_capndp(inst)
+    assert 2 not in res.edges
+    assert res.cost == exact_opt(inst).cost == 4
 
 
 def test_solve_capndp_prefers_cheap_capacity():

@@ -15,6 +15,7 @@ from flexconn import (
     UnknownEdgeError,
     ValidationError,
     build_second_stage,
+    minimum_cost_subset,
     solve_fst,
     steiner_tree_approx,
     steiner_tree_exact,
@@ -55,6 +56,26 @@ def test_steiner_trees_reject_out_of_range_terminals(terminals):
         bad = min(t for t in terminals if not 0 <= t < 3)
         with pytest.raises(ValidationError, match=f"terminal {bad} out of range"):
             tree(g, terminals)
+
+
+def test_steiner_trees_refuse_disconnected_terminals():
+    g = MultiGraph.build(4, [(0, 1, Fraction(1), True), (2, 3, Fraction(1), True)])
+    for tree in (steiner_tree_approx, steiner_tree_exact):
+        with pytest.raises(InfeasibleInstanceError, match="disconnected") as err:
+            tree(g, {0, 2})
+        assert err.value.pair == (0, 2)
+
+
+def test_exact_tree_shaves_a_free_pendant():
+    # the free edge 0 wins the oracle's lexicographic tie but leads nowhere
+    g = MultiGraph.build(4, [
+        (1, 3, Fraction(0), True),
+        (0, 1, Fraction(1), True),
+        (1, 2, Fraction(1), True),
+    ])
+    connects = lambda s: g.connects({0, 2}, s)
+    assert minimum_cost_subset(g.edge_ids, {0: 0, 1: 1, 2: 1}, connects).edges == {0, 1, 2}
+    assert steiner_tree_exact(g, {0, 2}) == frozenset({1, 2})
 
 
 def test_verify_reports_the_failing_mode():

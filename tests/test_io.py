@@ -147,6 +147,29 @@ BAD_INSTANCES = [
     ("flexconn-instance v1\nkind fgc\nnodes 2\nedge -1 1 1 safe\n", 4, "node -1 out of range"),
     ("flexconn-instance v1\nkind fgc\nnodes 2\npair 0 1 1 -1\n", 4, "must not be negative"),
     ("flexconn-instance v1\nkind ncfgc\nnodes 2\nrequirement -3\n", 4, "must not be negative"),
+    # every usage line and repeat the grammar checks
+    ("flexconn-instance v1\nkind fgc\nnodes 2\nnodes 2\n", 4, "nodes given twice"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2 3\n", 3, "usage: nodes N"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2\nedge 0 1 1\n", 4, "usage: edge u v cost"),
+    ("flexconn-instance v1\nkind fgc\nnodes 2\npair 0 1 1\n", 4, "usage: pair i j p q"),
+    (
+        "flexconn-instance v1\nkind fgc\nnodes 2\npair 1 1 1 1\n",
+        4,
+        "pair must join two distinct nodes",
+    ),
+    ("flexconn-instance v1\nkind fst\nnodes 2\nterminal\n", 4, "usage: terminal t"),
+    ("flexconn-instance v1\nkind ncfgc\nnodes 2\nsafe-node 0 1\n", 4, "usage: safe-node v"),
+    (
+        "flexconn-instance v1\nkind ncfgc\nnodes 2\nsafe-node 1\nsafe-node 1\n",
+        5,
+        "safe node 1 repeated",
+    ),
+    (
+        "flexconn-instance v1\nkind ncfgc\nnodes 2\nrequirement 1\nrequirement 1\n",
+        5,
+        "requirement given twice",
+    ),
+    ("flexconn-instance v1\nkind ncfgc\nnodes 2\nrequirement\n", 4, "usage: requirement p"),
 ]
 
 
@@ -191,6 +214,8 @@ BAD_SOLUTIONS = [
     ("flexconn-solution v1\nkind fgc\ncost 1\nedge +1\n", "edge id must be an integer, got '+1'"),
     ("flexconn-solution v1\nkind fgc\ncost 1\nedge 01\n", "edge id must be an integer, got '01'"),
     ("flexconn-solution v1\nkind fgc\ncost 1\nedge -0\n", "edge id must be an integer, got '-0'"),
+    ("flexconn-solution v1\nkind fgc\ncost 1 2\n", "usage: cost value"),
+    ("flexconn-solution v1\nkind fgc\ncost 1\nedge 0 1\n", "usage: edge id"),
 ]
 
 

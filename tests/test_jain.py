@@ -18,7 +18,7 @@ from flexconn import (
 from flexconn.flows import integral, max_flow_min_cut
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
-from flexconn.jain import separation
+from flexconn.jain import first_unmet_pair, separation
 from flexconn.lp import CutRow, solve_cut_lp
 from flexconn.oracle import exact_opt
 
@@ -77,6 +77,25 @@ def test_separation_finds_most_violated_cut():
     # a satisfied requirement yields silence
     x = {eid: Fraction(1) for eid in g.edge_ids}
     assert separation(g, x, {(0, 2): 2}, frozenset()) is None
+
+
+def test_separation_ignores_zero_requirements():
+    g = cycle(4)
+    x = {eid: Fraction(0) for eid in g.edge_ids}
+    for chosen in (frozenset(), frozenset({0})):
+        alone = separation(g, x, {(0, 2): 2}, chosen)
+        assert alone is not None
+        assert separation(g, x, {(0, 1): 0, (0, 2): 2, (1, 3): 0}, chosen) == alone
+
+
+def test_first_unmet_pair_counts_capacity_units():
+    # 1-2-3 and 1-0-3 each pass one unit; 0-1-2 alone passes 3
+    g = cycle(4)
+    caps = {0: 3, 1: 3, 2: 1, 3: 1}
+    assert first_unmet_pair(g, {(0, 1): 0, (0, 2): 2, (1, 3): 3}, caps) == ((1, 3), 2)
+    assert first_unmet_pair(g, {(0, 1): 0, (0, 2): 4}, caps) is None
+    # a zero requirement is met by no edges at all
+    assert first_unmet_pair(g, {(0, 1): 0}, {}) is None
 
 
 def test_half_integral_point_on_a_cycle_is_cut_short():

@@ -32,7 +32,7 @@ from flexconn.flows import Network, smallest_failing_set, undirected_network
 from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
 from flexconn.graphs import Edge
 from flexconn.lp import CutRow
-from flexconn.ncfgc import NcViolation, _separate_rooted, arc
+from flexconn.ncfgc import NcViolation, RootedSolveResult, _separate_rooted, arc
 from flexconn.oracle import exact_opt
 
 from strategies import cut_lp_values, edge_subsets, multigraphs, node_pairs
@@ -118,7 +118,8 @@ def test_verify_modes_and_hand_cases():
     flow_only = verify_ncfgc(weak, g.edge_ids, mode="qconn")
     assert not flow_only.ok and flow_only.violation.removed is None
     assert verify_ncfgc(NcFgcInstance(g, {1}, 2), g.edge_ids).ok
-    assert verify_ncfgc(NcFgcInstance(g, set(), 0), set()).ok
+    for mode in ("qconn", "enumeration", "both"):
+        assert verify_ncfgc(NcFgcInstance(g, set(), 0), set(), mode=mode).ok
 
 
 def test_enumeration_guard_counts_failure_sets_per_pair():
@@ -412,6 +413,17 @@ def test_rooted_instance_rejects_caps_outside_the_graph():
         with pytest.raises(ValidationError, match=f"cap for node {v} out of range"):
             RootedQConnInstance(g, 0, {v: 1}, 1)
     assert RootedQConnInstance(g, 0, {2: 1}, 1).caps == {2: 1}
+    for root in (3, -1):
+        with pytest.raises(ValidationError, match="root out of range"):
+            RootedQConnInstance(g, root, {}, 1)
+
+
+def test_rooted_solver_buys_nothing_when_nothing_is_asked():
+    nothing = RootedSolveResult(frozenset(), Fraction(0))
+    asks_zero = RootedQConnInstance(double_path(), 0, {0: 2, 1: 1, 2: 1}, 0)
+    assert solve_rooted_qconn(asks_zero) == nothing
+    lone = MultiGraph.build(1, [])
+    assert solve_rooted_qconn(RootedQConnInstance(lone, 0, {}, 2)) == nothing
 
 
 def test_rooted_solver_matches_brute_force():

@@ -241,6 +241,13 @@ def test_exact_opt_looks_predicates_up_when_called(monkeypatch):
     assert all(count > 0 for count in calls.values()), calls
 
 
+def test_ratio_report_on_a_free_optimum():
+    # an optimum of cost 0 reports ratio 1 instead of dividing by it
+    g = MultiGraph.build(2, [(0, 1, Fraction(0), True)])
+    (entry,) = ratio_report("fst", [("free", FstInstance(g, {0, 1}))]).entries
+    assert (entry.solver_cost, entry.opt_cost, entry.ratio, entry.within) == (0, 0, 1, True)
+
+
 def test_ratio_report_contents_and_render():
     instances = [
         (f"fgc-q1-{seed}", gen_instance("fgc-q1", seed)) for seed in (3, 4)
