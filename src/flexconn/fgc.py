@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GuardExceededError, SolverError, UnsupportedInstanceError, WrongRegimeError
 from .flows import smallest_failing_set, undirected_network
@@ -71,6 +72,11 @@ class FgcInstance:
 
     def max_q(self) -> int:
         return max((q for _, _, q in self.active_pairs()), default=1)
+
+    @cached_property
+    def _unit(self) -> "_FgcUnit":
+        """What `verify_fgc` needs that does not depend on F (see there)."""
+        return _FgcUnit(self)
 
 
 @dataclass(frozen=True)
@@ -180,6 +186,24 @@ class FgcViolation:
     connectivity: int
 
 
+class _FgcUnit:
+    """An instance's unit network over all its edges in sorted id order, each
+    edge's forward arc index in it (`arc`, in that order), the unsafe
+    edges' own arc pairs as failure elements (`unsafe`) and the active
+    pairs.  One network serves every `verify_fgc` call on the instance, so
+    it is not reentrant."""
+
+    def __init__(self, inst: FgcInstance):
+        ids = sorted(inst.graph.edge_ids)
+        self.net = undirected_network(inst.graph, dict.fromkeys(ids, 1))
+        # edge ids[k] is the arc pair 2k, 2k + 1
+        self.arc = {eid: 2 * k for k, eid in enumerate(ids)}
+        self.unsafe = {
+            eid: (a,) for eid, a in self.arc.items() if not inst.graph.edge(eid).safe
+        }
+        self.pairs = inst.active_pairs()
+
+
 def verify_fgc(
     inst: FgcInstance,
     edge_ids,
@@ -187,7 +211,8 @@ def verify_fgc(
     subset_guard: int = 10**6,
 ) -> Verdict:
     """Check feasibility against the definition; the verdict names the first
-    pair, in sorted order, that some failure set breaks.
+    pair, in sorted order, that some failure set breaks.  The flows run on
+    the instance's unit network with the edges outside F shut.
 
     Two screens are decisive on their own: connectivity p_ij + q_ij within F
     clears the pair outright, while connectivity below p_ij condemns it with
@@ -196,12 +221,12 @@ def verify_fgc(
     raises GuardExceededError when it would try more than `subset_guard`
     edge sets for one pair.
     """
-    g = inst.graph
-    chosen = sorted(g.subset(edge_ids))
-    net = undirected_network(g, dict.fromkeys(chosen, 1))
-    # edge chosen[k] is the arc pair 2k, 2k + 1; an unsafe edge shuts its own
-    shuts = {eid: (2 * k,) for k, eid in enumerate(chosen) if not g.edge(eid).safe}
-    for (i, j), p, q in inst.active_pairs():
+    chosen = inst.graph.subset(edge_ids)
+    unit = inst._unit
+    net = unit.net
+    net.shut([a for eid, a in unit.arc.items() if eid not in chosen])
+    shuts = {eid: pair for eid, pair in unit.unsafe.items() if eid in chosen}
+    for (i, j), p, q in unit.pairs:
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
             continue

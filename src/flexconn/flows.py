@@ -8,7 +8,11 @@ A `Network` keeps the capacities it was built with and starts every max
 flow from them, so one network answers any number of (s, t) queries about
 one edge set; the residual of the last query stays readable for its cut.
 A query may also block some arc pairs, which answers it for the edge set
-less those edges on the same network: see `smallest_failing_set`.
+less those edges on the same network: see `smallest_failing_set`.  `shut`
+closes arc pairs for every later query, so one network built over a whole
+edge set answers any subset F of it with the edges outside F shut: BFS
+skips an arc of residual 0, so the paths, values and cuts are those a
+network built over F alone would give.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -37,13 +41,15 @@ def integral(values: Mapping[K, object]) -> tuple[int, dict[K, int]]:
 
 class Network:
     """Flow network; arcs 2k and 2k+1 are mutual reverses.  `base` holds the
-    capacities as built, `cap` the residual the last max flow left and
-    `blocked` the arc pairs it shut."""
+    capacities as built, `start` those with the arc pairs `shut` closed at
+    0, `cap` the residual the last max flow left and `blocked` the arc pairs
+    it shut."""
 
     def __init__(self, n: int):
         self.n = n
         self.to: list[int] = []
         self.base: list = []
+        self.start: list = []
         self.cap: list = []
         self.blocked: Collection[int] = ()
         self.adj: list[list[int]] = [[] for _ in range(n)]
@@ -57,10 +63,22 @@ class Network:
         i = len(self.to)
         self.to.extend((v, u))
         self.base.extend((cap_uv, cap_vu))
+        self.start.extend((cap_uv, cap_vu))
         self.cap.extend((cap_uv, cap_vu))
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
         return i
+
+    def shut(self, pairs: Iterable[int]) -> None:
+        """Close the arc pairs named by their forward arc index, both ways,
+        for every later max flow, and reopen those an earlier call closed;
+        the network then reads as if no flow had run."""
+        start = self.base.copy()
+        for i in pairs:
+            start[i] = start[i ^ 1] = 0
+        self.start = start
+        self.cap = start.copy()
+        self.blocked = ()
 
     def _augmenting_path(self, s: int, t: int) -> list[int] | None:
         """Arcs of the first shortest residual s-t path found by BFS in arc
@@ -86,16 +104,17 @@ class Network:
         return None
 
     def max_flow(self, s: int, t: int, cutoff=None, *, blocked: Collection[int] = ()):
-        """Exact max s-t flow value from the built capacities, stopping early
-        once `cutoff` is reached; s and t must be two distinct nodes of the
-        network.  A value short of `cutoff` is the max flow.  The arc pairs
-        named in `blocked` by their forward arc index carry nothing."""
+        """Exact max s-t flow value from the built capacities less the shut
+        arc pairs, stopping early once `cutoff` is reached; s and t must be
+        two distinct nodes of the network.  A value short of `cutoff` is the
+        max flow.  The arc pairs named in `blocked` by their forward arc
+        index also carry nothing, in this flow only."""
         if s == t or not (0 <= s < self.n and 0 <= t < self.n):
             raise InvalidQueryError(
                 f"max flow needs two distinct nodes in 0..{self.n - 1}, "
                 f"got s = {s}, t = {t}"
             )
-        cap = self.cap = self.base.copy()
+        cap = self.cap = self.start.copy()
         for i in blocked:
             cap[i] = cap[i ^ 1] = 0
         self.blocked = blocked
@@ -116,15 +135,15 @@ class Network:
     def carrying(self) -> list[int]:
         """Forward arc indices, ascending, of the arc pairs the last max flow
         sends flow through."""
-        cap, base, blocked = self.cap, self.base, self.blocked
+        cap, start, blocked = self.cap, self.start, self.blocked
         return [
             i for i in range(0, len(cap), 2)
-            if cap[i] != base[i] and i not in blocked
+            if cap[i] != start[i] and i not in blocked
         ]
 
     def reachable_from(self, s: int) -> frozenset[int]:
         """Nodes reachable from s along residual-positive arcs of the last
-        max flow (of the built capacities before the first)."""
+        max flow (of the capacities it would start from before the first)."""
         cap, to, adj = self.cap, self.to, self.adj
         seen = {s}
         queue = [s]

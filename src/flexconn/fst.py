@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import InfeasibleInstanceError, SolverError, ValidationError
 from .flows import integral
 from .graphs import DisjointSets, MultiGraph, Verdict, contract_edges
-from .jain import SndpInstance, jain_round
+from .jain import SndpInstance, check_requirements_satisfiable, jain_round
 
 
 def _check_terminals(g: MultiGraph, terminals) -> None:
@@ -52,18 +52,19 @@ def verify_fst(inst: FstInstance, edge_ids) -> Verdict:
     chosen = g.subset(edge_ids)
     if len(inst.terminals) <= 1:
         return Verdict()
-    if not g.connects(inst.terminals, chosen):
+    split = _splitting_bridges(g, chosen, inst.terminals)
+    if split is None:
         return Verdict(FstViolation(None))
-    unsafe = [eid for eid in _splitting_bridges(g, chosen, inst.terminals)
-              if not g.edge(eid).safe]
+    unsafe = [eid for eid in split if not g.edge(eid).safe]
     return Verdict(FstViolation(min(unsafe))) if unsafe else Verdict()
 
 
-def _splitting_bridges(g: MultiGraph, chosen, terminals) -> list[int]:
-    """Chosen edges whose loss splits the terminals, which must share one
-    component: the bridges of one DFS from the smallest terminal (Tarjan's
-    low links) with terminals on both sides.  The edge a node was entered by
-    is skipped by id, so a parallel copy of it counts as a back edge."""
+def _splitting_bridges(g: MultiGraph, chosen, terminals) -> list[int] | None:
+    """Chosen edges whose loss splits the terminals, or None when the chosen
+    edges do not connect them: the bridges of one DFS from the smallest
+    terminal (Tarjan's low links) with terminals on both sides, once the
+    DFS has reached every terminal.  The edge a node was entered by is
+    skipped by id, so a parallel copy of it counts as a back edge."""
     root = min(terminals)
     tin = [-1] * g.n
     low = [0] * g.n
@@ -95,7 +96,7 @@ def _splitting_bridges(g: MultiGraph, chosen, terminals) -> list[int]:
                 below[parent] += below[u]
                 if low[u] > tin[parent] and 0 < below[u] < len(terminals):
                     split.append(entry)
-    return split
+    return split if below[root] == len(terminals) else None
 
 
 def _shortest_paths(g: MultiGraph, weight, source: int):
@@ -198,9 +199,13 @@ def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[in
     _check_terminals(g, terms)
     if len(terms) <= 1:
         return frozenset()
-    if not g.connects(terms, g.edge_ids):
-        a, b = sorted(terms)[:2]
-        raise InfeasibleInstanceError("terminals are disconnected", pair=(a, b))
+    # the first sorted pair apart, as steiner_tree_approx names it
+    first = min(terms)
+    away = terms - next(part for part in g.components() if first in part)
+    if away:
+        raise InfeasibleInstanceError(
+            "terminals are disconnected", pair=(first, min(away))
+        )
     costs = {eid: g.edge(eid).cost for eid in g.edge_ids}
     result = minimum_cost_subset(
         sorted(costs), costs, lambda s: g.connects(terms, s), budget=budget
@@ -273,7 +278,10 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
         f1 = steiner_tree_exact(g, inst.terminals)
     else:
         f1 = steiner_tree_approx(g, inst.terminals)
-    rounded = jain_round(build_second_stage(inst, f1).sndp)
+    second = build_second_stage(inst, f1).sndp
+    unit = {e.eid: 1 for e in second.graph.edges}
+    check_requirements_satisfiable(second.graph, second.requirements, unit)
+    rounded = jain_round(second)
     edges = f1 | rounded.edges
     if not verify_fst(inst, edges).ok:
         raise SolverError("second stage left a terminal cut uncovered")

@@ -138,10 +138,11 @@ class JainResult:
 
 def jain_round(inst: SndpInstance) -> JainResult:
     """Iteratively round cut-LP vertices; the result costs at most twice the
-    first LP objective."""
+    first LP objective.  The whole graph must meet the requirements: callers
+    decide that first (`check_requirements_satisfiable`, or on capacities
+    in fgc), and an unmet one raises LpInfeasibleError from the first LP."""
     graph = inst.graph
     requirements = inst.requirements
-    check_requirements_satisfiable(graph, requirements, {e.eid: 1 for e in graph.edges})
     costs = {e.eid: e.cost for e in graph.edges}
     chosen: set[int] = set()
     first_objective: Fraction | None = None

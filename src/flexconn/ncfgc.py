@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 from .errors import (
@@ -69,6 +70,16 @@ class NcFgcInstance:
 
     def unsafe_nodes(self) -> list[int]:
         return [v for v in range(self.graph.n) if v not in self.safe_nodes]
+
+    # What each route of `verify_ncfgc` needs that does not depend on F,
+    # built on its first use (see there).
+    @cached_property
+    def _flow_route(self) -> "_FlowRoute":
+        return _FlowRoute(self)
+
+    @cached_property
+    def _enumeration_route(self) -> "_EnumerationRoute":
+        return _EnumerationRoute(self)
 
 
 def _split_network(g: MultiGraph, caps, arc_caps) -> Network:
@@ -116,6 +127,49 @@ class NcViolation:
     connectivity: int
 
 
+class _FlowRoute:
+    """The split-node network over both arcs of every edge, in sorted id
+    order, at the instance's node caps (`net`), and the forward indices of
+    each edge's two arc pairs in it (`arcs`).  One network serves every
+    `verify_ncfgc` call on the instance, so it is not reentrant."""
+
+    def __init__(self, inst: NcFgcInstance):
+        g = inst.graph
+        ids = sorted(g.edge_ids)
+        self.net = _split_network(g, inst.node_caps(), dict.fromkeys(_both_arcs(ids), 1))
+        # node v is arc pair 2v; the arcs of edge ids[k] follow all g.n of them
+        self.arcs = {
+            eid: (2 * (g.n + 2 * k), 2 * (g.n + 2 * k + 1))
+            for k, eid in enumerate(ids)
+        }
+
+
+class _EnumerationRoute:
+    """The unit network over every edge in sorted id order (`net`), each
+    edge's forward arc index in it (`arc`), and each node pair in sorted
+    order with its unsafe-node failure elements and their needs (`pairs`).
+    A node's failure element shuts its incident edges, chosen or not: an
+    edge outside F is shut anyway and never carries flow.  One network
+    serves every `verify_ncfgc` call on the instance, so it is not
+    reentrant."""
+
+    def __init__(self, inst: NcFgcInstance):
+        g = inst.graph
+        p = inst.requirement
+        ids = sorted(g.edge_ids)
+        self.net = undirected_network(g, dict.fromkeys(ids, 1))
+        # edge ids[k] is the arc pair 2k, 2k + 1
+        self.arc = {eid: 2 * k for k, eid in enumerate(ids)}
+        shuts = {
+            v: [self.arc[e.eid] for e in g.incident(v)] for v in inst.unsafe_nodes()
+        }
+        self.pairs = []
+        for i, j in combinations(range(g.n), 2):
+            pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
+            need = [p - s for s in range(min(p, len(pool) + 1))]
+            self.pairs.append((i, j, pool, need))
+
+
 def verify_ncfgc(
     inst: NcFgcInstance,
     edge_ids,
@@ -124,13 +178,14 @@ def verify_ncfgc(
     subset_guard: int = 10**6,
 ) -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both.
-    Each route runs on its own up to its first failing pair, in sorted order:
-    the flow route asks one split-node network over F about every pair, the
-    enumeration route one unit network for the least failing unsafe-node
-    set, by (size, sorted ids), and raises GuardExceededError when its search
-    for a pair would try more than `subset_guard` node sets.  In "both" mode
-    the two must fail the same pair, or none, else one is wrong and
-    SolverError is raised; the verdict carries the enumeration witness.
+    Each route runs on its own up to its first failing pair, in sorted order,
+    on the instance's network with the edges outside F shut: the flow route
+    asks the split-node network about every pair, the enumeration route the
+    unit network for the least failing unsafe-node set, by (size, sorted
+    ids), and raises GuardExceededError when its search for a pair would
+    try more than `subset_guard` node sets.  In "both" mode the two must
+    fail the same pair, or none, else one is wrong and SolverError is
+    raised; the verdict carries the enumeration witness.
     """
     if mode not in ("qconn", "enumeration", "both"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -139,22 +194,19 @@ def verify_ncfgc(
     p = inst.requirement
     hit_q = hit_e = None
     if mode != "enumeration":
-        net = _split_network(g, inst.node_caps(), dict.fromkeys(_both_arcs(chosen), 1))
+        flow = inst._flow_route
+        net = flow.net
+        net.shut([a for eid, pair in flow.arcs.items() if eid not in chosen for a in pair])
         for i, j in combinations(range(g.n), 2):
             lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
             if lam < p:
                 hit_q = NcViolation((i, j), None, lam)
                 break
     if mode != "qconn":
-        arcs = {eid: 2 * k for k, eid in enumerate(sorted(chosen))}
-        unit = undirected_network(g, dict.fromkeys(arcs, 1))
-        shuts = {
-            v: [arcs[e.eid] for e in g.incident(v) if e.eid in arcs]
-            for v in inst.unsafe_nodes()
-        }
-        for i, j in combinations(range(g.n), 2):
-            pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
-            need = [p - s for s in range(min(p, len(pool) + 1))]
+        enum = inst._enumeration_route
+        unit = enum.net
+        unit.shut([a for eid, a in enum.arc.items() if eid not in chosen])
+        for i, j, pool, need in enum.pairs:
             found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
             if found is not None:
                 hit_e = NcViolation((i, j), *found)

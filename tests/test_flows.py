@@ -158,6 +158,28 @@ def test_one_network_answers_repeated_queries(g, data):
             assert net.reachable_from(s) == cut.side
 
 
+@given(multigraphs(), st.data())
+def test_shut_edges_answer_like_a_network_without_them(g, data):
+    """With the edges outside F shut, a network over every edge finds the
+    paths, values, carried edges and cut sides a network over F finds; each
+    shut call replaces the last, and `blocked` still applies per flow."""
+    ids = sorted(g.edge_ids)
+    full = undirected_network(g, dict.fromkeys(ids, 1))
+    arc = {eid: 2 * k for k, eid in enumerate(ids)}
+    for _ in range(data.draw(st.integers(1, 4))):
+        kept = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else ())
+        blocked = data.draw(st.sets(st.sampled_from(kept))) if kept else set()
+        own = undirected_network(g, dict.fromkeys(kept, 1))
+        own_arc = {eid: 2 * k for k, eid in enumerate(kept)}
+        full.shut([arc[eid] for eid in ids if eid not in kept])
+        s, t = data.draw(node_pairs(g.n))
+        cutoff = data.draw(st.none() | st.integers(0, 4))
+        value = full.max_flow(s, t, cutoff, blocked=[arc[e] for e in blocked])
+        assert value == own.max_flow(s, t, cutoff, blocked=[own_arc[e] for e in blocked])
+        assert [ids[i // 2] for i in full.carrying()] == [kept[i // 2] for i in own.carrying()]
+        assert full.reachable_from(s) == own.reachable_from(s)
+
+
 @given(multigraphs(max_nodes=6, max_extra=6), st.data())
 def test_failing_set_search_runs_at_most_limit_flows(g, data):
     """Whatever the limit, the search refuses before a level would take it

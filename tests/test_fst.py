@@ -66,6 +66,15 @@ def test_steiner_trees_refuse_disconnected_terminals():
         assert err.value.pair == (0, 2)
 
 
+def test_steiner_trees_name_the_first_pair_apart():
+    # one edge joins 0 and 1, so the first sorted pair in two components is (0, 2)
+    g = MultiGraph.build(4, [(0, 1, Fraction(1), True), (2, 3, Fraction(1), True)])
+    for tree in (steiner_tree_approx, steiner_tree_exact):
+        with pytest.raises(InfeasibleInstanceError, match="disconnected") as err:
+            tree(g, {0, 1, 2})
+        assert err.value.pair == (0, 2)
+
+
 def test_exact_tree_shaves_a_free_pendant():
     # the free edge 0 wins the oracle's lexicographic tie but leads nowhere
     g = MultiGraph.build(4, [
