@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import GuardExceededError, SolverError, UnsupportedInstanceError, WrongRegimeError
-from .flows import smallest_failing_set, undirected_network
+from .flows import Network, smallest_failing_set, undirected_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import MultiGraph, Verdict, check_count, split_parallel
 from .jain import SndpInstance, check_requirements_satisfiable, first_unmet_pair
@@ -100,6 +100,11 @@ class CapNdpInstance:
             check_count(d, f"demand for pair ({a}, {b})")
         object.__setattr__(self, "demands", demands)
 
+    @cached_property
+    def _network(self) -> Network:
+        """Every edge at its capacity; `check_capacitated_cuts` narrows it."""
+        return undirected_network(self.graph, self.capacities)
+
 
 def build_capndp_q1(inst: FgcInstance) -> CapNdpInstance:
     """Reduction for the regime where every q_ij is 0 or 1.
@@ -139,9 +144,10 @@ class CapacitatedFailure:
 
 def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> Verdict:
     """Check every demand by an exact max flow over the chosen edges at their
-    capacities; the verdict names the first demand that fails."""
+    capacities, on the instance's network narrowed to them; the verdict
+    names the first demand that fails."""
     chosen = inst.graph.subset(edge_ids)
-    hit = first_unmet_pair(inst.graph, inst.demands, {e: inst.capacities[e] for e in chosen})
+    hit = first_unmet_pair(inst._network.within(chosen), inst.demands)
     if hit is None:
         return Verdict()
     pair, flow = hit
@@ -187,20 +193,15 @@ class FgcViolation:
 
 
 class _FgcUnit:
-    """An instance's unit network over all its edges in sorted id order, each
-    edge's forward arc index in it (`arc`, in that order), the unsafe
-    edges' own arc pairs as failure elements (`unsafe`) and the active
-    pairs.  One network serves every `verify_fgc` call on the instance, so
-    it is not reentrant."""
+    """An instance's unit network over all its edges in sorted id order, the
+    unsafe edges' arc pairs in it as failure elements (`unsafe`) and the
+    active pairs.  One network serves every `verify_fgc` call on the
+    instance, so it is not reentrant."""
 
     def __init__(self, inst: FgcInstance):
-        ids = sorted(inst.graph.edge_ids)
-        self.net = undirected_network(inst.graph, dict.fromkeys(ids, 1))
-        # edge ids[k] is the arc pair 2k, 2k + 1
-        self.arc = {eid: 2 * k for k, eid in enumerate(ids)}
-        self.unsafe = {
-            eid: (a,) for eid, a in self.arc.items() if not inst.graph.edge(eid).safe
-        }
+        g = inst.graph
+        self.net = undirected_network(g, dict.fromkeys(sorted(g.edge_ids), 1))
+        self.unsafe = {e: a for e, a in self.net.arc_pairs().items() if not g.edge(e).safe}
         self.pairs = inst.active_pairs()
 
 
@@ -212,7 +213,8 @@ def verify_fgc(
 ) -> Verdict:
     """Check feasibility against the definition; the verdict names the first
     pair, in sorted order, that some failure set breaks.  The flows run on
-    the instance's unit network with the edges outside F shut.
+    the instance's unit network narrowed to F by `Network.within`; each
+    unsafe edge of F fails as its own arc pair.
 
     Two screens are decisive on their own: connectivity p_ij + q_ij within F
     clears the pair outright, while connectivity below p_ij condemns it with
@@ -223,9 +225,8 @@ def verify_fgc(
     """
     chosen = inst.graph.subset(edge_ids)
     unit = inst._unit
-    net = unit.net
-    net.shut([a for eid, a in unit.arc.items() if eid not in chosen])
-    shuts = {eid: pair for eid, pair in unit.unsafe.items() if eid in chosen}
+    net = unit.net.within(chosen)
+    shuts = {eid: pairs for eid, pairs in unit.unsafe.items() if eid in chosen}
     for (i, j), p, q in unit.pairs:
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:

@@ -8,11 +8,11 @@ A `Network` keeps the capacities it was built with and starts every max
 flow from them, so one network answers any number of (s, t) queries about
 one edge set; the residual of the last query stays readable for its cut.
 A query may also block some arc pairs, which answers it for the edge set
-less those edges on the same network: see `smallest_failing_set`.  `shut`
-closes arc pairs for every later query, so one network built over a whole
-edge set answers any subset F of it with the edges outside F shut: BFS
-skips an arc of residual 0, so the paths, values and cuts are those a
-network built over F alone would give.
+less those edges on the same network: see `smallest_failing_set`.  The
+builders record the edge behind each arc pair, so one network built over a
+whole edge set answers any subset F of it after `within(F)`: BFS skips an
+arc of residual 0, so the paths, values and cuts are those a network built
+over F alone would give.  A network cached for every F is not reentrant.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -40,10 +40,11 @@ def integral(values: Mapping[K, object]) -> tuple[int, dict[K, int]]:
 
 
 class Network:
-    """Flow network; arcs 2k and 2k+1 are mutual reverses.  `base` holds the
-    capacities as built, `start` those with the arc pairs `shut` closed at
-    0, `cap` the residual the last max flow left and `blocked` the arc pairs
-    it shut."""
+    """Flow network; arcs 2k and 2k+1 are mutual reverses, pair k, and the
+    builders record the edge behind it as `edges[k]` (None for a node arc).
+    `base` holds the capacities as built, `start` those with the pairs
+    `within` closed at 0, `cap` the residual the last max flow left and
+    `blocked` the arc pairs it shut."""
 
     def __init__(self, n: int):
         self.n = n
@@ -52,6 +53,7 @@ class Network:
         self.start: list = []
         self.cap: list = []
         self.blocked: Collection[int] = ()
+        self.edges: list[int | None] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
     def add_pair(self, u: int, v: int, cap_uv, cap_vu) -> int:
@@ -69,16 +71,27 @@ class Network:
         self.adj[v].append(i + 1)
         return i
 
-    def shut(self, pairs: Iterable[int]) -> None:
-        """Close the arc pairs named by their forward arc index, both ways,
-        for every later max flow, and reopen those an earlier call closed;
-        the network then reads as if no flow had run."""
+    def within(self, edge_ids: Collection[int]) -> Network:
+        """Close both arcs of every pair whose edge is not in `edge_ids`, for
+        every later max flow, and reopen those an earlier call closed; pairs
+        that are no edge stay open.  Returns the network, which then reads
+        as if no flow had run."""
         start = self.base.copy()
-        for i in pairs:
-            start[i] = start[i ^ 1] = 0
+        for k, eid in enumerate(self.edges):
+            if eid is not None and eid not in edge_ids:
+                start[2 * k] = start[2 * k + 1] = 0
         self.start = start
         self.cap = start.copy()
         self.blocked = ()
+        return self
+
+    def arc_pairs(self) -> dict[int, list[int]]:
+        """Forward arc indices of each edge's arc pairs, by edge id."""
+        pairs: dict[int, list[int]] = {}
+        for k, eid in enumerate(self.edges):
+            if eid is not None:
+                pairs.setdefault(eid, []).append(2 * k)
+        return pairs
 
     def _augmenting_path(self, s: int, t: int) -> list[int] | None:
         """Arcs of the first shortest residual s-t path found by BFS in arc
@@ -104,11 +117,11 @@ class Network:
         return None
 
     def max_flow(self, s: int, t: int, cutoff=None, *, blocked: Collection[int] = ()):
-        """Exact max s-t flow value from the built capacities less the shut
-        arc pairs, stopping early once `cutoff` is reached; s and t must be
-        two distinct nodes of the network.  A value short of `cutoff` is the
-        max flow.  The arc pairs named in `blocked` by their forward arc
-        index also carry nothing, in this flow only."""
+        """Exact max s-t flow value from the built capacities less the pairs
+        `within` closed, stopping early once `cutoff` is reached; s and t
+        must be two distinct nodes of the network.  A value short of
+        `cutoff` is the max flow.  The arc pairs named in `blocked` by their
+        forward arc index also carry nothing, in this flow only."""
         if s == t or not (0 <= s < self.n and 0 <= t < self.n):
             raise InvalidQueryError(
                 f"max flow needs two distinct nodes in 0..{self.n - 1}, "
@@ -193,6 +206,7 @@ def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
     for eid, cap in caps.items():
         e = g.edge(eid)
         net.add_pair(e.u, e.v, cap, cap)
+    net.edges = list(caps)
     return net
 
 

@@ -8,18 +8,19 @@ met by the chosen edges alone.  A residual row asks a cut for its requirement
 less the chosen edges that cross it, and names only the undecided ones.
 Every vertex must offer an undecided edge at 1/2 or more; a miss is a bug in
 vertex recovery, not an instance property, and raises JainProgressError.
-`first_unmet_pair` is the one requirement check, on unit edges here and on
-capacitated ones for Cap-NDP (see fgc).
+`first_unmet_pair` is the one requirement check, on a network at unit or
+Cap-NDP capacities (see fgc) that `Network.within` narrows to an edge set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Collection, Mapping
 
 from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
-from .flows import integral, max_flow_min_cut, undirected_network
+from .flows import Network, integral, max_flow_min_cut, undirected_network
 from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
 from .graphs import MultiGraph, check_count
 from .lp import CutRow, FractionalSolution, solve_cut_lp
@@ -53,17 +54,19 @@ class SndpInstance:
             check_count(r, f"requirement for pair ({a}, {b})")
         object.__setattr__(self, "requirements", requirements)
 
+    @cached_property
+    def _network(self) -> Network:
+        """Every edge at 1; `jain_round` and the oracle narrow it."""
+        return undirected_network(self.graph, dict.fromkeys(sorted(self.graph.edge_ids), 1))
+
 
 def first_unmet_pair(
-    graph: MultiGraph,
+    net: Network,
     requirements: Mapping[tuple[int, int], int],
-    caps: Mapping[int, int],
 ) -> tuple[tuple[int, int], int] | None:
-    """First pair in sorted order, with its flow, whose max flow under `caps`
-    (edge id to capacity; absent edges carry nothing) falls short of its
-    requirement, or None.  One network serves every pair, and each flow stops
-    at the pair's requirement, so a zero requirement is never short."""
-    net = undirected_network(graph, caps)
+    """First pair in sorted order, with its flow, whose max flow on `net`
+    falls short of its requirement, or None.  Each flow stops at the pair's
+    requirement, so a zero requirement is never short."""
     for pair, r in sorted(requirements.items()):
         flow = net.max_flow(*pair, cutoff=r)
         if flow < r:
@@ -80,7 +83,7 @@ def check_requirements_satisfiable(
     short, its max flow and its min cut over the edge ids of `graph`; the cut
     side is the inclusion-minimal one, residual-reachable from the pair's
     first node, so it does not depend on the order of `caps`."""
-    hit = first_unmet_pair(graph, requirements, caps)
+    hit = first_unmet_pair(undirected_network(graph, caps), requirements)
     if hit is not None:
         (i, j), flow = hit
         raise InfeasibleInstanceError(
@@ -148,7 +151,7 @@ def jain_round(inst: SndpInstance) -> JainResult:
     first_objective: Fraction | None = None
     iterations = 0
     threshold = Fraction(1, 2)
-    while first_unmet_pair(graph, requirements, dict.fromkeys(sorted(chosen), 1)):
+    while first_unmet_pair(inst._network.within(chosen), requirements):
         sol: FractionalSolution = solve_cut_lp(
             {e: c for e, c in costs.items() if e not in chosen},
             lambda x: separation(graph, x, requirements, chosen),

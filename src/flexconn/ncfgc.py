@@ -72,10 +72,12 @@ class NcFgcInstance:
         return [v for v in range(self.graph.n) if v not in self.safe_nodes]
 
     # What each route of `verify_ncfgc` needs that does not depend on F,
-    # built on its first use (see there).
+    # built on its first use (see there); one network serves every call on
+    # the instance, so neither is reentrant.
     @cached_property
-    def _flow_route(self) -> "_FlowRoute":
-        return _FlowRoute(self)
+    def _flow_route(self) -> Network:
+        g = self.graph
+        return _split_network(g, self.node_caps(), dict.fromkeys(_both_arcs(g.edge_ids), 1))
 
     @cached_property
     def _enumeration_route(self) -> "_EnumerationRoute":
@@ -86,9 +88,10 @@ def _split_network(g: MultiGraph, caps, arc_caps) -> Network:
     """Network on 2 * g.n nodes, each node v split into the arc 2v -> 2v+1
     of capacity caps.get(v) (index 2v), then one arc per arc id of g in
     `arc_caps`, in its order, from its tail's out half 2u+1 to its head's in
-    half 2v with capacity arc_caps[aid] (see `arc`).  A cap of None (or none
-    given) means unlimited and becomes 1 + the total arc capacity: every
-    out-to-in path crosses an arc of `arc_caps`, so no flow reaches it."""
+    half 2v with capacity arc_caps[aid] (see `arc`), recorded as its edge's.
+    A cap of None (or none given) means unlimited and becomes 1 + the total
+    arc capacity: every out-to-in path crosses an arc of `arc_caps`, so no
+    flow reaches it."""
     unlimited = 1 + sum(arc_caps.values())
     net = Network(2 * g.n)
     for v in range(g.n):
@@ -97,6 +100,7 @@ def _split_network(g: MultiGraph, caps, arc_caps) -> Network:
     for aid, cap in arc_caps.items():
         u, v, _ = arc(g, aid)
         net.add_pair(2 * u + 1, 2 * v, cap, 0)
+    net.edges = [None] * g.n + [aid >> 1 for aid in arc_caps]
     return net
 
 
@@ -127,41 +131,20 @@ class NcViolation:
     connectivity: int
 
 
-class _FlowRoute:
-    """The split-node network over both arcs of every edge, in sorted id
-    order, at the instance's node caps (`net`), and the forward indices of
-    each edge's two arc pairs in it (`arcs`).  One network serves every
-    `verify_ncfgc` call on the instance, so it is not reentrant."""
-
-    def __init__(self, inst: NcFgcInstance):
-        g = inst.graph
-        ids = sorted(g.edge_ids)
-        self.net = _split_network(g, inst.node_caps(), dict.fromkeys(_both_arcs(ids), 1))
-        # node v is arc pair 2v; the arcs of edge ids[k] follow all g.n of them
-        self.arcs = {
-            eid: (2 * (g.n + 2 * k), 2 * (g.n + 2 * k + 1))
-            for k, eid in enumerate(ids)
-        }
-
-
 class _EnumerationRoute:
-    """The unit network over every edge in sorted id order (`net`), each
-    edge's forward arc index in it (`arc`), and each node pair in sorted
-    order with its unsafe-node failure elements and their needs (`pairs`).
-    A node's failure element shuts its incident edges, chosen or not: an
-    edge outside F is shut anyway and never carries flow.  One network
-    serves every `verify_ncfgc` call on the instance, so it is not
-    reentrant."""
+    """The unit network over every edge in sorted id order (`net`), and each
+    node pair in sorted order with its unsafe-node failure elements and
+    their needs (`pairs`).  A node's failure element is the arc pairs of its
+    incident edges, chosen or not: an edge outside F is closed anyway and
+    never carries flow."""
 
     def __init__(self, inst: NcFgcInstance):
         g = inst.graph
         p = inst.requirement
-        ids = sorted(g.edge_ids)
-        self.net = undirected_network(g, dict.fromkeys(ids, 1))
-        # edge ids[k] is the arc pair 2k, 2k + 1
-        self.arc = {eid: 2 * k for k, eid in enumerate(ids)}
+        self.net = undirected_network(g, dict.fromkeys(sorted(g.edge_ids), 1))
+        arcs = self.net.arc_pairs()
         shuts = {
-            v: [self.arc[e.eid] for e in g.incident(v)] for v in inst.unsafe_nodes()
+            v: [a for e in g.incident(v) for a in arcs[e.eid]] for v in inst.unsafe_nodes()
         }
         self.pairs = []
         for i, j in combinations(range(g.n), 2):
@@ -179,11 +162,12 @@ def verify_ncfgc(
 ) -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both.
     Each route runs on its own up to its first failing pair, in sorted order,
-    on the instance's network with the edges outside F shut: the flow route
-    asks the split-node network about every pair, the enumeration route the
-    unit network for the least failing unsafe-node set, by (size, sorted
-    ids), and raises GuardExceededError when its search for a pair would
-    try more than `subset_guard` node sets.  In "both" mode the two must
+    on the instance's network narrowed to F by `Network.within`: the flow
+    route asks the split-node network about every pair, the enumeration
+    route the unit network for the least failing unsafe-node set, by (size,
+    sorted ids), each node failing as the arc pairs of its edges, and
+    raises GuardExceededError when its search for a pair would try more
+    than `subset_guard` node sets.  In "both" mode the two must
     fail the same pair, or none, else one is wrong and SolverError is
     raised; the verdict carries the enumeration witness.
     """
@@ -194,9 +178,7 @@ def verify_ncfgc(
     p = inst.requirement
     hit_q = hit_e = None
     if mode != "enumeration":
-        flow = inst._flow_route
-        net = flow.net
-        net.shut([a for eid, pair in flow.arcs.items() if eid not in chosen for a in pair])
+        net = inst._flow_route.within(chosen)
         for i, j in combinations(range(g.n), 2):
             lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
             if lam < p:
@@ -204,8 +186,7 @@ def verify_ncfgc(
                 break
     if mode != "qconn":
         enum = inst._enumeration_route
-        unit = enum.net
-        unit.shut([a for eid, a in enum.arc.items() if eid not in chosen])
+        unit = enum.net.within(chosen)
         for i, j, pool, need in enum.pairs:
             found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
             if found is not None:

@@ -164,8 +164,7 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
 
 
 def _sndp_feasible(inst: SndpInstance, subset: frozenset[int]) -> bool:
-    unit = dict.fromkeys(sorted(subset), 1)
-    return first_unmet_pair(inst.graph, inst.requirements, unit) is None
+    return first_unmet_pair(inst._network.within(subset), inst.requirements) is None
 
 
 def exact_opt(instance, *, budget: OracleBudget | None = None) -> OptResult:

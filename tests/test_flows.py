@@ -20,6 +20,7 @@ from flexconn import (
 )
 
 from flexconn.flows import integral, smallest_failing_set, undirected_network
+from flexconn.ncfgc import _both_arcs, _split_network
 
 from strategies import multigraphs, node_pairs
 
@@ -159,24 +160,47 @@ def test_one_network_answers_repeated_queries(g, data):
 
 
 @given(multigraphs(), st.data())
-def test_shut_edges_answer_like_a_network_without_them(g, data):
-    """With the edges outside F shut, a network over every edge finds the
-    paths, values, carried edges and cut sides a network over F finds; each
-    shut call replaces the last, and `blocked` still applies per flow."""
+def test_within_answers_like_a_network_over_f_alone(g, data):
+    """Narrowed to F by `within`, a network over every edge finds the paths,
+    values, carried edges and cut sides a network over F finds; each
+    `within` replaces the last, and `blocked` still applies per flow."""
     ids = sorted(g.edge_ids)
     full = undirected_network(g, dict.fromkeys(ids, 1))
     arc = {eid: 2 * k for k, eid in enumerate(ids)}
+    assert full.edges == ids
+    assert full.arc_pairs() == {eid: [a] for eid, a in arc.items()}
     for _ in range(data.draw(st.integers(1, 4))):
         kept = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else ())
         blocked = data.draw(st.sets(st.sampled_from(kept))) if kept else set()
         own = undirected_network(g, dict.fromkeys(kept, 1))
         own_arc = {eid: 2 * k for k, eid in enumerate(kept)}
-        full.shut([arc[eid] for eid in ids if eid not in kept])
+        assert full.within(kept) is full
         s, t = data.draw(node_pairs(g.n))
         cutoff = data.draw(st.none() | st.integers(0, 4))
         value = full.max_flow(s, t, cutoff, blocked=[arc[e] for e in blocked])
         assert value == own.max_flow(s, t, cutoff, blocked=[own_arc[e] for e in blocked])
         assert [ids[i // 2] for i in full.carrying()] == [kept[i // 2] for i in own.carrying()]
+        assert full.reachable_from(s) == own.reachable_from(s)
+
+
+@given(multigraphs(), st.data())
+def test_within_narrows_a_split_node_network_like_one_over_f_alone(g, data):
+    """The split-node network over every arc, narrowed to F, agrees with the
+    one built over F's arcs alone on values, carried edges and reachable
+    sets, whatever the node caps; its node arcs belong to no edge."""
+    caps = {v: data.draw(st.none() | st.integers(0, 2)) for v in range(g.n)}
+    full = _split_network(g, caps, dict.fromkeys(_both_arcs(g.edge_ids), 1))
+    assert full.edges == [None] * g.n + [aid >> 1 for aid in _both_arcs(g.edge_ids)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        kept = data.draw(st.sets(st.sampled_from(sorted(g.edge_ids))))
+        own = _split_network(g, caps, dict.fromkeys(_both_arcs(kept), 1))
+        full.within(kept)
+        i, j = data.draw(node_pairs(g.n))
+        s, t = 2 * i + 1, 2 * j
+        cutoff = data.draw(st.none() | st.integers(0, 4))
+        assert full.max_flow(s, t, cutoff) == own.max_flow(s, t, cutoff)
+        edges = [[net.edges[a // 2] for a in net.carrying()] for net in (full, own)]
+        assert edges[0] == edges[1]
         assert full.reachable_from(s) == own.reachable_from(s)
 
 

@@ -16,7 +16,7 @@ from flexconn import (
     edge_connectivity,
     jain_round,
 )
-from flexconn.flows import integral, max_flow_min_cut
+from flexconn.flows import integral, max_flow_min_cut, undirected_network
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
 from flexconn.jain import check_requirements_satisfiable, first_unmet_pair, separation
@@ -94,12 +94,11 @@ def test_separation_ignores_zero_requirements():
 
 def test_first_unmet_pair_counts_capacity_units():
     # 1-2-3 and 1-0-3 each pass one unit; 0-1-2 alone passes 3
-    g = cycle(4)
-    caps = {0: 3, 1: 3, 2: 1, 3: 1}
-    assert first_unmet_pair(g, {(0, 1): 0, (0, 2): 2, (1, 3): 3}, caps) == ((1, 3), 2)
-    assert first_unmet_pair(g, {(0, 1): 0, (0, 2): 4}, caps) is None
+    net = undirected_network(cycle(4), {0: 3, 1: 3, 2: 1, 3: 1})
+    assert first_unmet_pair(net, {(0, 1): 0, (0, 2): 2, (1, 3): 3}) == ((1, 3), 2)
+    assert first_unmet_pair(net, {(0, 1): 0, (0, 2): 4}) is None
     # a zero requirement is met by no edges at all
-    assert first_unmet_pair(g, {(0, 1): 0}, {}) is None
+    assert first_unmet_pair(net.within(()), {(0, 1): 0}) is None
 
 
 def test_half_integral_point_on_a_cycle_is_cut_short():

@@ -1,19 +1,29 @@
 """`verify_fgc` and `verify_ncfgc` answer every edge subset F on one network
-per instance, with the edges outside F shut.  The references below build a
-network over F alone on every call, as the verifiers once did; the verdicts,
-witnesses included, must be the same."""
+per instance, narrowed to F by `Network.within`.  The references below
+build a network over F alone on every call, as the verifiers once did; the
+verdicts, witnesses included, must be the same."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from flexconn import FgcInstance, NcFgcInstance
-from flexconn.fgc import FgcViolation, verify_fgc
+from flexconn.fgc import (
+    FgcViolation,
+    build_capndp_p1,
+    build_capndp_q1,
+    check_capacitated_cuts,
+    verify_fgc,
+)
 from flexconn.flows import smallest_failing_set, undirected_network
+from flexconn.fst import FstViolation, verify_fst
 from flexconn.generators import GenConfig, gen_instance
-from flexconn.graphs import Verdict
+from flexconn.graphs import Edge, MultiGraph, Verdict
+from flexconn.jain import SndpInstance
 from flexconn.ncfgc import NcViolation, _both_arcs, _split_network, verify_ncfgc
+from flexconn.oracle import _sndp_feasible, exact_opt
 
 MODES = ("qconn", "enumeration", "both")
 # the oracle tests' default draws (3 to 9 edges), then a few of 9 to 12 edges
@@ -134,12 +144,87 @@ def test_one_instance_answers_like_fresh_ones_in_any_order(kind):
 
 def test_split_network_never_shuts_a_node_arc():
     for seed, inst in draws("ncfgc"):
-        net = inst._flow_route.net
-        node_arcs = range(0, 2 * inst.graph.n, 2)
-        for subset in subsets(inst.graph):
+        g = inst.graph
+        net = inst._flow_route
+        # the record: one node arc per node, then both arcs of every edge
+        assert net.edges == [None] * g.n + [a >> 1 for a in _both_arcs(g.edge_ids)]
+        for subset in subsets(g):
             verify_ncfgc(inst, subset, mode="qconn")
-            assert all(net.start[a] == net.base[a] > 0 for a in node_arcs), (seed, subset)
-            # and every arc outside the node arcs is open exactly when its edge is in F
-            for eid, pair in inst._flow_route.arcs.items():
-                for a in pair:
-                    assert net.start[a] == (eid in subset), (seed, subset, eid)
+            for k, eid in enumerate(net.edges):
+                if eid is None:
+                    assert net.start[2 * k] == net.base[2 * k] > 0, (seed, subset, k)
+                else:
+                    # an edge's arcs are open exactly when it is in F
+                    assert net.start[2 * k] == (eid in subset), (seed, subset, eid)
+
+
+def sparse(inst, seed):
+    """The instance with its edge ids spread apart, in the same order, and
+    its edges listed shuffled, with the map from old ids to new ones."""
+    g = inst.graph
+    rng = random.Random(seed)
+    new, last = {}, 0
+    for eid in sorted(g.edge_ids):
+        last = new[eid] = last + rng.randint(2, 9)
+    edges = [Edge(new[e.eid], e.u, e.v, e.cost, e.safe) for e in g.edges]
+    rng.shuffle(edges)
+    if edges == sorted(edges, key=lambda e: e.eid):
+        edges.reverse()
+    return dataclasses.replace(inst, graph=MultiGraph(g.n, edges)), new
+
+
+def questions(inst):
+    """Every edge-set predicate the instance can be asked through: its own
+    verifier (each mode for ncfgc), and for fgc the capacitated check of
+    each reduction that applies and the SNDP oracle predicate, each on one
+    instance that answers every subset."""
+    if isinstance(inst, NcFgcInstance):
+        return {
+            mode: (inst, lambda s, mode=mode: verify_ncfgc(inst, s, mode=mode))
+            for mode in MODES
+        }
+    if not isinstance(inst, FgcInstance):
+        return {"fst": (inst, lambda s: verify_fst(inst, s))}
+    asks = {"fgc": (inst, lambda s: verify_fgc(inst, s))}
+    for regime, build, applies in (
+        ("q1", build_capndp_q1, inst.is_q1()),
+        ("p1", build_capndp_p1, inst.is_p1()),
+    ):
+        if applies:
+            capndp = build(inst)
+            asks[regime] = (capndp, lambda s, c=capndp: check_capacitated_cuts(c, s))
+    sndp = SndpInstance(inst.graph, {pair: p for pair, p, _ in inst.active_pairs()})
+    asks["sndp"] = (sndp, lambda s: _sndp_feasible(sndp, frozenset(s)))
+    return asks
+
+
+def in_old_ids(answer, old):
+    """A verdict with the edge ids of its witness mapped through `old`; a
+    bare feasibility answer as it is."""
+    bad = getattr(answer, "violation", None)
+    if isinstance(bad, FgcViolation):
+        return Verdict(dataclasses.replace(bad, removed=frozenset(old[e] for e in bad.removed)))
+    if isinstance(bad, FstViolation) and bad.removed is not None:
+        return Verdict(FstViolation(old[bad.removed]))
+    return answer
+
+
+@pytest.mark.parametrize("kind", ["fgc-q1", "fgc-p1", "ncfgc", "fst"])
+def test_sparse_out_of_order_edge_ids_answer_like_dense_ones(kind):
+    """Generated instances number their edges 0..m-1 in order, so on them an
+    edge's id, its rank and its position in the graph coincide and a record
+    that mixes them up goes unseen: here each verdict, and each optimum of
+    the oracle, must be the dense instance's under the renaming."""
+    for seed, dense in draws(kind):
+        relabelled, new = sparse(dense, seed)
+        old = {v: k for k, v in new.items()}
+        dense_asks, sparse_asks = questions(dense), questions(relabelled)
+        assert dense_asks.keys() == sparse_asks.keys()
+        for name, (inst, ask) in dense_asks.items():
+            other, sparse_ask = sparse_asks[name]
+            for subset in subsets(dense.graph):
+                got = in_old_ids(sparse_ask([new[e] for e in subset]), old)
+                assert got == ask(subset), (seed, name, subset)
+            opt, sparse_opt = exact_opt(inst), exact_opt(other)
+            renamed = opt.edges and frozenset(new[e] for e in opt.edges)
+            assert (sparse_opt.cost, sparse_opt.edges) == (opt.cost, renamed), (seed, name)
