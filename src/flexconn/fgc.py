@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import GuardExceededError, SolverError, UnsupportedInstanceError, WrongRegimeError
+from .errors import GuardExceededError, InfeasibleInstanceError, SolverError
+from .errors import UnsupportedInstanceError, WrongRegimeError
 from .flows import Network, smallest_failing_set, undirected_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
-from .graphs import MultiGraph, Verdict, check_count, split_parallel
-from .jain import SndpInstance, check_requirements_satisfiable, first_unmet_pair
-from .jain import jain_round, normalize_pairs
+from .graphs import Cut, MultiGraph, Verdict, check_count, split_parallel
+from .jain import SndpInstance, first_unmet_pair, jain_round, normalize_pairs
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class CapNdpInstance:
 
     @cached_property
     def _network(self) -> Network:
-        """Every edge at its capacity; `check_capacitated_cuts` narrows it."""
+        """Every edge at its capacity; `solve_capndp` and `check_capacitated_cuts` narrow it."""
         return undirected_network(self.graph, self.capacities)
 
 
@@ -163,13 +163,27 @@ class CapNdpResult:
 
 
 def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
-    """Decide infeasibility on the instance's own edges at their capacities,
-    then split each edge of capacity u >= 1 into u unit copies, round the cut
-    LP and keep the touched originals.  The returned set is re-checked against
-    the capacitated demands; a failure there would mean the rounding is broken.
+    """Decide infeasibility on the instance's network, every edge at its
+    capacity, then split each edge of capacity u >= 1 into u unit copies,
+    round the cut LP and keep the touched originals.  A refusal's cut side is
+    residual-reachable from the short pair's first node after its flow, a max
+    flow, so it is the inclusion-minimal side in any order of the capacities.
+    The returned set is re-checked against the capacitated demands; a
+    failure there would mean the rounding is broken.
     """
     g = inst.graph
-    check_requirements_satisfiable(g, inst.demands, inst.capacities)
+    net = inst._network.within(g.edge_ids)
+    hit = first_unmet_pair(net, inst.demands)
+    if hit is not None:
+        (i, j), flow = hit
+        side = net.reachable_from(i)
+        boundary = frozenset(e.eid for e in g.edges if (e.u in side) != (e.v in side))
+        raise InfeasibleInstanceError(
+            f"pair ({i}, {j}) needs {inst.demands[i, j]} edge-disjoint "
+            f"paths but the graph admits only {flow}",
+            pair=(i, j),
+            cut=Cut(side, boundary),
+        )
     usable = MultiGraph(g.n, [e for e in g.edges if inst.capacities[e.eid] >= 1])
     split = split_parallel(usable, inst.capacities)
     rounded = jain_round(SndpInstance(split.graph, inst.demands))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import InfeasibleInstanceError, SolverError, ValidationError
 from .flows import integral
 from .graphs import DisjointSets, MultiGraph, Verdict, contract_edges
-from .jain import SndpInstance, check_requirements_satisfiable, jain_round
+from .jain import SndpInstance, jain_round
 
 
 def _check_terminals(g: MultiGraph, terminals) -> None:
@@ -260,7 +260,10 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
     Infeasibility shows up already on the full edge set: either the
     terminals are disconnected outright or some unsafe edge is a bridge
     every solution would need.  After that check the second stage always
-    has room for its two paths.
+    has room for its two paths: a cut between two contracted terminals is a
+    cut of g between terminals, which F1 crosses by an unsafe edge (its safe
+    ones are contracted), and not by that edge alone, which would be an
+    unsafe bridge `verify_fst` refuses.
     """
     if stage_one not in ("approx", "exact"):
         raise ValidationError(f"unknown stage-one method {stage_one!r}")
@@ -278,10 +281,7 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
         f1 = steiner_tree_exact(g, inst.terminals)
     else:
         f1 = steiner_tree_approx(g, inst.terminals)
-    second = build_second_stage(inst, f1).sndp
-    unit = {e.eid: 1 for e in second.graph.edges}
-    check_requirements_satisfiable(second.graph, second.requirements, unit)
-    rounded = jain_round(second)
+    rounded = jain_round(build_second_stage(inst, f1).sndp)
     edges = f1 | rounded.edges
     if not verify_fst(inst, edges).ok:
         raise SolverError("second stage left a terminal cut uncovered")

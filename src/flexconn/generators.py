@@ -98,15 +98,13 @@ def gen_fgc(
     return _redraw("fgc", seed, cfg, ensure_feasible, draw)
 
 
-def gen_fst(
-    seed: int, *, cfg: GenConfig = GenConfig(), ensure_feasible: bool = True
-) -> FstInstance:
+def gen_fst(seed: int, *, cfg: GenConfig = GenConfig()) -> FstInstance:
     def draw(rng):
         g = random_multigraph(rng, cfg)
         count = rng.randint(cfg.terminals[0], min(cfg.terminals[1], g.n))
         return FstInstance(g, frozenset(rng.sample(range(g.n), count)))
 
-    return _redraw("fst", seed, cfg, ensure_feasible, draw)
+    return _redraw("fst", seed, cfg, True, draw)
 
 
 def gen_ncfgc(

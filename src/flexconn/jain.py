@@ -8,8 +8,9 @@ met by the chosen edges alone.  A residual row asks a cut for its requirement
 less the chosen edges that cross it, and names only the undecided ones.
 Every vertex must offer an undecided edge at 1/2 or more; a miss is a bug in
 vertex recovery, not an instance property, and raises JainProgressError.
-`first_unmet_pair` is the one requirement check, on a network at unit or
-Cap-NDP capacities (see fgc) that `Network.within` narrows to an edge set.
+`first_unmet_pair` is the one requirement loop, on a cached network that
+`Network.within` narrows to an edge set: at unit capacities here and in the
+oracle, at Cap-NDP capacities for fgc's refusal and closing check.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Collection, Mapping
 
-from .errors import InfeasibleInstanceError, JainProgressError, ValidationError
-from .flows import Network, integral, max_flow_min_cut, undirected_network
-from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
+from .errors import JainProgressError, ValidationError
+from .flows import Network, integral, undirected_network
+from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import MultiGraph, check_count
 from .lp import CutRow, FractionalSolution, solve_cut_lp
 
@@ -74,26 +75,6 @@ def first_unmet_pair(
     return None
 
 
-def check_requirements_satisfiable(
-    graph: MultiGraph,
-    requirements: Mapping[tuple[int, int], int],
-    caps: Mapping[int, int],
-) -> None:
-    """Raise InfeasibleInstanceError naming the first pair that `caps` leaves
-    short, its max flow and its min cut over the edge ids of `graph`; the cut
-    side is the inclusion-minimal one, residual-reachable from the pair's
-    first node, so it does not depend on the order of `caps`."""
-    hit = first_unmet_pair(undirected_network(graph, caps), requirements)
-    if hit is not None:
-        (i, j), flow = hit
-        raise InfeasibleInstanceError(
-            f"pair ({i}, {j}) needs {requirements[i, j]} edge-disjoint "
-            f"paths but the graph admits only {flow}",
-            pair=(i, j),
-            cut=max_flow_min_cut(graph, caps, i, j)[1],
-        )
-
-
 def separation(
     graph: MultiGraph,
     x: Mapping[int, Fraction],
@@ -142,8 +123,8 @@ class JainResult:
 def jain_round(inst: SndpInstance) -> JainResult:
     """Iteratively round cut-LP vertices; the result costs at most twice the
     first LP objective.  The whole graph must meet the requirements: callers
-    decide that first (`check_requirements_satisfiable`, or on capacities
-    in fgc), and an unmet one raises LpInfeasibleError from the first LP."""
+    decide that first (fgc on its capacities, fst by `verify_fst`), and an
+    unmet one raises LpInfeasibleError from the first LP."""
     graph = inst.graph
     requirements = inst.requirements
     costs = {e.eid: e.cost for e in graph.edges}

@@ -336,7 +336,9 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     crossing-supermodular biset cover.  Frank's biset form of the
     Edmonds-Giles theorem (Discrete Appl. Math. 157, 2009, Thm 4.4) makes
     such a system TDI, and so integral with 0 <= x <= 1.  A fractional final
-    vertex therefore means a broken solver: SolverError.
+    vertex therefore means a broken solver: SolverError.  No sink is asked
+    again: `solve_cut_lp` returns x only once `_separate_rooted` finds none
+    short at it, the same question at a 0/1 x (scale 1, arcs at 0 shut).
     """
     g = inst.graph
     p = inst.requirement
@@ -358,10 +360,6 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
             f"rooted cut LP vertex is fractional on arcs {list(fractional)}"
         )
     arcs = frozenset(a for a, v in sol.x.items() if v == 1)
-    net = _split_network(g, inst.caps, dict.fromkeys(sorted(arcs), 1))
-    for t in sinks:
-        if net.max_flow(2 * inst.root + 1, 2 * t, cutoff=p) < p:
-            raise SolverError(f"rooted solution leaves sink {t} short")
     return RootedSolveResult(arcs, sol.objective)
 
 

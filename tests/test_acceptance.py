@@ -39,7 +39,7 @@ from flexconn.generators import (
     random_multigraph,
 )
 from flexconn.instance_io import InstanceDoc, kind_of, parse_instance, render_instance
-from flexconn.jain import check_requirements_satisfiable, separation
+from flexconn.jain import first_unmet_pair, separation
 from flexconn.lp import solve_cut_lp
 from flexconn.oracle import OracleBudget, exact_opt, ratio_report
 
@@ -145,9 +145,7 @@ def test_rounding_engine_vertex_progress_and_factor():
     for _ in range(100):
         inst = _random_sndp(rng, cfg)
         graph = inst.graph
-        check_requirements_satisfiable(
-            graph, inst.requirements, {e.eid: 1 for e in graph.edges}
-        )
+        assert first_unmet_pair(inst._network, inst.requirements) is None
         costs = {e.eid: e.cost for e in graph.edges}
         chosen: set[int] = set()
         iterations = 0

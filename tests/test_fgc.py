@@ -28,7 +28,7 @@ from flexconn import (
 )
 from flexconn import flows
 from flexconn.fgc import CapacitatedFailure
-from flexconn.flows import edge_connectivity
+from flexconn.flows import edge_connectivity, max_flow_min_cut
 from flexconn.graphs import Cut
 from flexconn.generators import GenConfig, gen_fgc
 from flexconn.oracle import exact_opt
@@ -165,6 +165,40 @@ def test_capacities_decide_infeasibility_before_splitting(monkeypatch, p):
     assert exc.pair == (0, 2)
     assert exc.cut.boundary <= g.edge_ids
     assert exc.cut == Cut(frozenset({0, 1}), frozenset({1, 2}))
+
+
+def test_capndp_refusal_names_the_max_flow_min_cut():
+    """Each refusal names the first short demand in sorted order, its max
+    flow and the min cut `max_flow_min_cut` finds on the capacities, with the
+    capacities in either order and after the cached network was narrowed."""
+    cfg = GenConfig(nodes=(3, 7), extra_edges=(0, 4), pairs=(1, 4))
+    refused = {"q1": 0, "p1": 0}
+    for seed in range(80):
+        for regime, reduce in (("q1", build_capndp_q1), ("p1", build_capndp_p1)):
+            inst = reduce(gen_fgc(seed, regime=regime, cfg=cfg, ensure_feasible=False))
+            g = inst.graph
+            expected = None
+            for (i, j), demand in sorted(inst.demands.items()):
+                value, cut = max_flow_min_cut(g, inst.capacities, i, j)
+                if value < demand:
+                    expected = (i, j), demand, value, cut
+                    break
+            if expected is None:
+                continue
+            (i, j), demand, value, cut = expected
+            flipped = CapNdpInstance(g, dict(reversed(inst.capacities.items())), inst.demands)
+            for case in (inst, flipped):
+                check_capacitated_cuts(case, ())
+                with pytest.raises(InfeasibleInstanceError) as err:
+                    solve_capndp(case)
+                assert str(err.value) == (
+                    f"pair ({i}, {j}) needs {demand} edge-disjoint paths but "
+                    f"the graph admits only {value}"
+                )
+                assert err.value.pair == (i, j)
+                assert err.value.cut == cut
+            refused[regime] += 1
+    assert min(refused.values()) >= 20
 
 
 def test_zero_capacity_edges_are_never_bought():

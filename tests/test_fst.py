@@ -12,6 +12,8 @@ from flexconn import (
     FstInstance,
     InfeasibleInstanceError,
     MultiGraph,
+    OracleBudget,
+    OracleRefusalError,
     UnknownEdgeError,
     ValidationError,
     build_second_stage,
@@ -24,7 +26,9 @@ from flexconn import (
 from flexconn import fst
 from flexconn.flows import integral
 from flexconn.fst import FstViolation, _shortest_paths
+from flexconn.generators import GenConfig, gen_fst
 from flexconn.graphs import Verdict
+from flexconn.jain import first_unmet_pair
 from flexconn.oracle import exact_opt
 
 from strategies import multigraphs
@@ -244,6 +248,43 @@ def test_solved_instances_verify_and_respect_the_factor(g, data):
     assert res.cost == g.cost(res.edges)
     opt = exact_opt(inst)
     assert opt.feasible and opt.cost <= res.cost <= res.bound * opt.cost
+
+
+def second_stages_with_their_paths(inst, budget):
+    """The argument `solve_fst` rests on to skip asking: once `verify_fst`
+    accepts the full edge set, the second stage on either stage-one tree
+    meets every requirement on its whole graph.  Returns the second stages
+    checked, the exact tree's only where it finished within `budget`."""
+    trees = [steiner_tree_approx(inst.graph, inst.terminals)]
+    try:
+        trees.append(steiner_tree_exact(inst.graph, inst.terminals, budget=budget))
+    except OracleRefusalError:
+        pass
+    stages = [build_second_stage(inst, tree).sndp for tree in trees]
+    for second in stages:
+        assert first_unmet_pair(second._network, second.requirements) is None
+    return stages
+
+
+def test_second_stage_has_its_paths_on_seeded_instances():
+    cfg = GenConfig(nodes=(3, 8), extra_edges=(1, 6), terminals=(2, 5))
+    budget = OracleBudget(max_checks=20_000)
+    exact = asked = 0
+    for seed in range(200):
+        inst = gen_fst(seed, cfg=cfg)
+        assert verify_fst(inst, inst.graph.edge_ids).ok
+        stages = second_stages_with_their_paths(inst, budget)
+        exact += len(stages) == 2
+        asked += sum(bool(second.requirements) for second in stages)
+    assert exact >= 150 and asked >= 200
+
+
+@given(multigraphs(max_nodes=7, max_extra=5), st.data())
+def test_second_stage_has_its_paths_on_random_multigraphs(g, data):
+    terminals = data.draw(st.sets(st.integers(0, g.n - 1), min_size=2, max_size=g.n))
+    inst = FstInstance(g, terminals)
+    if verify_fst(inst, g.edge_ids).ok:
+        second_stages_with_their_paths(inst, OracleBudget(max_checks=5_000))
 
 
 def verify_by_definition(inst, edge_ids):

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flexconn import (
-    InfeasibleInstanceError,
     LpInfeasibleError,
     MultiGraph,
     SndpInstance,
@@ -19,7 +18,7 @@ from flexconn import (
 from flexconn.flows import integral, max_flow_min_cut, undirected_network
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
-from flexconn.jain import check_requirements_satisfiable, first_unmet_pair, separation
+from flexconn.jain import first_unmet_pair, separation
 from flexconn.lp import CutRow, solve_cut_lp
 from flexconn.oracle import exact_opt
 
@@ -63,14 +62,13 @@ def test_trivial_and_empty_requirements():
 
 
 def test_infeasible_requirement_reports_a_cut():
-    # the check is the caller's; jain_round itself fails in its first LP
+    # the check is the caller's (see test_fgc for Cap-NDP's refusal);
+    # jain_round itself fails in its first LP, on a cut row too small
     g = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
-    with pytest.raises(InfeasibleInstanceError, match="admits only 1") as err:
-        check_requirements_satisfiable(g, {(0, 2): 2}, {0: 1, 1: 1})
-    assert err.value.pair == (0, 2)
-    assert err.value.cut is not None and len(err.value.cut.boundary) < 2
-    with pytest.raises(LpInfeasibleError):
+    with pytest.raises(LpInfeasibleError) as err:
         jain_round(SndpInstance(g, {(0, 2): 2}))
+    row = err.value.row
+    assert row is not None and row.rhs == 2 and len(row.edge_ids) < 2
 
 
 def test_separation_finds_most_violated_cut():
@@ -194,9 +192,7 @@ def test_rounded_solution_is_feasible_and_2_approximate(g, data):
         pair = data.draw(node_pairs(g.n))
         pairs[pair] = data.draw(st.integers(1, 3))
     inst = SndpInstance(g, pairs)
-    try:
-        check_requirements_satisfiable(g, inst.requirements, {e.eid: 1 for e in g.edges})
-    except InfeasibleInstanceError:
+    if first_unmet_pair(inst._network, inst.requirements) is not None:
         return
     res = jain_round(inst)
     for (i, j), r in inst.requirements.items():
