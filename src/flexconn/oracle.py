@@ -2,11 +2,15 @@
 
 The oracle finds a true minimum-cost feasible edge set by search, so it only
 accepts small instances; anything beyond its budget raises
-OracleRefusalError rather than returning a guess.  Predicates must be
-monotone: supersets of a feasible set stay feasible.  All feasibility
-notions in this package are monotone because extra edges never remove paths,
-and an extra unsafe edge only widens the adversary's choices by options it
-could ignore.
+OracleRefusalError rather than returning a guess.  `bnb` prunes on the
+predicate of supersets, so its predicate must be monotone: supersets of a
+feasible set stay feasible.  All feasibility notions in this package are
+monotone because extra edges never remove paths, and an extra unsafe edge
+only widens the adversary's choices by options it could ignore.
+`enumerate` assumes nothing of the predicate, so it cross-checks `bnb`: it
+refuses up front when the 2^m subsets exceed the check budget, keys every
+subset by (cost, sorted ids), and asks the predicate only of the subsets
+whose key is below the best feasible key found so far.
 
 Among equal-cost optima the one with the lexicographically smallest sorted
 edge-id tuple is returned, by both search strategies, so results are
@@ -64,7 +68,9 @@ def minimum_cost_subset(
     *,
     budget: OracleBudget | None = None,
 ) -> OptResult:
-    """Cheapest subset of ids satisfying a monotone predicate."""
+    """Cheapest subset of ids satisfying the predicate.  Only `bnb` needs it
+    monotone; `enumerate` keys every subset, refuses up front on 2^m, and
+    asks only the subsets that can still win."""
     budget = budget or OracleBudget()
     order = sorted(set(ids))
     for eid in order:
@@ -149,14 +155,15 @@ def _enumerate_all(order, costs, predicate, budget) -> OptResult:
     # costs over their common denominator order subsets as the costs do
     scale, scaled = integral({eid: costs[eid] for eid in order})
     best = None
-    # order is sorted, so each combination is its own tie-break key
+    # order is sorted, so each combination is its own tie-break key; a subset
+    # whose key is not below the best found cannot win, so it is not asked
     for size in range(len(order) + 1):
         for subset in combinations(order, size):
-            meter.tick()
-            if not predicate(frozenset(subset)):
-                continue
             key = (sum(scaled[e] for e in subset), subset)
-            if best is None or key < best:
+            if best is not None and not key < best:
+                continue
+            meter.tick()
+            if predicate(frozenset(subset)):
                 best = key
     if best is None:
         return OptResult(False, None, None)

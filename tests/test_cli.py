@@ -202,6 +202,19 @@ def test_oracle_finds_optima_and_respects_budget(tmp_path, capsys):
     assert "refused:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "instance", sorted(GOLDEN_DIR.glob("*.instance")), ids=lambda path: path.stem
+)
+def test_oracle_strategies_print_the_same_solution(capsys, instance):
+    outcomes = []
+    for strategy in ("bnb", "enumerate"):
+        capsys.readouterr()
+        code = main(["oracle", str(instance), "--strategy", strategy])
+        outcomes.append((code, capsys.readouterr().out))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] in (0, 2)
+
+
 def test_ratio_report_command(tmp_path, capsys):
     assert main(["ratio-report", "fst", "--count", "2", "--seed", "5"]) == 0
     out = capsys.readouterr().out

@@ -22,7 +22,7 @@ from flexconn import (
 from flexconn import oracle
 from flexconn.fgc import CapNdpInstance
 from flexconn.generators import gen_instance
-from flexconn.oracle import exact_opt
+from flexconn.oracle import REPORT_KINDS, exact_opt
 
 BOTH = (OracleBudget(strategy="bnb"), OracleBudget(strategy="enumerate"))
 
@@ -152,6 +152,103 @@ def test_integer_keys_match_fraction_keys():
             assert type(res.cost) is Fraction and res.cost == expected[0]
 
 
+def _random_costs(rng, ids):
+    # zero costs let a superset win: its key (0, 5) sorts before (5,)
+    return {
+        eid: Fraction(rng.choice([0, 0, 1, 2, 5]), rng.choice([1, 3]))
+        for eid in ids
+    }
+
+
+def _random_family(rng, ids, share):
+    """A predicate true on a random, not monotone, family of subsets."""
+    family = {
+        frozenset(subset)
+        for size in range(len(ids) + 1)
+        for subset in itertools.combinations(ids, size)
+        if rng.random() < share
+    }
+    return family.__contains__
+
+
+def test_enumeration_needs_no_monotone_predicate():
+    enumerate_ = OracleBudget(strategy="enumerate")
+    # {0, 5} costs what {5} costs and sorts first, although {5} is asked first
+    res = minimum_cost_subset(
+        [0, 5], {0: Fraction(0), 5: Fraction(1)},
+        lambda s: s in ({5}, {0, 5}), budget=enumerate_,
+    )
+    assert res.edges == frozenset({0, 5})
+    rng = random.Random(24)
+    for trial in range(80):
+        ids = list(range(rng.randint(1, 8)))
+        costs = _random_costs(rng, ids)
+        pred = _random_family(rng, ids, rng.choice([0.05, 0.2, 0.6]))
+        expected = _fraction_key_optimum(ids, costs, pred)
+        res = minimum_cost_subset(ids, costs, pred, budget=enumerate_)
+        if expected is None:
+            assert (res.feasible, res.cost, res.edges) == (False, None, None)
+        else:
+            assert (res.cost, res.edges) == (expected[0], frozenset(expected[1]))
+
+
+def test_enumeration_asks_only_subsets_that_can_win():
+    rng = random.Random(25)
+    for trial in range(40):
+        ids = list(range(rng.randint(1, 8)))
+        costs = _random_costs(rng, ids)
+        pred = _random_family(rng, ids, 0.3)
+        asked = []
+
+        def recording(subset, pred=pred):
+            verdict = pred(subset)
+            cost = sum((costs[e] for e in subset), Fraction(0))
+            asked.append(((cost, tuple(sorted(subset))), verdict))
+            return verdict
+
+        res = minimum_cost_subset(
+            ids, costs, recording, budget=OracleBudget(strategy="enumerate")
+        )
+        best = None
+        for key, verdict in asked:
+            assert best is None or key < best
+            if verdict:
+                best = key
+        assert best == _fraction_key_optimum(ids, costs, pred)
+        assert res.feasible == (best is not None)
+
+
+def test_enumeration_asks_fewer_subsets_on_generated_instances(monkeypatch):
+    real = oracle._enumerate_all
+    asked = []
+
+    def counting(order, costs, predicate, budget):
+        asked.append(0)
+
+        def counted(subset):
+            asked[-1] += 1
+            return predicate(subset)
+
+        return real(order, costs, counted, budget)
+
+    monkeypatch.setattr(oracle, "_enumerate_all", counting)
+    keyed = 0
+    for kind in REPORT_KINDS:
+        for seed in range(4):
+            instance = gen_instance(kind, seed)
+            res = exact_opt(instance, budget=OracleBudget(strategy="enumerate"))
+            assert res == exact_opt(instance)
+            # costs are positive, so only an optimum that is the whole edge
+            # set leaves every subset below the best key until the end
+            subsets = 2 ** len(instance.graph.edge_ids)
+            if res.edges == instance.graph.edge_ids:
+                assert asked[-1] == subsets, (kind, seed)
+            else:
+                assert asked[-1] < subsets, (kind, seed)
+            keyed += subsets
+    assert 2 * sum(asked) < keyed
+
+
 def test_check_budget_refusals():
     ids = list(range(6))
     costs = {eid: Fraction(1) for eid in ids}
@@ -175,14 +272,18 @@ def test_time_budget_refusal():
     ids = list(range(4))
     costs = {eid: Fraction(1) for eid in ids}
 
+    # false on small sets: enumeration asks the free empty set first, and
+    # an always-true predicate would end it after that one check
     def slow(subset):
         time.sleep(0.002)
-        return True
+        return len(subset) >= 3
 
-    with pytest.raises(OracleRefusalError):
-        minimum_cost_subset(
-            ids, costs, slow, budget=OracleBudget(time_limit=1e-9)
-        )
+    for strategy in ("bnb", "enumerate"):
+        with pytest.raises(OracleRefusalError, match="time limit"):
+            minimum_cost_subset(
+                ids, costs, slow,
+                budget=OracleBudget(time_limit=1e-9, strategy=strategy),
+            )
 
 
 def test_enumeration_over_many_subsets_matches_bnb():
