@@ -25,7 +25,7 @@ from functools import cached_property
 
 from .errors import GuardExceededError, InfeasibleInstanceError, SolverError
 from .errors import UnsupportedInstanceError, WrongRegimeError
-from .flows import Network, smallest_failing_set, undirected_network
+from .flows import Network, smallest_failing_set, undirected_network, unit_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import Cut, MultiGraph, Verdict, check_count, split_parallel
 from .jain import SndpInstance, first_unmet_pair, jain_round, normalize_pairs
@@ -177,12 +177,11 @@ def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
     if hit is not None:
         (i, j), flow = hit
         side = net.reachable_from(i)
-        boundary = frozenset(e.eid for e in g.edges if (e.u in side) != (e.v in side))
         raise InfeasibleInstanceError(
             f"pair ({i}, {j}) needs {inst.demands[i, j]} edge-disjoint "
             f"paths but the graph admits only {flow}",
             pair=(i, j),
-            cut=Cut(side, boundary),
+            cut=Cut(side, g.boundary(side)),
         )
     usable = MultiGraph(g.n, [e for e in g.edges if inst.capacities[e.eid] >= 1])
     split = split_parallel(usable, inst.capacities)
@@ -207,15 +206,15 @@ class FgcViolation:
 
 
 class _FgcUnit:
-    """An instance's unit network over all its edges in sorted id order, the
-    unsafe edges' arc pairs in it as failure elements (`unsafe`) and the
-    active pairs.  One network serves every `verify_fgc` call on the
-    instance, so it is not reentrant."""
+    """An instance's unit network over all its edges, each unsafe edge as
+    the failure element that blocks itself (`unsafe`) and the active pairs.
+    One network serves every `verify_fgc` call on the instance, so it is
+    not reentrant."""
 
     def __init__(self, inst: FgcInstance):
         g = inst.graph
-        self.net = undirected_network(g, dict.fromkeys(sorted(g.edge_ids), 1))
-        self.unsafe = {e: a for e, a in self.net.arc_pairs().items() if not g.edge(e).safe}
+        self.net = unit_network(g)
+        self.unsafe = {eid: (eid,) for eid in sorted(g.edge_ids) if not g.edge(eid).safe}
         self.pairs = inst.active_pairs()
 
 
@@ -228,7 +227,7 @@ def verify_fgc(
     """Check feasibility against the definition; the verdict names the first
     pair, in sorted order, that some failure set breaks.  The flows run on
     the instance's unit network narrowed to F by `Network.within`; each
-    unsafe edge of F fails as its own arc pair.
+    unsafe edge of F fails on its own.
 
     Two screens are decisive on their own: connectivity p_ij + q_ij within F
     clears the pair outright, while connectivity below p_ij condemns it with
@@ -240,7 +239,7 @@ def verify_fgc(
     chosen = inst.graph.subset(edge_ids)
     unit = inst._unit
     net = unit.net.within(chosen)
-    shuts = {eid: pairs for eid, pairs in unit.unsafe.items() if eid in chosen}
+    shuts = {eid: shut for eid, shut in unit.unsafe.items() if eid in chosen}
     for (i, j), p, q in unit.pairs:
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:

@@ -7,12 +7,12 @@ is always the set of nodes residual-reachable from s.
 A `Network` keeps the capacities it was built with and starts every max
 flow from them, so one network answers any number of (s, t) queries about
 one edge set; the residual of the last query stays readable for its cut.
-A query may also block some arc pairs, which answers it for the edge set
-less those edges on the same network: see `smallest_failing_set`.  The
-builders record the edge behind each arc pair, so one network built over a
-whole edge set answers any subset F of it after `within(F)`: BFS skips an
-arc of residual 0, so the paths, values and cuts are those a network built
-over F alone would give.  A network cached for every F is not reentrant.
+The builders record the edge behind each arc pair; callers name edges by
+id and never see an arc.  One network over a whole edge set answers any
+subset F of it after `within(F)`: BFS skips an arc of residual 0, so the
+paths, values and cuts are those a network over F alone would give.  A
+query may block some edges, and `carrying` names the edges its flow used:
+see `smallest_failing_set`.  A network cached for every F is not reentrant.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -23,6 +23,7 @@ are positive and every push is scaled by the same positive factor.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import Collection, Iterable, Mapping, TypeVar
 
 from .errors import GuardExceededError, InvalidQueryError
@@ -44,7 +45,7 @@ class Network:
     builders record the edge behind it as `edges[k]` (None for a node arc).
     `base` holds the capacities as built, `start` those with the pairs
     `within` closed at 0, `cap` the residual the last max flow left and
-    `blocked` the arc pairs it shut."""
+    `blocked` the edge ids it shut."""
 
     def __init__(self, n: int):
         self.n = n
@@ -56,11 +57,10 @@ class Network:
         self.edges: list[int | None] = []
         self.adj: list[list[int]] = [[] for _ in range(n)]
 
-    def add_pair(self, u: int, v: int, cap_uv, cap_vu) -> int:
+    def add_pair(self, u: int, v: int, cap_uv, cap_vu) -> None:
         """Add the arc u->v with capacity cap_uv and its reverse with cap_vu.
 
         A directed arc uses cap_vu = 0; an undirected edge uses cap_vu = cap_uv.
-        Returns the forward arc index.
         """
         i = len(self.to)
         self.to.extend((v, u))
@@ -69,7 +69,6 @@ class Network:
         self.cap.extend((cap_uv, cap_vu))
         self.adj[u].append(i)
         self.adj[v].append(i + 1)
-        return i
 
     def within(self, edge_ids: Collection[int]) -> Network:
         """Close both arcs of every pair whose edge is not in `edge_ids`, for
@@ -85,13 +84,14 @@ class Network:
         self.blocked = ()
         return self
 
-    def arc_pairs(self) -> dict[int, list[int]]:
-        """Forward arc indices of each edge's arc pairs, by edge id."""
-        pairs: dict[int, list[int]] = {}
+    @cached_property
+    def _arcs(self) -> dict[int, list[int]]:
+        """Forward arc indices of each edge's pairs, built once per network."""
+        arcs: dict[int, list[int]] = {}
         for k, eid in enumerate(self.edges):
             if eid is not None:
-                pairs.setdefault(eid, []).append(2 * k)
-        return pairs
+                arcs.setdefault(eid, []).append(2 * k)
+        return arcs
 
     def _augmenting_path(self, s: int, t: int) -> list[int] | None:
         """Arcs of the first shortest residual s-t path found by BFS in arc
@@ -120,16 +120,17 @@ class Network:
         """Exact max s-t flow value from the built capacities less the pairs
         `within` closed, stopping early once `cutoff` is reached; s and t
         must be two distinct nodes of the network.  A value short of
-        `cutoff` is the max flow.  The arc pairs named in `blocked` by their
-        forward arc index also carry nothing, in this flow only."""
+        `cutoff` is the max flow.  The arc pairs of the edges whose ids are
+        in `blocked` also carry nothing, in this flow only."""
         if s == t or not (0 <= s < self.n and 0 <= t < self.n):
             raise InvalidQueryError(
                 f"max flow needs two distinct nodes in 0..{self.n - 1}, "
                 f"got s = {s}, t = {t}"
             )
         cap = self.cap = self.start.copy()
-        for i in blocked:
-            cap[i] = cap[i ^ 1] = 0
+        for eid in blocked:
+            for i in self._arcs[eid]:
+                cap[i] = cap[i ^ 1] = 0
         self.blocked = blocked
         total = 0
         while cutoff is None or total < cutoff:
@@ -145,14 +146,11 @@ class Network:
             total += push
         return total
 
-    def carrying(self) -> list[int]:
-        """Forward arc indices, ascending, of the arc pairs the last max flow
-        sends flow through."""
-        cap, start, blocked = self.cap, self.start, self.blocked
-        return [
-            i for i in range(0, len(cap), 2)
-            if cap[i] != start[i] and i not in blocked
-        ]
+    def carrying(self) -> set[int]:
+        """Ids of the edges the last max flow sends flow through."""
+        cap, start, edges = self.cap, self.start, self.edges
+        used = {edges[i >> 1] for i in range(0, len(cap), 2) if cap[i] != start[i]}
+        return used.difference((None, *self.blocked))
 
     def reachable_from(self, s: int) -> frozenset[int]:
         """Nodes reachable from s along residual-positive arcs of the last
@@ -171,7 +169,7 @@ class Network:
 
 def smallest_failing_set(net: Network, s: int, t: int, need, shuts, limit: int):
     """Least set R of failure elements, by (size, sorted ids), that leaves
-    under need[|R|] s-t units when each x in R blocks the arc pairs shuts[x],
+    under need[|R|] s-t units when each x in R blocks the edges shuts[x],
     and the flow it leaves, or None.  A set that holds grows only by elements
     on its flow: with need non-increasing, a failing superset must cut it.
     Each level's sets are counted before any runs, and GuardExceededError
@@ -186,13 +184,13 @@ def smallest_failing_set(net: Network, s: int, t: int, need, shuts, limit: int):
             )
         grown = set()
         for down in level:
-            value = net.max_flow(s, t, want, blocked=[a for x in down for a in shuts[x]])
+            value = net.max_flow(s, t, want, blocked=[e for x in down for e in shuts[x]])
             if value < want:
                 return frozenset(down), value
             if size < len(need):
-                used = set(net.carrying())
-                for x, pairs in shuts.items():
-                    if not used.isdisjoint(pairs):
+                used = net.carrying()
+                for x, shut in shuts.items():
+                    if not used.isdisjoint(shut):
                         grown.add(tuple(sorted((*down, x))))
         level = sorted(grown)
     return None
@@ -210,6 +208,12 @@ def undirected_network(g: MultiGraph, caps: Mapping[int, object]) -> Network:
     return net
 
 
+def unit_network(g: MultiGraph, ids: Iterable[int] | None = None) -> Network:
+    """Network with one arc pair per edge id in `ids` (default: every edge
+    of g), in sorted order, each arc of capacity 1."""
+    return undirected_network(g, dict.fromkeys(sorted(g.edge_ids if ids is None else ids), 1))
+
+
 def max_flow_min_cut(g: MultiGraph, capacities: Mapping[int, object], s: int, t: int):
     """Exact max s-t flow and a canonical min cut on a MultiGraph.
 
@@ -221,8 +225,7 @@ def max_flow_min_cut(g: MultiGraph, capacities: Mapping[int, object], s: int, t:
     net = undirected_network(g, capacities)
     value = net.max_flow(s, t)
     side = net.reachable_from(s)
-    boundary = frozenset(e.eid for e in g.edges if (e.u in side) != (e.v in side))
-    return value, Cut(side, boundary)
+    return value, Cut(side, g.boundary(side))
 
 
 def edge_connectivity(
@@ -237,6 +240,4 @@ def edge_connectivity(
     With `cutoff` the computation stops as soon as that many paths exist, which
     is all a threshold test needs.
     """
-    ids = g.edge_ids if edge_ids is None else edge_ids
-    net = undirected_network(g, dict.fromkeys(sorted(ids), 1))
-    return net.max_flow(s, t, cutoff=cutoff)
+    return unit_network(g, edge_ids).max_flow(s, t, cutoff=cutoff)

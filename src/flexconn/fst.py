@@ -17,14 +17,8 @@ from fractions import Fraction
 
 from .errors import InfeasibleInstanceError, SolverError, ValidationError
 from .flows import integral
-from .graphs import DisjointSets, MultiGraph, Verdict, contract_edges
+from .graphs import DisjointSets, MultiGraph, Verdict, check_node, contract_edges
 from .jain import SndpInstance, jain_round
-
-
-def _check_terminals(g: MultiGraph, terminals) -> None:
-    for t in terminals:
-        if not (0 <= t < g.n):
-            raise ValidationError(f"terminal {t} out of range")
 
 
 @dataclass(frozen=True)
@@ -34,7 +28,8 @@ class FstInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "terminals", frozenset(self.terminals))
-        _check_terminals(self.graph, self.terminals)
+        for t in self.terminals:
+            check_node(t, self.graph.n, f"terminal {t}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +162,8 @@ def steiner_tree_approx(g: MultiGraph, terminals) -> frozenset[int]:
     scale keeps every comparison and tie, so the tree is the one rational
     distances would give."""
     terms = sorted(set(terminals))
-    _check_terminals(g, terms)
+    for t in terms:
+        check_node(t, g.n, f"terminal {t}")
     if len(terms) <= 1:
         return frozenset()
     _, weight = integral({e.eid: e.cost for e in g.edges})
@@ -196,7 +192,8 @@ def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[in
     from .oracle import minimum_cost_subset
 
     terms = frozenset(terminals)
-    _check_terminals(g, terms)
+    for t in terms:
+        check_node(t, g.n, f"terminal {t}")
     if len(terms) <= 1:
         return frozenset()
     # the first sorted pair apart, as steiner_tree_approx names it

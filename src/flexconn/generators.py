@@ -22,37 +22,37 @@ from .instance_io import KINDS
 from .ncfgc import NcFgcInstance
 
 _DENOMINATORS = (1, 1, 1, 1, 2, 4)
+_MAX_COST = 9
+_SAFE_SHARE = 0.5
+_ATTEMPTS = 2000
 
 
 @dataclass(frozen=True)
 class GenConfig:
     nodes: tuple[int, int] = (3, 6)
     extra_edges: tuple[int, int] = (1, 4)    # on top of the spanning tree
-    max_cost: int = 9
-    safe_share: float = 0.5
     pairs: tuple[int, int] = (1, 3)
     max_p: int = 3
     max_q: int = 3
     terminals: tuple[int, int] = (2, 4)
     ncfgc_p: tuple[int, int] = (1, 2)
-    attempts: int = 2000
 
 
-def _cost(rng: random.Random, cfg: GenConfig) -> Fraction:
-    return Fraction(rng.randint(1, cfg.max_cost), rng.choice(_DENOMINATORS))
+def _cost(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, _MAX_COST), rng.choice(_DENOMINATORS))
 
 
 def random_multigraph(rng: random.Random, cfg: GenConfig) -> MultiGraph:
     n = rng.randint(*cfg.nodes)
     rows = []
     for v in range(1, n):
-        rows.append((rng.randrange(v), v, _cost(rng, cfg), rng.random() < cfg.safe_share))
+        rows.append((rng.randrange(v), v, _cost(rng), rng.random() < _SAFE_SHARE))
     for _ in range(rng.randint(*cfg.extra_edges)):
         u = rng.randrange(n)
         v = rng.randrange(n)
         while v == u:
             v = rng.randrange(n)
-        rows.append((u, v, _cost(rng, cfg), rng.random() < cfg.safe_share))
+        rows.append((u, v, _cost(rng), rng.random() < _SAFE_SHARE))
     return MultiGraph.build(n, rows)
 
 
@@ -67,11 +67,11 @@ def _redraw(kind: str, seed: int, cfg: GenConfig, ensure_feasible: bool,
     (q-connectivity for ncfgc), or the first draw when not `ensure_feasible`."""
     rng = random.Random(seed)
     verify = KINDS[kind].verify
-    for _ in range(cfg.attempts):
+    for _ in range(_ATTEMPTS):
         inst = draw(rng)
         if not ensure_feasible or verify(inst, inst.graph.edge_ids, "qconn").ok:
             return inst
-    raise SolverError(f"no feasible draw in {cfg.attempts} attempts for seed {seed}")
+    raise SolverError(f"no feasible draw in {_ATTEMPTS} attempts for seed {seed}")
 
 
 def gen_fgc(

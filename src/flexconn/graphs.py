@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import UnknownEdgeError, ValidationError
 
@@ -19,7 +19,7 @@ def as_cost(value) -> Fraction:
     """Coerce a number or numeric string to an exact nonnegative rational cost."""
     try:
         cost = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"bad cost {value!r}") from exc
     if cost < 0:
         raise ValidationError(f"negative cost {value!r}")
@@ -31,6 +31,13 @@ def check_count(value, what: str) -> None:
     bool is not a count."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValidationError(f"{what} must be an integer >= 0, got {value!r}")
+
+
+def check_node(v, n: int, what: str) -> None:
+    """Raise ValidationError naming `what` unless v is a node id of a graph
+    on n nodes, an int in 0..n-1; a bool is not a node."""
+    if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+        raise ValidationError(f"{what} out of range")
 
 
 class DisjointSets:
@@ -84,8 +91,8 @@ class MultiGraph:
         self._by_id: dict[int, Edge] = {}
         self._incident: list[list[Edge]] = [[] for _ in range(n)]
         for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValidationError(f"edge {e.eid} endpoint out of range")
+            check_node(e.u, n, f"edge {e.eid} endpoint")
+            check_node(e.v, n, f"edge {e.eid} endpoint")
             if e.u == e.v:
                 raise ValidationError(f"edge {e.eid} is a self-loop on node {e.u}")
             if e.cost < 0:
@@ -130,6 +137,10 @@ class MultiGraph:
 
     def incident(self, node: int) -> tuple[Edge, ...]:
         return tuple(self._incident[node])
+
+    def boundary(self, side: Collection[int]) -> frozenset[int]:
+        """Ids of the edges with exactly one endpoint in `side`."""
+        return frozenset(e.eid for e in self.edges if (e.u in side) != (e.v in side))
 
     def degree(self, node: int) -> int:
         return len(self._incident[node])
@@ -275,8 +286,7 @@ def inflate_safe_nodes(g: MultiGraph, safe_nodes: Iterable[int]) -> InflationRes
     """
     safe = set(safe_nodes)
     for v in safe:
-        if not (0 <= v < g.n):
-            raise ValidationError(f"safe node {v} out of range")
+        check_node(v, g.n, f"safe node {v}")
     node_images: dict[int, tuple[int, ...]] = {}
     next_node = 0
     for v in range(g.n):

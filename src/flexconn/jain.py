@@ -21,9 +21,9 @@ from functools import cached_property
 from typing import Collection, Mapping
 
 from .errors import JainProgressError, ValidationError
-from .flows import Network, integral, undirected_network
+from .flows import Network, integral, undirected_network, unit_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
-from .graphs import MultiGraph, check_count
+from .graphs import MultiGraph, check_count, check_node
 from .lp import CutRow, FractionalSolution, solve_cut_lp
 
 
@@ -31,8 +31,8 @@ def normalize_pairs(pairs: Mapping[tuple[int, int], object], n: int) -> dict:
     """Validate and key every pair as (min, max); callers check the values."""
     out: dict = {}
     for (a, b), value in pairs.items():
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValidationError(f"pair ({a}, {b}) out of range")
+        check_node(a, n, f"pair ({a}, {b})")
+        check_node(b, n, f"pair ({a}, {b})")
         if a == b:
             raise ValidationError(f"pair ({a}, {b}) joins a node to itself")
         key = (min(a, b), max(a, b))
@@ -58,7 +58,7 @@ class SndpInstance:
     @cached_property
     def _network(self) -> Network:
         """Every edge at 1; `jain_round` and the oracle narrow it."""
-        return undirected_network(self.graph, dict.fromkeys(sorted(self.graph.edge_ids), 1))
+        return unit_network(self.graph)
 
 
 def first_unmet_pair(
@@ -107,8 +107,8 @@ def separation(
     if best is None:
         return None
     side = best[1]
-    boundary = [e.eid for e in graph.edges if (e.u in side) != (e.v in side)]
-    undecided = frozenset(e for e in boundary if e not in chosen)
+    boundary = graph.boundary(side)
+    undecided = boundary.difference(chosen)
     rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
     return CutRow(undecided, Fraction(rhs - (len(boundary) - len(undecided))))
 

@@ -40,9 +40,9 @@ from .errors import (
     UnsupportedInstanceError,
     ValidationError,
 )
-from .flows import Network, integral, smallest_failing_set, undirected_network
+from .flows import Network, integral, smallest_failing_set, unit_network
 from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
-from .graphs import MultiGraph, Verdict, check_count, inflate_safe_nodes
+from .graphs import MultiGraph, Verdict, check_count, check_node, inflate_safe_nodes
 from .lp import CutRow, solve_cut_lp
 
 
@@ -58,8 +58,7 @@ class NcFgcInstance:
     def __post_init__(self):
         object.__setattr__(self, "safe_nodes", frozenset(self.safe_nodes))
         for v in self.safe_nodes:
-            if not (0 <= v < self.graph.n):
-                raise ValidationError(f"safe node {v} out of range")
+            check_node(v, self.graph.n, f"safe node {v}")
         check_count(self.requirement, "requirement")
 
     def node_caps(self) -> dict[int, int | None]:
@@ -132,20 +131,16 @@ class NcViolation:
 
 
 class _EnumerationRoute:
-    """The unit network over every edge in sorted id order (`net`), and each
-    node pair in sorted order with its unsafe-node failure elements and
-    their needs (`pairs`).  A node's failure element is the arc pairs of its
-    incident edges, chosen or not: an edge outside F is closed anyway and
-    never carries flow."""
+    """The unit network over every edge (`net`), and each node pair in
+    sorted order with its unsafe-node failure elements and their needs
+    (`pairs`).  A node's failure element blocks its incident edges, chosen
+    or not: an edge outside F is closed anyway and never carries flow."""
 
     def __init__(self, inst: NcFgcInstance):
         g = inst.graph
         p = inst.requirement
-        self.net = undirected_network(g, dict.fromkeys(sorted(g.edge_ids), 1))
-        arcs = self.net.arc_pairs()
-        shuts = {
-            v: [a for e in g.incident(v) for a in arcs[e.eid]] for v in inst.unsafe_nodes()
-        }
+        self.net = unit_network(g)
+        shuts = {v: [e.eid for e in g.incident(v)] for v in inst.unsafe_nodes()}
         self.pairs = []
         for i, j in combinations(range(g.n), 2):
             pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
@@ -165,7 +160,7 @@ def verify_ncfgc(
     on the instance's network narrowed to F by `Network.within`: the flow
     route asks the split-node network about every pair, the enumeration
     route the unit network for the least failing unsafe-node set, by (size,
-    sorted ids), each node failing as the arc pairs of its edges, and
+    sorted ids), each node failing as its incident edges, and
     raises GuardExceededError when its search for a pair would try more
     than `subset_guard` node sets.  In "both" mode the two must
     fail the same pair, or none, else one is wrong and SolverError is
@@ -266,12 +261,10 @@ class RootedQConnInstance:
     requirement: int
 
     def __post_init__(self):
-        if not (0 <= self.root < self.graph.n):
-            raise ValidationError("root out of range")
+        check_node(self.root, self.graph.n, "root")
         check_count(self.requirement, "requirement")
         for v, cap in self.caps.items():
-            if not (0 <= v < self.graph.n):
-                raise ValidationError(f"cap for node {v} out of range")
+            check_node(v, self.graph.n, f"cap for node {v}")
             if cap is not None:
                 check_count(cap, f"cap of node {v}")
 

@@ -74,15 +74,13 @@ def minimum_cost_subset(
     budget = budget or OracleBudget()
     order = sorted(set(ids))
     for eid in order:
+        if eid not in costs:
+            raise ValidationError(f"no cost for id {eid}")
         if costs[eid] < 0:
             raise ValidationError(f"negative cost for id {eid}")
     if budget.strategy == "enumerate":
         return _enumerate_all(order, costs, predicate, budget)
     return _branch_and_bound(order, costs, predicate, budget)
-
-
-def _key(cost, edges: frozenset[int]):
-    return (cost, tuple(sorted(edges)))
 
 
 class _Meter:
@@ -127,7 +125,7 @@ def _branch_and_bound(order, costs, predicate, budget) -> OptResult:
             return
         meter.tick()
         if predicate(chosen):
-            key = _key(cost, chosen)
+            key = (cost, tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key
             # A strictly positive tail cannot tie, let alone improve.

@@ -19,7 +19,7 @@ from flexconn import (
     rooted_q_flow,
 )
 
-from flexconn.flows import integral, smallest_failing_set, undirected_network
+from flexconn.flows import integral, smallest_failing_set, undirected_network, unit_network
 from flexconn.ncfgc import _both_arcs, _split_network
 
 from strategies import multigraphs, node_pairs
@@ -165,21 +165,18 @@ def test_within_answers_like_a_network_over_f_alone(g, data):
     values, carried edges and cut sides a network over F finds; each
     `within` replaces the last, and `blocked` still applies per flow."""
     ids = sorted(g.edge_ids)
-    full = undirected_network(g, dict.fromkeys(ids, 1))
-    arc = {eid: 2 * k for k, eid in enumerate(ids)}
-    assert full.edges == ids
-    assert full.arc_pairs() == {eid: [a] for eid, a in arc.items()}
+    full = unit_network(g)
+    assert full.edges == ids and full.base == [1] * (2 * len(ids))
     for _ in range(data.draw(st.integers(1, 4))):
         kept = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else ())
         blocked = data.draw(st.sets(st.sampled_from(kept))) if kept else set()
         own = undirected_network(g, dict.fromkeys(kept, 1))
-        own_arc = {eid: 2 * k for k, eid in enumerate(kept)}
         assert full.within(kept) is full
         s, t = data.draw(node_pairs(g.n))
         cutoff = data.draw(st.none() | st.integers(0, 4))
-        value = full.max_flow(s, t, cutoff, blocked=[arc[e] for e in blocked])
-        assert value == own.max_flow(s, t, cutoff, blocked=[own_arc[e] for e in blocked])
-        assert [ids[i // 2] for i in full.carrying()] == [kept[i // 2] for i in own.carrying()]
+        value = full.max_flow(s, t, cutoff, blocked=blocked)
+        assert value == own.max_flow(s, t, cutoff, blocked=blocked)
+        assert full.carrying() == own.carrying()
         assert full.reachable_from(s) == own.reachable_from(s)
 
 
@@ -199,8 +196,7 @@ def test_within_narrows_a_split_node_network_like_one_over_f_alone(g, data):
         s, t = 2 * i + 1, 2 * j
         cutoff = data.draw(st.none() | st.integers(0, 4))
         assert full.max_flow(s, t, cutoff) == own.max_flow(s, t, cutoff)
-        edges = [[net.edges[a // 2] for a in net.carrying()] for net in (full, own)]
-        assert edges[0] == edges[1]
+        assert full.carrying() == own.carrying()
         assert full.reachable_from(s) == own.reachable_from(s)
 
 
@@ -211,7 +207,7 @@ def test_failing_set_search_runs_at_most_limit_flows(g, data):
     s, t = data.draw(node_pairs(g.n))
     chosen = sorted(g.edge_ids)
     net = undirected_network(g, dict.fromkeys(chosen, 1))
-    shuts = {eid: (2 * k,) for k, eid in enumerate(chosen) if not g.edge(eid).safe}
+    shuts = {eid: (eid,) for eid in chosen if not g.edge(eid).safe}
     need = [data.draw(st.integers(1, 3))] * data.draw(st.integers(1, 4))
     flows = []
     max_flow = net.max_flow
@@ -279,10 +275,11 @@ def test_augmenting_paths_match_the_reference_bfs(data):
     ))
     nets = [_Recording(n, find) for find in
             (Network._augmenting_path, _reference_augmenting_path)]
+    pairs = list(range(len(arcs)))
     for net in nets:
         for u, v, cap_uv, cap_vu in arcs:
             net.add_pair(u, v, cap_uv, cap_vu)
-    pairs = list(range(0, 2 * len(arcs), 2))
+        net.edges = pairs   # pair k is edge k
     for _ in range(data.draw(st.integers(1, 4))):
         s = data.draw(st.integers(0, n - 1))
         t = (s + 1 + data.draw(st.integers(0, n - 2))) % n
@@ -304,6 +301,6 @@ def test_augmenting_paths_match_the_reference_bfs(data):
         # blocking a pair is building the network without it
         rest = Network(n)
         for k, (u, v, cap_uv, cap_vu) in enumerate(arcs):
-            if 2 * k not in blocked:
+            if k not in blocked:
                 rest.add_pair(u, v, cap_uv, cap_vu)
         assert rest.max_flow(s, t, cutoff) == value

@@ -1,5 +1,6 @@
 """Multigraph container, labelled edges, and the graph surgeries."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from flexconn import (
     CapNdpInstance,
     FgcInstance,
+    FstInstance,
     MultiGraph,
     NcFgcInstance,
     RootedQConnInstance,
@@ -18,6 +20,7 @@ from flexconn import (
     contract_edges,
     inflate_safe_nodes,
     split_parallel,
+    steiner_tree_approx,
 )
 from flexconn.graphs import Edge, as_cost
 from flexconn.ncfgc import arc
@@ -54,6 +57,12 @@ def test_as_cost_accepts_exact_forms():
         as_cost("spam")
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_costs_must_be_finite(value):
+    with pytest.raises(ValidationError, match=f"^bad cost {value!r}$"):
+        MultiGraph.build(2, [(0, 1, value, True)])
+
+
 def triangle():
     return MultiGraph.build(3, [
         (0, 1, Fraction(1), True),
@@ -85,6 +94,42 @@ def test_counts_must_be_integers(build, named):
     negative value is refused when the instance is built."""
     with pytest.raises(ValidationError, match=f"{named} must be an integer >= 0"):
         build(triangle())
+
+
+@pytest.mark.parametrize("build, text", [
+    # ints out of range
+    (lambda g: MultiGraph.build(3, [(0, 3, 1, True)]), "edge 0 endpoint out of range"),
+    (lambda g: SndpInstance(g, {(0, 3): 1}), "pair (0, 3) out of range"),
+    (lambda g: FgcInstance(g, {(-1, 2): (1, 0)}), "pair (-1, 2) out of range"),
+    (lambda g: NcFgcInstance(g, {3}, 1), "safe node 3 out of range"),
+    (lambda g: inflate_safe_nodes(g, {3}), "safe node 3 out of range"),
+    (lambda g: FstInstance(g, {0, 4}), "terminal 4 out of range"),
+    (lambda g: steiner_tree_approx(g, [0, 4]), "terminal 4 out of range"),
+    (lambda g: RootedQConnInstance(g, 3, UNIT_CAPS, 1), "root out of range"),
+    (lambda g: RootedQConnInstance(g, 0, {**UNIT_CAPS, 3: 1}, 1), "cap for node 3 out of range"),
+    # a non-int or a bool is no node id
+    (lambda g: MultiGraph.build(3, [(0, 0.5, 1, True)]), "edge 0 endpoint out of range"),
+    (lambda g: MultiGraph.build(3, [(True, 2, 1, True)]), "edge 0 endpoint out of range"),
+    (lambda g: FgcInstance(g, {(0, 0.5): (1, 0)}), "pair (0, 0.5) out of range"),
+    (lambda g: SndpInstance(g, {(True, 2): 1}), "pair (True, 2) out of range"),
+    (lambda g: NcFgcInstance(g, {0.5}, 1), "safe node 0.5 out of range"),
+    (lambda g: inflate_safe_nodes(g, {1.5}), "safe node 1.5 out of range"),
+    (lambda g: FstInstance(g, {True, 2}), "terminal True out of range"),
+    (lambda g: RootedQConnInstance(g, 0.5, UNIT_CAPS, 1), "root out of range"),
+    (lambda g: RootedQConnInstance(g, 0, {**UNIT_CAPS, 0.5: 1}, 1), "cap for node 0.5 out of range"),
+])
+def test_node_ids_are_ints_in_range(build, text):
+    """Every node id an instance names is an int in 0..n-1, checked by
+    `check_node` when the instance is built."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        build(triangle())
+
+
+def test_boundary_is_the_edges_with_one_end_in_the_side():
+    g = square()
+    assert g.boundary({0}) == {0, 3, 4}
+    assert g.boundary({0, 1}) == {1, 3, 4}
+    assert g.boundary(set()) == g.boundary(range(4)) == frozenset()
 
 
 def test_build_rejects_bad_rows():

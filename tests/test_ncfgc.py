@@ -264,10 +264,9 @@ def interleaved_verify(inst, edge_ids, mode):
     if p == 0:
         return None
     caps = inst.node_caps()
-    arcs = {eid: 2 * k for k, eid in enumerate(sorted(chosen))}
-    unit = undirected_network(g, dict.fromkeys(arcs, 1))
+    unit = undirected_network(g, dict.fromkeys(sorted(chosen), 1))
     shuts = {
-        v: [arcs[e.eid] for e in g.incident(v) if e.eid in arcs]
+        v: [e.eid for e in g.incident(v) if e.eid in chosen]
         for v in inst.unsafe_nodes()
     }
     for i in range(g.n):

@@ -97,6 +97,12 @@ def test_negative_costs_are_rejected():
         minimum_cost_subset([0], {0: Fraction(-1)}, lambda s: True)
 
 
+@pytest.mark.parametrize("budget", BOTH, ids=lambda b: b.strategy)
+def test_ids_without_a_cost_are_rejected(budget):
+    with pytest.raises(ValidationError, match=r"^no cost for id 1$"):
+        minimum_cost_subset([0, 1], {0: Fraction(1)}, lambda s: True, budget=budget)
+
+
 def test_strategies_agree_on_random_monotone_predicates():
     rng = random.Random(7)
     for _ in range(20):

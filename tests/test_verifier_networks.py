@@ -40,7 +40,7 @@ def reference_verify_fgc(inst, edge_ids, subset_guard=10**6):
     g = inst.graph
     chosen = sorted(g.subset(edge_ids))
     net = undirected_network(g, dict.fromkeys(chosen, 1))
-    shuts = {eid: (2 * k,) for k, eid in enumerate(chosen) if not g.edge(eid).safe}
+    shuts = {eid: (eid,) for eid in chosen if not g.edge(eid).safe}
     for (i, j), p, q in inst.active_pairs():
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
@@ -69,10 +69,9 @@ def reference_verify_ncfgc(inst, edge_ids, mode, subset_guard=10**6):
                 hit_q = NcViolation((i, j), None, lam)
                 break
     if mode != "qconn":
-        arcs = {eid: 2 * k for k, eid in enumerate(sorted(chosen))}
-        unit = undirected_network(g, dict.fromkeys(arcs, 1))
+        unit = undirected_network(g, dict.fromkeys(sorted(chosen), 1))
         shuts = {
-            v: [arcs[e.eid] for e in g.incident(v) if e.eid in arcs]
+            v: [e.eid for e in g.incident(v) if e.eid in chosen]
             for v in inst.unsafe_nodes()
         }
         for i, j in itertools.combinations(range(g.n), 2):
