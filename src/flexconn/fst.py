@@ -161,9 +161,10 @@ def steiner_tree_approx(g: MultiGraph, terminals) -> frozenset[int]:
     Dijkstra runs on the costs times their common denominator: one positive
     scale keeps every comparison and tie, so the tree is the one rational
     distances would give."""
-    terms = sorted(set(terminals))
+    terms = set(terminals)
     for t in terms:
         check_node(t, g.n, f"terminal {t}")
+    terms = sorted(terms)
     if len(terms) <= 1:
         return frozenset()
     _, weight = integral({e.eid: e.cost for e in g.edges})

@@ -84,13 +84,14 @@ class MultiGraph:
     """Loop-free undirected multigraph, treated as immutable after construction."""
 
     def __init__(self, n: int, edges: Iterable[Edge]):
-        if n < 0:
-            raise ValidationError(f"negative node count {n}")
+        check_count(n, "node count")
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(edges)
         self._by_id: dict[int, Edge] = {}
         self._incident: list[list[Edge]] = [[] for _ in range(n)]
         for e in self.edges:
+            if not isinstance(e.eid, int) or isinstance(e.eid, bool):
+                raise ValidationError(f"edge id {e.eid!r} is not an integer")
             check_node(e.u, n, f"edge {e.eid} endpoint")
             check_node(e.v, n, f"edge {e.eid} endpoint")
             if e.u == e.v:

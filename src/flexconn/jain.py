@@ -23,7 +23,7 @@ from typing import Collection, Mapping
 from .errors import JainProgressError, ValidationError
 from .flows import Network, integral, undirected_network, unit_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
-from .graphs import MultiGraph, check_count, check_node
+from .graphs import DisjointSets, MultiGraph, check_count, check_node
 from .lp import CutRow, FractionalSolution, solve_cut_lp
 
 
@@ -80,37 +80,52 @@ def separation(
     x: Mapping[int, Fraction],
     requirements: Mapping[tuple[int, int], int],
     chosen: Collection[int],
-) -> CutRow | None:
-    """Most violated residual cut under capacities x, chosen edges at 1.
+) -> list[CutRow]:
+    """Every distinct violated residual cut under capacities x, chosen edges
+    at 1, most violated first.
 
     The flows run on one network whose capacities are x scaled to ints by
-    their common denominator, which keeps them exact.  Ties break toward the
-    smaller cut side, then lexicographic node order.  The cut demands the
-    largest requirement it separates, at least the violated pair's own.  The
-    returned row is residual: it names the undecided boundary edges and asks
-    them for that demand less the number of chosen boundary edges.
+    their common denominator, which keeps them exact.  Each pair (i, j) short
+    of its requirement r gives the cut side residual-reachable from i, its
+    canonical min cut; a side several pairs give appears once, at its largest
+    violation.  The rows are ranked by violation, then the smaller side, then
+    lexicographic node order, so the first is the single most violated cut.
+    A cut demands the largest requirement it separates, at least the violated
+    pair's own.  Each row is residual: it names the undecided boundary edges
+    and asks them for that demand less the number of chosen boundary edges.
+
+    No flow runs that cannot give a row.  Each stops at r times the scale,
+    and a flow that stops short of it is the max flow, so its residual side
+    is the min cut a flow run to the end leaves.  The pairs run by
+    decreasing requirement, and a pair is skipped when pairs already met
+    join its two ends: by the min-cut triangle inequality
+    lambda(a, b) >= min(lambda(a, c), lambda(c, b)) (Gomory and Hu, 1961),
+    it is met too.  The rows are those of every pair's full flow.
     """
     scale, caps = integral({
         e.eid: 1 if e.eid in chosen else x.get(e.eid, 0) for e in graph.edges
     })
     net = undirected_network(graph, caps)
-    best = None
-    pairs = sorted(requirements.items())
+    pairs = sorted(requirements.items(), key=lambda item: (-item[1], item[0]))
+    met = DisjointSets(graph.n)
+    sides: dict[frozenset[int], int] = {}
     for (i, j), r in pairs:
-        viol = r * scale - net.max_flow(i, j)
-        if viol <= 0:
+        if r == 0 or met.find(i) == met.find(j):
             continue
-        side = net.reachable_from(i)
-        rank = (-viol, len(side), tuple(sorted(side)))
-        if best is None or rank < best[0]:
-            best = (rank, side)
-    if best is None:
-        return None
-    side = best[1]
-    boundary = graph.boundary(side)
-    undecided = boundary.difference(chosen)
-    rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
-    return CutRow(undecided, Fraction(rhs - (len(boundary) - len(undecided))))
+        viol = r * scale - net.max_flow(i, j, cutoff=r * scale)
+        if viol <= 0:
+            met.union(i, j)
+            continue
+        # every pair that gives a side is short by the side's cut value, so
+        # the first to give it, in decreasing requirement, falls shortest
+        sides.setdefault(net.reachable_from(i), viol)
+    rows = []
+    for side in sorted(sides, key=lambda s: (-sides[s], len(s), sorted(s))):
+        boundary = graph.boundary(side)
+        undecided = boundary.difference(chosen)
+        rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
+        rows.append(CutRow(undecided, Fraction(rhs - (len(boundary) - len(undecided)))))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -2,25 +2,27 @@
 
 A cut LP here is: minimize sum(cost_e * x_e) subject to generated rows of the
 form sum(x_e for e in ids) >= rhs and bounds 0 <= x <= 1.  Rows come from a
-separation oracle that inspects candidate solutions.
+separation oracle that inspects candidate solutions and answers with a batch
+of violated rows, most violated first, or with none.
 
 Substituting x = 1 - y turns every row into a packing row sum(y) <= cap.  One
 float tableau lives for the whole row generation: it has a row per active cut
 and handles 0 <= y <= 1 by bound flips rather than extra rows.  It starts with
 every y at its upper bound, which is dual feasible because costs are
-nonnegative; each new row is reduced against the current basis and appended,
-and dual simplex pivots restore primal feasibility.  A solve hands back its
-basis as the tableau holds it: one basic [y | s] column per row, and the set
-of nonbasic y at 1.  The answer returned is always rebuilt exactly from that
-basis and certified optimal through an exact dual feasibility check.  Both
-solve one square 0/1 system of tight rows by basic y, the check on its
-transpose, by Bareiss's fraction-free elimination on right-hand sides scaled
-to ints by their common denominator, and compare integer numerators;
-`Fraction`s are built only for the returned vertex.  When the float tableau
-stalls, cannot hold a cost or cap as a float, or its basis fails the check,
-the same dual simplex runs again from a cold start on `Fraction`s with no
-tolerance, and its basis goes through the same rebuild and check.  Identical
-inputs produce identical row sequences and solutions.
+nonnegative; each batch of new rows is reduced against the current basis in
+one block and appended, and dual simplex pivots restore primal feasibility.
+A solve hands back its basis as the tableau holds it: one basic [y | s]
+column per row, and the set of nonbasic y at 1.  The answer returned is
+always rebuilt exactly from that basis and certified optimal through an
+exact dual feasibility check.  Both solve one square 0/1 system of tight
+rows by basic y, the check on its transpose, by Bareiss's fraction-free
+elimination on right-hand sides scaled to ints by their common denominator,
+and compare integer numerators; `Fraction`s are built only for the returned
+vertex.  When the float tableau stalls, cannot hold a cost or cap as a
+float, or its basis fails the check, the same dual simplex runs again from a
+cold start on `Fraction`s with no tolerance, and its basis goes through the
+same rebuild and check.  Identical inputs produce identical row sequences
+and solutions.
 """
 
 from __future__ import annotations
@@ -67,7 +69,9 @@ class FractionalSolution:
         return tuple(sorted(e for e, v in self.x.items() if 0 < v < 1))
 
 
-CutOracle = Callable[[Mapping[int, Fraction]], CutRow | None]
+# A separation oracle: the rows violated at a point, most violated first; an
+# empty sequence means that none is.
+CutOracle = Callable[[Mapping[int, Fraction]], Sequence[CutRow]]
 
 
 class _SimplexStall(Exception):
@@ -106,26 +110,31 @@ class _DualTableau:
     def rows(self) -> int:
         return len(self.basis)
 
-    def add_row(self, cols: Sequence[int], cap) -> None:
-        """Append sum(y[cols]) + s = cap with s basic, reduced against the
-        current basis; the basis stays dual feasible."""
+    def add_rows(self, rows: Sequence[tuple[Sequence[int], object]]) -> None:
+        """Append sum(y[cols]) + s = cap for each (cols, cap) in `rows`, each
+        with its own slack s basic, reduced against the current basis in one
+        block; the basis stays dual feasible.  A new row names y only, so no
+        new slack enters another new row's reduction."""
+        if not rows:
+            return
         zero, one = self.zero, self.one
-        width = self.k + self.rows
-        cols = list(cols)
-        row = np.full(width + 1, zero, dtype=self.dtype)
-        row[cols] = one
-        row[width] = one
+        width, m = self.k + self.rows, len(rows)
+        block = np.full((m, width + m), zero, dtype=self.dtype)
+        for i, (cols, _) in enumerate(rows):
+            block[i, list(cols)] = one
+            block[i, width + i] = one
         value = np.where(self.at_upper, one, zero)
         if self.basis:
-            row[:width] -= row[self.basis] @ self.tab
+            block[:, :width] -= block[:, self.basis] @ self.tab
             value[self.basis] = self.beta
-        column = np.full((self.rows, 1), zero, dtype=self.dtype)
-        self.tab = np.vstack([np.hstack([self.tab, column]), row])
-        self.beta = np.append(self.beta, self.num(cap) - value[cols].sum())
-        self.d = np.append(self.d, zero)
-        self.at_upper = np.append(self.at_upper, False)
-        self.is_basic = np.append(self.is_basic, True)
-        self.basis.append(width)
+        columns = np.full((self.rows, m), zero, dtype=self.dtype)
+        self.tab = np.vstack([np.hstack([self.tab, columns]), block])
+        caps = [self.num(cap) - value[list(cols)].sum() for cols, cap in rows]
+        self.beta = np.append(self.beta, np.array(caps, dtype=self.dtype))
+        self.d = np.append(self.d, np.full(m, zero, dtype=self.dtype))
+        self.at_upper = np.append(self.at_upper, np.zeros(m, dtype=bool))
+        self.is_basic = np.append(self.is_basic, np.ones(m, dtype=bool))
+        self.basis.extend(range(width, width + m))
 
     def solve(self) -> tuple[list, list[int], set[int]]:
         """Dual simplex to a primal feasible basis.
@@ -206,8 +215,7 @@ def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exac
     LpResourceError.
     """
     tableau = _DualTableau(k, costs, exact=exact)
-    for cols, cap in rows:
-        tableau.add_row(cols, cap)
+    tableau.add_rows(rows)
     try:
         return tableau.solve()
     except _SimplexStall:
@@ -347,10 +355,11 @@ def solve_cut_lp(
 
     `costs` maps edge id to a nonnegative cost and defines the variable set;
     every row the oracle returns must name variables only and be violated by
-    the point it was shown.  Returns an exact optimal vertex of the generated
-    system with every generated row in `rows`.  Raises LpInfeasibleError when
-    a row asks for more than the number of edges it names, and
-    LpResourceError past `max_rows` rows.
+    the point it was shown, and every new row of a batch joins the system
+    before the next solve.  Returns an exact optimal vertex of the generated
+    system with every generated row in `rows`, in the order generated.
+    Raises LpInfeasibleError when a row asks for more than the number of
+    edges it names, and LpResourceError past `max_rows` rows.
     """
     cost_map = {e: Fraction(c) for e, c in costs.items()}
     for e, c in cost_map.items():
@@ -365,39 +374,46 @@ def solve_cut_lp(
     active: list[tuple[tuple[int, ...], Fraction]] = []
     seen: set[tuple[frozenset[int], Fraction]] = set()
 
-    def register(row: CutRow) -> bool:
-        key = (row.edge_ids, Fraction(row.rhs))
-        if key in seen:
-            return False
-        if len(rows) >= max_rows:
-            raise LpResourceError(f"row cap {max_rows} exceeded")
-        seen.add(key)
-        rows.append(row)
-        cols = tuple(pos[e] for e in sorted(row.edge_ids))
-        if row.rhs > len(cols):
-            raise LpInfeasibleError(
-                f"cut needs {row.rhs} but only {len(cols)} edges cross it",
-                row=row,
-            )
-        active.append((cols, len(cols) - Fraction(row.rhs)))
-        return True
+    def register(cuts: Sequence[CutRow]) -> bool:
+        """Add every row of `cuts` not generated before, in order; True when
+        any was new."""
+        fresh = False
+        for row in cuts:
+            key = (row.edge_ids, Fraction(row.rhs))
+            if key in seen:
+                continue
+            if len(rows) >= max_rows:
+                raise LpResourceError(f"row cap {max_rows} exceeded")
+            seen.add(key)
+            rows.append(row)
+            cols = tuple(pos[e] for e in sorted(row.edge_ids))
+            if row.rhs > len(cols):
+                raise LpInfeasibleError(
+                    f"cut needs {row.rhs} but only {len(cols)} edges cross it",
+                    row=row,
+                )
+            active.append((cols, len(cols) - Fraction(row.rhs)))
+            fresh = True
+        return fresh
 
-    def ask(x: Mapping[int, Fraction]) -> CutRow | None:
-        """The oracle's row at `x`, held to naming variables only and to
-        being violated at `x`."""
-        cut = oracle(x)
-        if cut is None:
-            return None
-        total = Fraction(0)
-        for e in cut.edge_ids:
-            if e not in x:
-                raise OracleContractError(f"cut references unknown edge {e}")
-            total += x[e]
-        if total >= cut.rhs:
-            raise OracleContractError(
-                f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"
-            )
-        return cut
+    def ask(x: Mapping[int, Fraction]) -> Sequence[CutRow]:
+        """The oracle's rows at `x`, each held to naming variables only and
+        to being violated at `x`: over x scaled to ints, a row's numerators
+        sum below its rhs times the scale."""
+        cuts = oracle(x)
+        if not cuts:
+            return cuts
+        scale, num = integral(x)
+        for cut in cuts:
+            unknown = cut.edge_ids.difference(num)
+            if unknown:
+                raise OracleContractError(f"cut references unknown edge {min(unknown)}")
+            p, q = Fraction(cut.rhs).as_integer_ratio()
+            if sum(num[e] for e in cut.edge_ids) * q >= p * scale:
+                raise OracleContractError(
+                    f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"
+                )
+        return cuts
 
     def certified(basis, upper) -> list[Fraction] | None:
         y = _primal_from_basis(k, active, basis, upper)
@@ -413,19 +429,16 @@ def solve_cut_lp(
         try:
             if tableau is None:
                 tableau = _DualTableau(k, cvec)
-            for cols, cap in active[tableau.rows:]:
-                tableau.add_row(cols, cap)
+            tableau.add_rows(active[tableau.rows:])
             y_float, basis, upper = tableau.solve()
         except (_SimplexStall, OverflowError):
             tableau = basis = None
 
-        if basis is not None:
-            cut = ask({
-                e: Fraction(min(1.0, max(0.0, 1.0 - y_float[j])))
-                for j, e in enumerate(var_ids)
-            })
-            if cut is not None and register(cut):
-                continue
+        if basis is not None and register(ask({
+            e: Fraction(min(1.0, max(0.0, 1.0 - y_float[j])))
+            for j, e in enumerate(var_ids)
+        })):
+            continue
 
         # Exact stage: rebuild the vertex from the float basis and certify
         # it; failing that, solve the rows again in rational arithmetic,
@@ -449,8 +462,8 @@ def solve_cut_lp(
 
         x_exact = {e: 1 - y_exact[j] for j, e in enumerate(var_ids)}
         objective = sum((cost_map[e] * x_exact[e] for e in var_ids), Fraction(0))
-        cut = ask(x_exact)
-        if cut is None:
+        cuts = ask(x_exact)
+        if not cuts:
             return FractionalSolution(x_exact, objective, tuple(rows))
-        if not register(cut):
-            raise OracleContractError("oracle repeated a row the solution satisfies")
+        if not register(cuts):
+            raise OracleContractError("oracle gave no new row at the exact vertex")

@@ -332,6 +332,13 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     vertex therefore means a broken solver: SolverError.  No sink is asked
     again: `solve_cut_lp` returns x only once `_separate_rooted` finds none
     short at it, the same question at a 0/1 x (scale 1, arcs at 0 shut).
+
+    The oracle hands `solve_cut_lp` one row per call, the most violated,
+    where `jain.separation` hands it every violated cut.  One cut per short
+    sink grew these dense rooted tableaus to about 1,250 rows and made
+    ncfgc n = 40, seed 1 ten times slower (2.0 to 19.3 s with Python 3.11
+    on a shared 2-CPU host), so one row per call stays until the tableau
+    takes large degenerate row sets cheaply.
     """
     g = inst.graph
     p = inst.requirement
@@ -346,7 +353,10 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
                 pair=(inst.root, t),
             )
     costs = {aid: arc(g, aid)[2] for aid in ids}
-    sol = solve_cut_lp(costs, lambda x: _separate_rooted(inst, x), max_rows=4000)
+    sol = solve_cut_lp(
+        costs, lambda x: [] if (cut := _separate_rooted(inst, x)) is None else [cut],
+        max_rows=4000,
+    )
     fractional = sol.fractional_ids()
     if fractional:
         raise SolverError(

@@ -21,6 +21,7 @@ from flexconn import (
     inflate_safe_nodes,
     split_parallel,
     steiner_tree_approx,
+    steiner_tree_exact,
 )
 from flexconn.graphs import Edge, as_cost
 from flexconn.ncfgc import arc
@@ -115,6 +116,8 @@ def test_counts_must_be_integers(build, named):
     (lambda g: NcFgcInstance(g, {0.5}, 1), "safe node 0.5 out of range"),
     (lambda g: inflate_safe_nodes(g, {1.5}), "safe node 1.5 out of range"),
     (lambda g: FstInstance(g, {True, 2}), "terminal True out of range"),
+    (lambda g: steiner_tree_approx(g, [0, "a"]), "terminal a out of range"),
+    (lambda g: steiner_tree_exact(g, [0, "a"]), "terminal a out of range"),
     (lambda g: RootedQConnInstance(g, 0.5, UNIT_CAPS, 1), "root out of range"),
     (lambda g: RootedQConnInstance(g, 0, {**UNIT_CAPS, 0.5: 1}, 1), "cap for node 0.5 out of range"),
 ])
@@ -123,6 +126,21 @@ def test_node_ids_are_ints_in_range(build, text):
     `check_node` when the instance is built."""
     with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         build(triangle())
+
+
+@pytest.mark.parametrize("n, eid, text", [
+    (2.5, 0, "node count must be an integer >= 0, got 2.5"),
+    (True, 0, "node count must be an integer >= 0, got True"),
+    (-1, 0, "node count must be an integer >= 0, got -1"),
+    (2, 0.5, "edge id 0.5 is not an integer"),
+    (2, True, "edge id True is not an integer"),
+    (2, "0", "edge id '0' is not an integer"),
+])
+def test_multigraph_checks_node_count_and_edge_ids(n, eid, text):
+    """The node count is a count, and an edge id an int that is no bool."""
+    edges = [Edge(eid, 0, 1, Fraction(1), True)] if n == 2 else []
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        MultiGraph(n, edges)
 
 
 def test_boundary_is_the_edges_with_one_end_in_the_side():

@@ -74,11 +74,11 @@ def test_infeasible_requirement_reports_a_cut():
 def test_separation_finds_most_violated_cut():
     g = cycle(4)
     x = {eid: Fraction(0) for eid in g.edge_ids}
-    row = separation(g, x, {(0, 2): 2}, frozenset())
-    assert row is not None and row.rhs == 2
+    rows = separation(g, x, {(0, 2): 2}, frozenset())
+    assert rows and rows[0].rhs == 2
     # a satisfied requirement yields silence
     x = {eid: Fraction(1) for eid in g.edge_ids}
-    assert separation(g, x, {(0, 2): 2}, frozenset()) is None
+    assert separation(g, x, {(0, 2): 2}, frozenset()) == []
 
 
 def test_separation_ignores_zero_requirements():
@@ -86,7 +86,7 @@ def test_separation_ignores_zero_requirements():
     x = {eid: Fraction(0) for eid in g.edge_ids}
     for chosen in (frozenset(), frozenset({0})):
         alone = separation(g, x, {(0, 2): 2}, chosen)
-        assert alone is not None
+        assert alone
         assert separation(g, x, {(0, 1): 0, (0, 2): 2, (1, 3): 0}, chosen) == alone
 
 
@@ -103,20 +103,22 @@ def test_half_integral_point_on_a_cycle_is_cut_short():
     # x = 1/2 everywhere moves only one unit across the cut around node 0
     g = cycle(4)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
-    row = separation(g, x, {(0, 2): 2}, frozenset())
-    assert row is not None and row.rhs == 2
-    assert sum(x[eid] for eid in row.edge_ids) == 1
+    rows = separation(g, x, {(0, 2): 2}, frozenset())
+    assert rows and rows[0].rhs == 2
+    assert sum(x[eid] for eid in rows[0].edge_ids) == 1
 
 
 def reference_separation(graph, x, requirements, chosen):
-    """Separation on Fraction capacities with a new network per pair; the
-    row names the undecided boundary edges and takes the chosen ones off its
-    rhs."""
+    """Separation on Fraction capacities with a new network per pair, a
+    flow run to the end for every pair and no pair skipped: one row per
+    distinct violated cut side, ranked by (violation, side size, sorted
+    side), each naming the undecided boundary edges and taking the chosen
+    ones off its rhs."""
     caps = {
         e.eid: Fraction(1) if e.eid in chosen else Fraction(x.get(e.eid, 0))
         for e in graph.edges
     }
-    best = None
+    best = {}
     pairs = sorted((p, r) for p, r in requirements.items() if r >= 1)
     for (i, j), r in pairs:
         value, cut = max_flow_min_cut(graph, caps, i, j)
@@ -124,13 +126,14 @@ def reference_separation(graph, x, requirements, chosen):
         if viol <= 0:
             continue
         rank = (-viol, len(cut.side), tuple(sorted(cut.side)))
-        if best is None or rank < best[0]:
-            best = (rank, cut)
-    if best is None:
-        return None
-    cut = best[1]
-    rhs = max(r for (i, j), r in pairs if (i in cut.side) != (j in cut.side))
-    return CutRow(cut.boundary - chosen, Fraction(rhs - len(cut.boundary & chosen)))
+        if cut.side not in best or rank < best[cut.side]:
+            best[cut.side] = rank
+    rows = []
+    for rank, side in sorted((rank, side) for side, rank in best.items()):
+        boundary = graph.boundary(side)
+        rhs = max(r for (i, j), r in pairs if (i in side) != (j in side))
+        rows.append(CutRow(boundary - chosen, Fraction(rhs - len(boundary & chosen))))
+    return rows
 
 
 @pytest.mark.parametrize("style", ["float", "rational", "binary", "tie"])
@@ -146,9 +149,9 @@ def test_separation_matches_fraction_reference(style):
             for _ in range(rng.randint(1, 5))
         }
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
-        row = separation(g, x, pairs, chosen)
-        assert row == reference_separation(g, x, pairs, chosen)
-        found += row is not None
+        rows = separation(g, x, pairs, chosen)
+        assert rows == reference_separation(g, x, pairs, chosen)
+        found += bool(rows)
     assert found >= 20
 
 
@@ -157,9 +160,50 @@ def test_separation_breaks_ties_between_pairs_like_the_reference():
     g = cycle(6)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
     pairs = {(i, j): 2 for i in range(6) for j in range(i + 1, 6)}
-    row = separation(g, x, pairs, frozenset())
-    assert row == reference_separation(g, x, pairs, frozenset())
-    assert row == CutRow(frozenset({0, 5}), Fraction(2))
+    rows = separation(g, x, pairs, frozenset())
+    assert rows == reference_separation(g, x, pairs, frozenset())
+    assert rows[0] == CutRow(frozenset({0, 5}), Fraction(2))
+
+
+def test_pruned_separation_matches_the_reference_on_a_clique_of_pairs(monkeypatch):
+    # A uniform requirement over every pair of a terminal set, as fst's
+    # second stage asks: pairs already met join most terminals, so the
+    # skip fires, and the rows must still be those of every pair's full
+    # flow.  Zero requirements on other pairs and chosen edges ride along.
+    from flexconn import flows
+
+    flows_run = []
+    max_flow = flows.Network.max_flow
+
+    def counted(self, s, t, cutoff=None, **kw):
+        flows_run.append(cutoff)
+        return max_flow(self, s, t, cutoff, **kw)
+
+    monkeypatch.setattr(flows.Network, "max_flow", counted)
+    rng = random.Random("separation/clique")
+    cfg = GenConfig(nodes=(6, 10), extra_edges=(3, 8))
+    ran = asked = found = 0
+    for k in range(60):
+        g = random_multigraph(rng, cfg)
+        x = cut_lp_values(rng, ("float", "rational", "binary", "tie")[k % 4],
+                          sorted(g.edge_ids))
+        terminals = sorted(rng.sample(range(g.n), rng.randint(3, g.n)))
+        r = rng.randint(1, 3)
+        pairs = {(a, b): r for a in terminals for b in terminals if a < b}
+        for _ in range(3):
+            pair = tuple(sorted(rng.sample(range(g.n), 2)))
+            pairs.setdefault(pair, 0)
+        chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
+        flows_run.clear()
+        rows = separation(g, x, pairs, chosen)
+        assert all(cutoff is not None for cutoff in flows_run)
+        ran += len(flows_run)
+        asked += sum(1 for need in pairs.values() if need > 0)
+        assert rows == reference_separation(g, x, pairs, chosen)
+        found += len(rows) > 1
+    # a flow for every pair with a requirement would run `asked` times
+    assert ran < asked
+    assert found >= 10
 
 
 def test_unit_requirement_reduces_to_a_shortest_path():

@@ -19,11 +19,12 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 
 
 def static_oracle(rows):
+    """The first row of `rows` violated at x, as a batch of one, or no row."""
     def oracle(x):
         for r in rows:
             if sum(x[e] for e in r.edge_ids) < r.rhs:
-                return r
-        return None
+                return [r]
+        return []
     return oracle
 
 
@@ -77,7 +78,7 @@ def test_infeasible_row_detected():
 
 def test_lp_without_variables():
     # the float tableau over no columns solves at once: objective 0
-    sol = solve_cut_lp({}, lambda x: None)
+    sol = solve_cut_lp({}, lambda x: [])
     assert (sol.x, sol.objective, sol.rows) == ({}, 0, ())
     # a row over no edges cannot be met once it asks for anything
     for rhs in (1, 2):
@@ -87,7 +88,7 @@ def test_lp_without_variables():
 
 def test_oracle_must_name_known_edges():
     def oracle(x):
-        return CutRow(frozenset({99}), Fraction(1))
+        return [CutRow(frozenset({99}), Fraction(1))]
     with pytest.raises(OracleContractError):
         solve_cut_lp({0: Fraction(1)}, oracle)
 
@@ -95,9 +96,71 @@ def test_oracle_must_name_known_edges():
 def test_oracle_must_return_violated_rows():
     # claims a violation that the current point already satisfies
     def oracle(x):
-        return CutRow(frozenset({0}), Fraction(0))
+        return [CutRow(frozenset({0}), Fraction(0))]
     with pytest.raises(OracleContractError):
         solve_cut_lp({0: Fraction(1)}, oracle)
+
+
+def test_every_row_of_a_batch_joins_before_the_next_solve():
+    # the three rows come in one call at x = 0; the float vertex after them
+    # meets all three, and so does the exact one
+    rows = [
+        CutRow(frozenset({0, 1}), Fraction(1)),
+        CutRow(frozenset({1, 2}), Fraction(1)),
+        CutRow(frozenset({0, 2}), Fraction(1)),
+    ]
+    points = []
+
+    def oracle(x):
+        points.append(dict(x))
+        return [r for r in rows if sum(x[e] for e in r.edge_ids) < r.rhs]
+
+    sol = solve_cut_lp({i: Fraction(1) for i in range(3)}, oracle)
+    assert sol.rows == tuple(rows)
+    assert sol.objective == Fraction(3, 2)
+    assert len(points) == 3 and points[0] == {0: 0, 1: 0, 2: 0}
+
+
+def test_known_rows_at_the_exact_vertex_break_the_contract():
+    # the row is new at x = 0, silent at the float vertex and given again
+    # at the exact one, which already meets it
+    row = CutRow(frozenset({0, 1}), Fraction(1))
+    answers = iter([[row], [], [row]])
+    with pytest.raises(OracleContractError):
+        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, lambda x: next(answers))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_rows_as_one_block_or_blocks_of_one_reach_one_vertex(exact):
+    # Each problem is solved twice on a live tableau, its rows in two
+    # halves with a solve after each: once each half as one block, once
+    # row by row.  The bases, and the vertices they certify, must agree.
+    from flexconn import lp
+
+    fractional = 0
+    for seed in range(40):
+        ids, costs, rows = _thirds_problem(random.Random(seed))
+        cvec = [costs[i] for i in ids]
+        active = [
+            (tuple(sorted(r.edge_ids)), len(r.edge_ids) - r.rhs) for r in rows
+        ]
+        halves = [active[:len(active) // 2], active[len(active) // 2:]]
+
+        def solve_in(blocks_of_each_half):
+            tableau = lp._DualTableau(len(ids), cvec, exact=exact)
+            for blocks in blocks_of_each_half:
+                for block in blocks:
+                    tableau.add_rows(block)
+                _, basis, upper = tableau.solve()
+            return basis, upper
+
+        basis, upper = solve_in([[half] for half in halves])
+        assert solve_in([[[row] for row in half] for half in halves]) == (basis, upper)
+        assert_basis_contract(len(ids), len(active), basis, upper)
+        y = lp._primal_from_basis(len(ids), active, basis, upper)
+        assert y is not None and lp._dual_certifies(len(ids), active, cvec, basis, upper)
+        fractional += any(v.denominator > 1 for v in y)
+    assert fractional > 10
 
 
 def test_row_budget_enforced():
@@ -341,8 +404,8 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
                 gap = r.rhs - sum(x[e] for e in r.edge_ids)
                 if gap > 0:
                     barely_violated += gap < Fraction(1, 10**7)
-                    return r
-            return None
+                    return [r]
+            return []
 
         sol = solve_cut_lp(costs, oracle)
         assert sol.objective == first.objective
