@@ -83,7 +83,6 @@ from .lp import CutRow, FractionalSolution, solve_cut_lp
 from .ncfgc import (
     NcFgcInstance,
     NcSolveResult,
-    RootedQConnInstance,
     q_connectivity,
     reduce_by_inflation,
     rooted_q_flow,

@@ -265,23 +265,22 @@ class CutCharViolation:
     total_crossing: int
 
 
-def check_cut_characterization(
-    inst: FgcInstance,
-    edge_ids,
-    *,
-    node_guard: int = 20,
-) -> Verdict:
+CUT_NODE_GUARD = 20
+
+
+def check_cut_characterization(inst: FgcInstance, edge_ids) -> Verdict:
     """Check feasibility through cuts instead of failure sets.
 
     F is feasible iff every cut separating a pair (i, j) carries at least
     p_ij safe edges of F or at least p_ij + q_ij edges of F in total.  Each
     cut is enumerated once as its side avoiding node 0; the verdict names the
-    first weak cut found.
+    first weak cut found.  A graph of more than `CUT_NODE_GUARD` nodes, with
+    2**20 - 1 sides or more to try, raises GuardExceededError.
     """
     g = inst.graph
     chosen = g.subset(edge_ids)
-    if g.n > node_guard:
-        raise GuardExceededError(f"{g.n} nodes, cut guard is {node_guard}")
+    if g.n > CUT_NODE_GUARD:
+        raise GuardExceededError(f"{g.n} nodes, cut guard is {CUT_NODE_GUARD}")
     active = inst.active_pairs()
     others = list(range(1, g.n))
     for bits in range(1, 1 << len(others)):

@@ -12,9 +12,13 @@ p within F.
 The solver picks a safe root and directs every edge both ways by arc id,
 on the graph itself: arcs 2*eid and 2*eid + 1 are edge eid's two
 directions, so arc a belongs to edge a >> 1 (see `arc`).  It finds a
-minimum-cost arc set giving the root p units of q-flow to every other node
-as the optimal vertex of one cut LP, which is integral for this rooted
-problem (see `solve_rooted_qconn`).  Taking both arcs of an optimal
+minimum-cost arc set giving the root p units of q-flow to every other node,
+under the instance's own node caps, as the optimal vertex of one cut LP,
+which is integral for this rooted problem (see `solve_rooted_qconn`).  Its
+feasibility pre-check and the closing check of the edges it returns both
+ask the instance's cached split-node network, opened to the edges at hand
+by `Network.within`; separation builds one network per call over the LP's
+arc values.  Taking both arcs of an optimal
 undirected solution is always rooted-feasible, and the underlying edges of a
 rooted solution are feasible for the instance, so the edge set returned
 costs at most twice the undirected optimum.
@@ -42,7 +46,8 @@ from .errors import (
 )
 from .flows import Network, integral, smallest_failing_set, unit_network
 from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
-from .graphs import MultiGraph, Verdict, check_count, check_node, inflate_safe_nodes
+from .graphs import InflationResult, MultiGraph, Verdict, check_count, check_node
+from .graphs import inflate_safe_nodes
 from .lp import CutRow, solve_cut_lp
 
 
@@ -196,28 +201,13 @@ def verify_ncfgc(
     return Verdict(hit_e or hit_q)
 
 
-@dataclass(frozen=True)
-class InflationReduction:
-    """Same problem with every node failure-prone.
-
-    Each safe node becomes a clique of single-use nodes, one per incident
-    edge, joined by free safe edges; pairwise q-connectivity is unchanged
-    when nodes are looked up through node_map.
-    """
-
-    instance: NcFgcInstance
-    node_map: dict[int, int]
-    node_images: dict[int, tuple[int, ...]]
-    attach_map: dict[int, tuple[int, int]]
-
-
-def reduce_by_inflation(inst: NcFgcInstance) -> InflationReduction:
+def reduce_by_inflation(inst: NcFgcInstance) -> tuple[NcFgcInstance, InflationResult]:
+    """Same problem with every node failure-prone: each safe node becomes a
+    clique of single-use nodes, one per incident edge, joined by free safe
+    edges (see `inflate_safe_nodes`).  Pairwise q-connectivity is unchanged
+    when each node v is read as its first image, node_images[v][0]."""
     inflated = inflate_safe_nodes(inst.graph, inst.safe_nodes)
-    node_map = {v: images[0] for v, images in inflated.node_images.items()}
-    reduced = NcFgcInstance(inflated.graph, frozenset(), inst.requirement)
-    return InflationReduction(
-        reduced, node_map, dict(inflated.node_images), dict(inflated.attach_map)
-    )
+    return NcFgcInstance(inflated.graph, frozenset(), inst.requirement), inflated
 
 
 def arc(g: MultiGraph, aid: int) -> tuple[int, int, Fraction]:
@@ -250,41 +240,25 @@ def rooted_q_flow(
     return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
-@dataclass(frozen=True)
-class RootedQConnInstance:
-    """Buy arcs of `graph` directed both ways (arc ids as in `arc`) so the
-    root can push `requirement` units of q-flow to every other node."""
-
-    graph: MultiGraph
-    root: int
-    caps: dict[int, int | None]
-    requirement: int
-
-    def __post_init__(self):
-        check_node(self.root, self.graph.n, "root")
-        check_count(self.requirement, "requirement")
-        for v, cap in self.caps.items():
-            check_node(v, self.graph.n, f"cap for node {v}")
-            if cap is not None:
-                check_count(cap, f"cap of node {v}")
-
-
-def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
+def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
     """Most violated rooted cut over all sinks; ties go to the smaller sink.
 
-    One split-node network serves every sink; its arc values x and node
-    caps are scaled to ints by the common denominator of x, which keeps the
-    flows exact.
+    One split-node network serves every sink; its arc values x and the
+    node caps of `node_caps` are scaled to ints by the common denominator
+    of x, which keeps the flows exact.  A safe node's arc is unlimited,
+    more than all arcs out of the root carry, so no min cut crosses it: the
+    wall, the nodes whose arc the cut crosses, is unsafe, and the rhs is
+    p - |wall|.
     """
     g = inst.graph
     ids = _both_arcs(g.edge_ids)
     scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
-    caps = {v: None if c is None else c * scale for v, c in inst.caps.items()}
+    caps = {v: None if c is None else c * scale for v, c in inst.node_caps().items()}
     net = _split_network(g, caps, xs)
-    s = 2 * inst.root + 1
+    s = 2 * root + 1
     best = None
     for t in range(g.n):
-        if t == inst.root:
+        if t == root:
             continue
         viol = inst.requirement * scale - net.max_flow(s, 2 * t)
         if viol > 0 and (best is None or viol > best[0]):
@@ -296,12 +270,8 @@ def _separate_rooted(inst: RootedQConnInstance, x) -> CutRow | None:
         aid for aid in ids for u, v, _ in [arc(g, aid)]
         if 2 * u + 1 in side and 2 * v not in side
     )
-    node_cost = sum(
-        inst.caps[v]
-        for v in range(g.n)
-        if 2 * v in side and 2 * v + 1 not in side
-    )
-    return CutRow(crossing, Fraction(inst.requirement) - node_cost)
+    wall = sum(2 * v in side and 2 * v + 1 not in side for v in range(g.n))
+    return CutRow(crossing, Fraction(inst.requirement - wall))
 
 
 @dataclass(frozen=True)
@@ -310,8 +280,13 @@ class RootedSolveResult:
     cost: Fraction
 
 
-def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
-    """Exact minimum-cost arc set: one cut LP, whose optimal vertex is 0/1.
+def solve_rooted_qconn(inst: NcFgcInstance, root: int) -> RootedSolveResult:
+    """Exact minimum-cost set of arcs of the graph directed both ways (arc
+    ids as in `arc`) that gives `root` p units of q-flow to every other
+    node, under the instance's node caps: one cut LP, whose optimal vertex
+    is 0/1.  Before it, the network of `verify_ncfgc`'s flow route, opened
+    to every edge, must give each sink p units; the first sink short
+    raises InfeasibleInstanceError.
 
     Why the vertex is integral.  Every row the oracle returns is a cut of
     the split-node network, so it holds for every arc set that gives the
@@ -321,10 +296,10 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     per biset B = (O, I), I a nonempty subset of O and the root outside O:
     the sink side of the cut holds the out halves of O and the in halves of
     I, and the row reads x(arcs from outside O into I) >= p - sum of caps
-    over the wall O - I, the nodes whose node arc is cut.  A safe node has
-    cap p in `solve_p_ncfgc`, so a wall holding one makes the row trivial;
-    the nontrivial rows have walls of unsafe nodes only, with rhs
-    p - |wall|.  |wall| = |O| - |I| is modular on bisets, and the bisets
+    over the wall O - I, the nodes whose node arc is cut.  A safe node is
+    unlimited, so a wall holding one makes the row trivial; the nontrivial
+    rows have walls of unsafe nodes only, with rhs p - |wall|.
+    |wall| = |O| - |I| is modular on bisets, and the bisets
     that avoid the root form a crossing family, so the rows are a
     crossing-supermodular biset cover.  Frank's biset form of the
     Edmonds-Giles theorem (Discrete Appl. Math. 157, 2009, Thm 4.4) makes
@@ -342,19 +317,21 @@ def solve_rooted_qconn(inst: RootedQConnInstance) -> RootedSolveResult:
     """
     g = inst.graph
     p = inst.requirement
-    sinks = [t for t in range(g.n) if t != inst.root]
-    ids = _both_arcs(g.edge_ids)
-    net = _split_network(g, inst.caps, dict.fromkeys(ids, 1))
-    for t in sinks:
-        flow = net.max_flow(2 * inst.root + 1, 2 * t, cutoff=p)
+    check_node(root, g.n, "root")
+    net = inst._flow_route.within(g.edge_ids)
+    for t in range(g.n):
+        if t == root:
+            continue
+        flow = net.max_flow(2 * root + 1, 2 * t, cutoff=p)
         if flow < p:
             raise InfeasibleInstanceError(
                 f"the full arc set gives the root only {flow} units toward {t}",
-                pair=(inst.root, t),
+                pair=(root, t),
             )
-    costs = {aid: arc(g, aid)[2] for aid in ids}
+    costs = {aid: arc(g, aid)[2] for aid in _both_arcs(g.edge_ids)}
     sol = solve_cut_lp(
-        costs, lambda x: [] if (cut := _separate_rooted(inst, x)) is None else [cut],
+        costs,
+        lambda x: [] if (cut := _separate_rooted(inst, root, x)) is None else [cut],
         max_rows=4000,
     )
     fractional = sol.fractional_ids()
@@ -395,9 +372,7 @@ def solve_p_ncfgc(inst: NcFgcInstance) -> NcSolveResult:
             "a node that never fails is needed as the root"
         )
     root = min(inst.safe_nodes)
-    caps = {v: p if v in inst.safe_nodes else 1 for v in range(g.n)}
-    rooted = RootedQConnInstance(g, root, caps, p)
-    result = solve_rooted_qconn(rooted)
+    result = solve_rooted_qconn(inst, root)
     edges = frozenset(aid >> 1 for aid in result.arcs)
     bad = verify_ncfgc(inst, edges, mode="qconn").violation
     if bad is not None:

@@ -233,15 +233,14 @@ def test_inflation_preserves_connectivity():
         g = random_multigraph(rng, cfg)
         safe = frozenset(v for v in range(g.n) if rng.random() < 0.5)
         inst = NcFgcInstance(g, safe, 1)
-        red = reduce_by_inflation(inst)
+        reduced, inflated = reduce_by_inflation(inst)
         caps = inst.node_caps()
-        red_caps = red.instance.node_caps()
+        red_caps = reduced.node_caps()
+        first = {v: images[0] for v, images in inflated.node_images.items()}
         for i in range(g.n):
             for j in range(i + 1, g.n):
                 before = q_connectivity(g, caps, i, j)
-                after = q_connectivity(
-                    red.instance.graph, red_caps, red.node_map[i], red.node_map[j]
-                )
+                after = q_connectivity(reduced.graph, red_caps, first[i], first[j])
                 assert before == after, f"pair ({i}, {j}): {before} != {after}"
                 pairs_checked += 1
     _report(

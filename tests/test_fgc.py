@@ -328,8 +328,9 @@ def test_cut_characterization_hand_case_and_guard():
     v = report.violation
     assert v.side == frozenset({2})
     assert (v.safe_crossing, v.total_crossing) == (0, 1)
-    with pytest.raises(GuardExceededError):
-        check_cut_characterization(inst, g.edge_ids, node_guard=2)
+    path = MultiGraph.build(21, [(v, v + 1, Fraction(1), False) for v in range(20)])
+    with pytest.raises(GuardExceededError, match="^21 nodes, cut guard is 20$"):
+        check_cut_characterization(FgcInstance(path, {(0, 20): (1, 1)}), path.edge_ids)
 
 
 @given(multigraphs(max_nodes=5, max_extra=3), st.data())

@@ -91,6 +91,26 @@ def test_exact_tree_shaves_a_free_pendant():
     assert steiner_tree_exact(g, {0, 2}) == frozenset({1, 2})
 
 
+def test_exact_tree_shaves_a_free_pendant_path_leaf_by_leaf():
+    # the free path 2-3-4 wins the tie; shaving leaf 4 makes 3 a leaf in
+    # turn, and leaf 2, queued first, has lost its edge by the time it is asked
+    g = MultiGraph.build(5, [
+        (2, 3, Fraction(0), True),
+        (3, 4, Fraction(0), True),
+        (0, 1, Fraction(1), True),
+    ])
+    connects = lambda s: g.connects({0, 1}, s)
+    assert minimum_cost_subset(g.edge_ids, {0: 0, 1: 0, 2: 1}, connects).edges == {0, 1, 2}
+    assert steiner_tree_exact(g, {0, 1}) == frozenset({2})
+    # hung from terminal 1, the free path 1-2-3 goes only through the cascade
+    g = MultiGraph.build(4, [
+        (1, 2, Fraction(0), True),
+        (2, 3, Fraction(0), True),
+        (0, 1, Fraction(1), True),
+    ])
+    assert steiner_tree_exact(g, {0, 1}) == frozenset({2})
+
+
 def test_verify_reports_the_failing_mode():
     g = MultiGraph.build(3, [
         (0, 1, Fraction(1), True),

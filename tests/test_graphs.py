@@ -13,12 +13,12 @@ from flexconn import (
     FstInstance,
     MultiGraph,
     NcFgcInstance,
-    RootedQConnInstance,
     SndpInstance,
     UnknownEdgeError,
     ValidationError,
     contract_edges,
     inflate_safe_nodes,
+    solve_rooted_qconn,
     split_parallel,
     steiner_tree_approx,
     steiner_tree_exact,
@@ -84,15 +84,15 @@ UNIT_CAPS = {0: 1, 1: 1, 2: 1}
     (lambda g: FgcInstance(g, {(1, 2): (1, False)}), r"q for pair \(1, 2\)"),
     (lambda g: NcFgcInstance(g, {0}, 1.5), "requirement"),
     (lambda g: NcFgcInstance(g, {0}, True), "requirement"),
+    (lambda g: NcFgcInstance(g, {0}, Fraction(1, 2)), "requirement"),
+    (lambda g: NcFgcInstance(g, {0}, -1), "requirement"),
     (lambda g: CapNdpInstance(g, UNIT_CAPS, {(0, 1): 0.5}), r"demand for pair \(0, 1\)"),
     (lambda g: CapNdpInstance(g, {**UNIT_CAPS, 2: True}, {}), "capacity of edge 2"),
-    (lambda g: RootedQConnInstance(g, 0, UNIT_CAPS, Fraction(1, 2)), "requirement"),
-    (lambda g: RootedQConnInstance(g, 0, {0: None, 1: -1, 2: 1}, 1), "cap of node 1"),
-    (lambda g: RootedQConnInstance(g, 0, {0: None, 1: 1, 2: 1.0}, 1), "cap of node 2"),
+    (lambda g: CapNdpInstance(g, {**UNIT_CAPS, 1: -1}, {}), "capacity of edge 1"),
 ])
 def test_counts_must_be_integers(build, named):
-    """Requirements, demands and caps are ints >= 0: a fraction, a bool or a
-    negative value is refused when the instance is built."""
+    """Requirements, demands and capacities are ints >= 0: a fraction, a bool
+    or a negative value is refused when the instance is built."""
     with pytest.raises(ValidationError, match=f"{named} must be an integer >= 0"):
         build(triangle())
 
@@ -106,8 +106,8 @@ def test_counts_must_be_integers(build, named):
     (lambda g: inflate_safe_nodes(g, {3}), "safe node 3 out of range"),
     (lambda g: FstInstance(g, {0, 4}), "terminal 4 out of range"),
     (lambda g: steiner_tree_approx(g, [0, 4]), "terminal 4 out of range"),
-    (lambda g: RootedQConnInstance(g, 3, UNIT_CAPS, 1), "root out of range"),
-    (lambda g: RootedQConnInstance(g, 0, {**UNIT_CAPS, 3: 1}, 1), "cap for node 3 out of range"),
+    (lambda g: solve_rooted_qconn(NcFgcInstance(g, {0}, 1), 3), "root out of range"),
+    (lambda g: solve_rooted_qconn(NcFgcInstance(g, {0}, 1), -1), "root out of range"),
     # a non-int or a bool is no node id
     (lambda g: MultiGraph.build(3, [(0, 0.5, 1, True)]), "edge 0 endpoint out of range"),
     (lambda g: MultiGraph.build(3, [(True, 2, 1, True)]), "edge 0 endpoint out of range"),
@@ -118,12 +118,13 @@ def test_counts_must_be_integers(build, named):
     (lambda g: FstInstance(g, {True, 2}), "terminal True out of range"),
     (lambda g: steiner_tree_approx(g, [0, "a"]), "terminal a out of range"),
     (lambda g: steiner_tree_exact(g, [0, "a"]), "terminal a out of range"),
-    (lambda g: RootedQConnInstance(g, 0.5, UNIT_CAPS, 1), "root out of range"),
-    (lambda g: RootedQConnInstance(g, 0, {**UNIT_CAPS, 0.5: 1}, 1), "cap for node 0.5 out of range"),
+    (lambda g: solve_rooted_qconn(NcFgcInstance(g, {0}, 1), 0.5), "root out of range"),
+    (lambda g: solve_rooted_qconn(NcFgcInstance(g, {0}, 1), True), "root out of range"),
 ])
 def test_node_ids_are_ints_in_range(build, text):
-    """Every node id an instance names is an int in 0..n-1, checked by
-    `check_node` when the instance is built."""
+    """Every node id an instance or a solver call names is an int in
+    0..n-1, checked by `check_node` when the instance is built or the call
+    is made."""
     with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         build(triangle())
 

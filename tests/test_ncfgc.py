@@ -15,7 +15,6 @@ from flexconn import (
     InvalidQueryError,
     MultiGraph,
     NcFgcInstance,
-    RootedQConnInstance,
     SolverError,
     UnsupportedInstanceError,
     ValidationError,
@@ -354,12 +353,12 @@ def test_inflation_structure():
         (1, 2, Fraction(2), True),
         (0, 2, Fraction(3), True),
     ])
-    red = reduce_by_inflation(NcFgcInstance(g, {0, 1}, 2))
-    assert red.instance.safe_nodes == frozenset()
-    assert red.instance.requirement == 2
-    ig = red.instance.graph
-    for v, images in red.node_images.items():
-        assert red.node_map[v] == images[0]
+    reduced, inflated = reduce_by_inflation(NcFgcInstance(g, {0, 1}, 2))
+    assert reduced.safe_nodes == frozenset()
+    assert reduced.requirement == 2
+    ig = reduced.graph
+    assert ig is inflated.graph
+    assert inflated.node_images == {0: (0, 1), 1: (2, 3), 2: (4,)}
     top = max(e.eid for e in g.edges)
     for e in ig.edges:
         if e.eid > top:
@@ -370,10 +369,10 @@ def test_inflation_structure():
 
 def test_inflation_without_safe_nodes_is_the_identity():
     g = double_path()
-    red = reduce_by_inflation(NcFgcInstance(g, set(), 2))
-    ig = red.instance.graph
+    reduced, inflated = reduce_by_inflation(NcFgcInstance(g, set(), 2))
+    ig = reduced.graph
     assert ig.n == g.n
-    assert red.node_map == {v: v for v in range(g.n)}
+    assert inflated.node_images == {v: (v,) for v in range(g.n)}
     assert [(e.eid, e.u, e.v, e.cost, e.safe) for e in ig.edges] == [
         (e.eid, e.u, e.v, e.cost, e.safe) for e in g.edges
     ]
@@ -383,15 +382,14 @@ def test_inflation_without_safe_nodes_is_the_identity():
 def test_inflation_preserves_q_connectivity(g, data):
     safe = frozenset(data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n)))
     inst = NcFgcInstance(g, safe, 1)
-    red = reduce_by_inflation(inst)
+    reduced, inflated = reduce_by_inflation(inst)
     caps = inst.node_caps()
-    red_caps = red.instance.node_caps()
+    red_caps = reduced.node_caps()
+    first = {v: images[0] for v, images in inflated.node_images.items()}
     for i in range(g.n):
         for j in range(i + 1, g.n):
             lam = q_connectivity(g, caps, i, j)
-            image = q_connectivity(
-                red.instance.graph, red_caps, red.node_map[i], red.node_map[j]
-            )
+            image = q_connectivity(reduced.graph, red_caps, first[i], first[j])
             assert lam == image
 
 
@@ -400,29 +398,31 @@ def test_rooted_parallel_pair_buys_both_forward_arcs():
         (0, 1, Fraction(1), True),
         (0, 1, Fraction(2), True),
     ])
-    res = solve_rooted_qconn(RootedQConnInstance(g, 0, {0: 2, 1: 2}, 2))
+    res = solve_rooted_qconn(NcFgcInstance(g, {0, 1}, 2), 0)
     assert res.arcs == frozenset({0, 2})
     assert all(arc(g, a)[0] == 0 for a in res.arcs)
     assert res.cost == 3
 
 
-def test_rooted_instance_rejects_caps_outside_the_graph():
-    g = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
-    for v in (9, 3, -1):
-        with pytest.raises(ValidationError, match=f"cap for node {v} out of range"):
-            RootedQConnInstance(g, 0, {v: 1}, 1)
-    assert RootedQConnInstance(g, 0, {2: 1}, 1).caps == {2: 1}
-    for root in (3, -1):
-        with pytest.raises(ValidationError, match="root out of range"):
-            RootedQConnInstance(g, root, {}, 1)
+def test_rooted_solver_checks_the_root_before_the_flows():
+    # node 2 is cut off, so every root in range fails the pre-check; a root
+    # out of range (-1 would index the last node's arcs) is refused first
+    g = MultiGraph.build(3, [(0, 1, Fraction(1), True)])
+    inst = NcFgcInstance(g, {0}, 1)
+    for root in (9, 3, -1, True, 0.5):
+        with pytest.raises(ValidationError, match="^root out of range$"):
+            solve_rooted_qconn(inst, root)
+    with pytest.raises(InfeasibleInstanceError) as info:
+        solve_rooted_qconn(inst, 0)
+    assert info.value.pair == (0, 2)
 
 
 def test_rooted_solver_buys_nothing_when_nothing_is_asked():
     nothing = RootedSolveResult(frozenset(), Fraction(0))
-    asks_zero = RootedQConnInstance(double_path(), 0, {0: 2, 1: 1, 2: 1}, 0)
-    assert solve_rooted_qconn(asks_zero) == nothing
+    asks_zero = NcFgcInstance(double_path(), {0}, 0)
+    assert solve_rooted_qconn(asks_zero, 0) == nothing
     lone = MultiGraph.build(1, [])
-    assert solve_rooted_qconn(RootedQConnInstance(lone, 0, {}, 2)) == nothing
+    assert solve_rooted_qconn(NcFgcInstance(lone, {0}, 2), 0) == nothing
 
 
 def test_rooted_solver_matches_brute_force():
@@ -435,25 +435,26 @@ def test_rooted_solver_matches_brute_force():
         ) or frozenset({0})
         p = rng.choice([1, 2, 3])
         root = min(safe)
-        caps = {v: p if v in safe else 1 for v in range(g.n)}
-        inst = RootedQConnInstance(g, root, caps, p)
-        if not rooted_feasible(inst, all_arcs(g)):
+        inst = NcFgcInstance(g, safe, p)
+        if not rooted_feasible(inst, root, all_arcs(g)):
             with pytest.raises(InfeasibleInstanceError):
-                solve_rooted_qconn(inst)
+                solve_rooted_qconn(inst, root)
             continue
-        assert_rooted_optimal(inst)
+        assert_rooted_optimal(inst, root)
 
 
 @given(multigraphs(), st.data())
 def test_rooted_infeasibility_names_the_first_short_sink(g, data):
     root = data.draw(st.integers(0, g.n - 1))
-    caps = {v: data.draw(st.sampled_from([None, 0, 1, 2])) for v in range(g.n)}
-    p = data.draw(st.integers(1, 3))
+    safe = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
+    inst = NcFgcInstance(g, safe, data.draw(st.integers(1, 3)))
+    p = inst.requirement
+    caps = inst.node_caps()
     flows = {t: rooted_q_flow(g, caps, root, t) for t in range(g.n) if t != root}
     short = [t for t, flow in flows.items() if flow < p]
     assume(short)
     with pytest.raises(InfeasibleInstanceError) as info:
-        solve_rooted_qconn(RootedQConnInstance(g, root, caps, p))
+        solve_rooted_qconn(inst, root)
     t = short[0]
     assert info.value.pair == (root, t)
     assert str(info.value) == (
@@ -461,25 +462,26 @@ def test_rooted_infeasibility_names_the_first_short_sink(g, data):
     )
 
 
-def rooted_feasible(inst, arcs):
+def rooted_feasible(inst, root, arcs):
     p = inst.requirement
+    caps = inst.node_caps()
     return all(
-        rooted_q_flow(inst.graph, inst.caps, inst.root, t, arcs, cutoff=p) >= p
+        rooted_q_flow(inst.graph, caps, root, t, arcs, cutoff=p) >= p
         for t in range(inst.graph.n)
-        if t != inst.root
+        if t != root
     )
 
 
-def assert_rooted_optimal(inst):
+def assert_rooted_optimal(inst, root):
     """solve_rooted_qconn buys a feasible arc set of the brute-force optimum."""
     g = inst.graph
-    res = solve_rooted_qconn(inst)
+    res = solve_rooted_qconn(inst, root)
     costs = {aid: g.edge(aid >> 1).cost for aid in all_arcs(g)}
     opt = minimum_cost_subset(
-        all_arcs(g), costs, lambda arcs: rooted_feasible(inst, arcs)
+        all_arcs(g), costs, lambda arcs: rooted_feasible(inst, root, arcs)
     )
     assert opt.feasible and res.cost == opt.cost
-    assert res.arcs <= all_arcs(g) and rooted_feasible(inst, res.arcs)
+    assert res.arcs <= all_arcs(g) and rooted_feasible(inst, root, res.arcs)
     return res
 
 
@@ -495,7 +497,7 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
     monkeypatch.setattr(ncfgc, "solve_cut_lp", half_vertex)
     g = double_path()
     with pytest.raises(SolverError, match="fractional"):
-        solve_rooted_qconn(RootedQConnInstance(g, 1, {0: 1, 1: 1, 2: 1}, 1))
+        solve_rooted_qconn(NcFgcInstance(g, set(), 1), 1)
     instance = tmp_path / "double-path.instance"
     instance.write_text(
         "flexconn-instance v1\nkind ncfgc\nnodes 3\n"
@@ -509,10 +511,11 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
     assert captured.err.startswith("internal error: rooted cut LP vertex is fractional")
 
 
-def reference_separate_rooted(inst, x):
+def reference_separate_rooted(inst, root, x):
     """Rooted separation on Fraction capacities with a new network per sink;
     the root, the sink and uncapped nodes get infinite node arcs."""
     g = inst.graph
+    caps = inst.node_caps()
     p = Fraction(inst.requirement)
     arcs = sorted(
         (aid, tail, head)
@@ -521,28 +524,28 @@ def reference_separate_rooted(inst, x):
     )
     best = None
     for t in range(g.n):
-        if t == inst.root:
+        if t == root:
             continue
         net = Network(2 * g.n)
         for v in range(g.n):
-            cap = inst.caps.get(v)
-            if cap is None or v in (inst.root, t):
+            cap = caps[v]
+            if cap is None or v in (root, t):
                 cap = math.inf
             net.add_pair(2 * v, 2 * v + 1, cap, 0)
         for aid, tail, head in arcs:
             net.add_pair(2 * tail + 1, 2 * head, x.get(aid, Fraction(0)), 0)
-        viol = p - net.max_flow(2 * inst.root + 1, 2 * t)
+        viol = p - net.max_flow(2 * root + 1, 2 * t)
         if viol <= 0:
             continue
         if best is None or viol > best[0]:
-            side = net.reachable_from(2 * inst.root + 1)
+            side = net.reachable_from(2 * root + 1)
             crossing = frozenset(
                 aid
                 for aid, tail, head in arcs
                 if 2 * tail + 1 in side and 2 * head not in side
             )
             node_cost = sum(
-                inst.caps[v] or 0
+                caps[v] or 0
                 for v in range(g.n)
                 if 2 * v in side and 2 * v + 1 not in side
             )
@@ -564,11 +567,11 @@ def test_rooted_separation_matches_fraction_reference(style):
             g = random_multigraph(rng, cfg)
         p = rng.randint(1, 3)
         safe = {v for v in range(g.n) if rng.random() < 0.4} | {0}
-        caps = {v: (None if k % 3 == 0 else p) if v in safe else 1 for v in range(g.n)}
-        inst = RootedQConnInstance(g, rng.choice(sorted(safe)), caps, p)
+        inst = NcFgcInstance(g, safe, p)
+        root = rng.choice(sorted(safe))
         x = cut_lp_values(rng, style, sorted(all_arcs(g)))
-        row = _separate_rooted(inst, x)
-        assert row == reference_separate_rooted(inst, x)
+        row = _separate_rooted(inst, root, x)
+        assert row == reference_separate_rooted(inst, root, x)
         found += row is not None
     assert found >= 20
 
@@ -655,7 +658,7 @@ def test_edge_ids_need_not_be_dense():
     ]), [5, 9, 12])
     res = solve_p_ncfgc(NcFgcInstance(g, {0}, 1))
     assert res.edges == frozenset({5, 9}) and res.cost == 3
-    rooted = assert_rooted_optimal(RootedQConnInstance(g, 0, {0: 1, 1: 1, 2: 1}, 1))
+    rooted = assert_rooted_optimal(NcFgcInstance(g, set(), 1), 0)
     # 0 -> 1 on edge 5, then 1 -> 2 on edge 9
     assert rooted.arcs == frozenset({10, 18})
 
@@ -679,6 +682,5 @@ def test_edge_ids_need_not_be_dense():
         assert res.cost == g.cost(res.edges) == base.cost
         opt = exact_opt(NcFgcInstance(g, safe, p))
         assert res.cost <= 2 * opt.cost
-        caps = {v: p if v in safe else 1 for v in range(g.n)}
-        assert_rooted_optimal(RootedQConnInstance(g, min(safe), caps, p))
+        assert_rooted_optimal(NcFgcInstance(g, safe, p), min(safe))
     assert solved >= 10
