@@ -16,7 +16,7 @@ from pathlib import Path
 
 from flexconn.cli import main as cli_main
 from flexconn.generators import gen_instance
-from flexconn.instance_io import InstanceDoc, kind_of, render_instance
+from flexconn.instance_io import InstanceDoc, render_instance
 
 CORPUS = [
     ("fgc-q1", 0),
@@ -37,7 +37,7 @@ def main() -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     for kind, seed in CORPUS:
         instance = gen_instance(kind, seed)
-        doc = InstanceDoc(kind_of(instance), instance)
+        doc = InstanceDoc(instance)
         path = out_dir / f"{kind}-{seed}.instance"
         path.write_text(render_instance(doc))
         print(path)

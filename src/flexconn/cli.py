@@ -30,7 +30,6 @@ from .instance_io import (
     InstanceDoc,
     SolutionDoc,
     canonical_int,
-    kind_of,
     read_instance,
     read_solution,
     render_instance,
@@ -155,7 +154,7 @@ def cmd_gen(args) -> int:
     for i in range(args.count):
         seed = args.seed + i
         instance = gen_instance(args.kind, seed)
-        doc = InstanceDoc(kind_of(instance), instance)
+        doc = InstanceDoc(instance)
         path = out_dir / f"{args.kind}-{seed}.instance"
         path.write_text(render_instance(doc))
         print(path)
@@ -178,10 +177,8 @@ def cmd_ratio_report(args) -> int:
     by_name = dict(instances)
     for entry in report.entries:
         if not entry.within:
-            inst = by_name[entry.name]
             print(f"counterexample {entry.name}:", file=sys.stderr)
-            doc = InstanceDoc(kind_of(inst), inst)
-            sys.stderr.write(render_instance(doc))
+            sys.stderr.write(render_instance(InstanceDoc(by_name[entry.name])))
     return EX_RATIO
 
 
@@ -274,6 +271,10 @@ def main(argv=None) -> int:
     except FlexconnError as exc:
         # Every other library error is a failure inside the solver stack.
         print(f"internal error: {exc}", file=sys.stderr)
+        return EX_SOFTWARE
+    except Exception as exc:
+        # A crash is no finding: exit 1 is a ratio past its bound.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EX_SOFTWARE
 
 

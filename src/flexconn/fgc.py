@@ -218,12 +218,7 @@ class _FgcUnit:
         self.pairs = inst.active_pairs()
 
 
-def verify_fgc(
-    inst: FgcInstance,
-    edge_ids,
-    *,
-    subset_guard: int = 10**6,
-) -> Verdict:
+def verify_fgc(inst: FgcInstance, edge_ids) -> Verdict:
     """Check feasibility against the definition; the verdict names the first
     pair, in sorted order, that some failure set breaks.  The flows run on
     the instance's unit network narrowed to F by `Network.within`; each
@@ -233,8 +228,8 @@ def verify_fgc(
     clears the pair outright, while connectivity below p_ij condemns it with
     no removals at all.  Otherwise `flows.smallest_failing_set` finds the
     least failing set of at most min(q_ij, |U ∩ F|) unsafe edges of F, and
-    raises GuardExceededError when it would try more than `subset_guard`
-    edge sets for one pair.
+    raises GuardExceededError when it would try more than
+    `flows.FAILURE_SET_GUARD` edge sets for one pair.
     """
     chosen = inst.graph.subset(edge_ids)
     unit = inst._unit
@@ -249,7 +244,7 @@ def verify_fgc(
         k = min(q, len(shuts))
         if k == 0:
             continue
-        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts, subset_guard)
+        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts)
         if hit is not None:
             return Verdict(FgcViolation((i, j), *hit))
     return Verdict()

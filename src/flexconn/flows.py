@@ -167,20 +167,25 @@ class Network:
         return frozenset(seen)
 
 
-def smallest_failing_set(net: Network, s: int, t: int, need, shuts, limit: int):
+FAILURE_SET_GUARD = 10**6
+
+
+def smallest_failing_set(net: Network, s: int, t: int, need, shuts):
     """Least set R of failure elements, by (size, sorted ids), that leaves
     under need[|R|] s-t units when each x in R blocks the edges shuts[x],
     and the flow it leaves, or None.  A set that holds grows only by elements
     on its flow: with need non-increasing, a failing superset must cut it.
     Each level's sets are counted before any runs, and GuardExceededError
-    is raised once the count passes `limit`: at most `limit` flows run."""
+    is raised once the count passes `FAILURE_SET_GUARD`, read per call: at
+    most that many flows run."""
     level = [()]
     tried = 0
     for size, want in enumerate(need, 1):
         tried += len(level)
-        if tried > limit:
+        if tried > FAILURE_SET_GUARD:
             raise GuardExceededError(
-                f"pair ({s}, {t}) needs up to {tried} failure sets, guard is {limit}"
+                f"pair ({s}, {t}) needs up to {tried} failure sets, "
+                f"guard is {FAILURE_SET_GUARD}"
             )
         grown = set()
         for down in level:

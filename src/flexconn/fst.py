@@ -187,6 +187,14 @@ def steiner_tree_approx(g: MultiGraph, terminals) -> frozenset[int]:
     return _prune_to_tree(g, union_eids, set(terms))
 
 
+def _first_pair_apart(g: MultiGraph, terminals: frozenset[int]) -> tuple[int, int] | None:
+    """The first sorted pair of terminals in different components of g, as
+    `steiner_tree_approx` names it, or None when g connects them all."""
+    first = min(terminals)
+    away = terminals - next(part for part in g.components() if first in part)
+    return (first, min(away)) if away else None
+
+
 def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[int]:
     """Cheapest edge set connecting the terminals, found by exhaustive search
     and trimmed to a tree.  Only viable on small graphs."""
@@ -197,13 +205,9 @@ def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[in
         check_node(t, g.n, f"terminal {t}")
     if len(terms) <= 1:
         return frozenset()
-    # the first sorted pair apart, as steiner_tree_approx names it
-    first = min(terms)
-    away = terms - next(part for part in g.components() if first in part)
-    if away:
-        raise InfeasibleInstanceError(
-            "terminals are disconnected", pair=(first, min(away))
-        )
+    pair = _first_pair_apart(g, terms)
+    if pair is not None:
+        raise InfeasibleInstanceError("terminals are disconnected", pair=pair)
     costs = {eid: g.edge(eid).cost for eid in g.edge_ids}
     result = minimum_cost_subset(
         sorted(costs), costs, lambda s: g.connects(terms, s), budget=budget
@@ -211,19 +215,10 @@ def steiner_tree_exact(g: MultiGraph, terminals, *, budget=None) -> frozenset[in
     return _prune_to_tree(g, result.edges, terms)
 
 
-@dataclass(frozen=True)
-class SecondStageInstance:
+def build_second_stage(inst: FstInstance, stage_one_edges) -> SndpInstance:
     """Residual problem after a tree F1: safe tree edges contracted, unsafe
     tree edges free, two edge-disjoint paths wanted between terminal images
     (no pairs when the terminals contract to fewer than two nodes)."""
-
-    graph: MultiGraph
-    node_map: dict[int, int]
-    terminals: frozenset[int]
-    sndp: SndpInstance
-
-
-def build_second_stage(inst: FstInstance, stage_one_edges) -> SecondStageInstance:
     g = inst.graph
     f1 = frozenset(stage_one_edges)
     safe1 = [eid for eid in f1 if g.edge(eid).safe]
@@ -237,7 +232,7 @@ def build_second_stage(inst: FstInstance, stage_one_edges) -> SecondStageInstanc
     cg = cg.with_costs(free)
     t2 = frozenset(contraction.node_map[t] for t in inst.terminals)
     pairs = {(a, b): 2 for a in t2 for b in t2 if a < b}
-    return SecondStageInstance(cg, contraction.node_map, t2, SndpInstance(cg, pairs))
+    return SndpInstance(cg, pairs)
 
 
 @dataclass(frozen=True)
@@ -270,7 +265,9 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
     bad = verify_fst(inst, g.edge_ids).violation
     if bad is not None:
         if bad.removed is None:
-            raise InfeasibleInstanceError("terminals are disconnected")
+            raise InfeasibleInstanceError(
+                "terminals are disconnected", pair=_first_pair_apart(g, inst.terminals)
+            )
         raise InfeasibleInstanceError(
             f"unsafe edge {bad.removed} is a bridge between terminals; every "
             f"connecting set needs it"
@@ -279,7 +276,7 @@ def solve_fst(inst: FstInstance, *, stage_one: str = "approx") -> FstResult:
         f1 = steiner_tree_exact(g, inst.terminals)
     else:
         f1 = steiner_tree_approx(g, inst.terminals)
-    rounded = jain_round(build_second_stage(inst, f1).sndp)
+    rounded = jain_round(build_second_stage(inst, f1))
     edges = f1 | rounded.edges
     if not verify_fst(inst, edges).ok:
         raise SolverError("second stage left a terminal cut uncovered")

@@ -16,11 +16,14 @@ from .errors import UnknownEdgeError, ValidationError
 
 
 def as_cost(value) -> Fraction:
-    """Coerce a number or numeric string to an exact nonnegative rational cost."""
-    try:
-        cost = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"bad cost {value!r}") from exc
+    """Coerce a number or numeric string to an exact nonnegative rational
+    cost; a `Fraction` comes back as itself."""
+    cost = value
+    if type(cost) is not Fraction:
+        try:
+            cost = Fraction(value)
+        except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
+            raise ValidationError(f"bad cost {value!r}") from exc
     if cost < 0:
         raise ValidationError(f"negative cost {value!r}")
     return cost
@@ -81,34 +84,36 @@ class Edge:
 
 
 class MultiGraph:
-    """Loop-free undirected multigraph, treated as immutable after construction."""
+    """Loop-free undirected multigraph, treated as immutable after
+    construction; each edge's cost is held as `as_cost` converts it."""
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         check_count(n, "node count")
         self.n = n
-        self.edges: tuple[Edge, ...] = tuple(edges)
         self._by_id: dict[int, Edge] = {}
         self._incident: list[list[Edge]] = [[] for _ in range(n)]
-        for e in self.edges:
+        for e in edges:
             if not isinstance(e.eid, int) or isinstance(e.eid, bool):
                 raise ValidationError(f"edge id {e.eid!r} is not an integer")
             check_node(e.u, n, f"edge {e.eid} endpoint")
             check_node(e.v, n, f"edge {e.eid} endpoint")
             if e.u == e.v:
                 raise ValidationError(f"edge {e.eid} is a self-loop on node {e.u}")
-            if e.cost < 0:
-                raise ValidationError(f"edge {e.eid} has negative cost")
+            cost = as_cost(e.cost)
+            if cost is not e.cost:
+                e = Edge(e.eid, e.u, e.v, cost, e.safe)
             if e.eid in self._by_id:
                 raise ValidationError(f"duplicate edge id {e.eid}")
             self._by_id[e.eid] = e
             self._incident[e.u].append(e)
             self._incident[e.v].append(e)
+        self.edges: tuple[Edge, ...] = tuple(self._by_id.values())
 
     @classmethod
     def build(cls, n: int, rows: Iterable[tuple]) -> "MultiGraph":
         """Construct from (u, v, cost, safe) tuples; ids are assigned by position."""
         edges = tuple(
-            Edge(i, u, v, as_cost(c), bool(safe)) for i, (u, v, c, safe) in enumerate(rows)
+            Edge(i, u, v, c, bool(safe)) for i, (u, v, c, safe) in enumerate(rows)
         )
         return cls(n, edges)
 
@@ -154,7 +159,7 @@ class MultiGraph:
         """Copy of the graph with some edge costs replaced."""
         self.subset(override)
         edges = tuple(
-            Edge(e.eid, e.u, e.v, as_cost(override[e.eid]), e.safe)
+            Edge(e.eid, e.u, e.v, override[e.eid], e.safe)
             if e.eid in override
             else e
             for e in self.edges
@@ -229,7 +234,6 @@ class SplitResult:
 @dataclass(frozen=True)
 class InflationResult:
     graph: MultiGraph
-    attach_map: dict[int, tuple[int, int]]
     node_images: dict[int, tuple[int, ...]]
 
 
@@ -283,7 +287,8 @@ def inflate_safe_nodes(g: MultiGraph, safe_nodes: Iterable[int]) -> InflationRes
     Every edge incident to v re-attaches to a distinct member of v's gadget, so
     path families that were free to reuse v become plain edge-disjoint families
     in the image.  An isolated safe node degenerates to a single image node.
-    `attach_map` records the new endpoints of every original edge.
+    Every original edge keeps its id, so the image graph gives its new
+    endpoints.
     """
     safe = set(safe_nodes)
     for v in safe:
@@ -307,16 +312,14 @@ def inflate_safe_nodes(g: MultiGraph, safe_nodes: Iterable[int]) -> InflationRes
     def endpoint(v: int, eid: int) -> int:
         return slot[(v, eid)] if v in safe else node_images[v][0]
 
-    edges = []
-    attach_map: dict[int, tuple[int, int]] = {}
-    for e in g.edges:
-        nu, nv = endpoint(e.u, e.eid), endpoint(e.v, e.eid)
-        attach_map[e.eid] = (nu, nv)
-        edges.append(Edge(e.eid, nu, nv, e.cost, e.safe))
+    edges = [
+        Edge(e.eid, endpoint(e.u, e.eid), endpoint(e.v, e.eid), e.cost, e.safe)
+        for e in g.edges
+    ]
     next_eid = max((e.eid for e in g.edges), default=-1) + 1
     for v in sorted(safe):
         for a, b in itertools.combinations(node_images[v], 2):
             edges.append(Edge(next_eid, a, b, Fraction(0), True))
             next_eid += 1
-    return InflationResult(MultiGraph(next_node, tuple(edges)), attach_map, node_images)
+    return InflationResult(MultiGraph(next_node, tuple(edges)), node_images)
 

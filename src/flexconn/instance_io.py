@@ -120,14 +120,11 @@ def kind_of(instance) -> str:
 
 @dataclass(frozen=True)
 class InstanceDoc:
-    kind: str
     instance: object
 
-    def __post_init__(self):
-        if kind_of(self.instance) != self.kind:
-            raise ValidationError(
-                f"kind {self.kind!r} does not match the instance type"
-            )
+    @property
+    def kind(self) -> str:
+        return kind_of(self.instance)
 
 
 @dataclass(frozen=True)
@@ -298,12 +295,12 @@ def parse_instance(text: str) -> InstanceDoc:
         raise ParseError("missing nodes line")
     graph = MultiGraph.build(n, rows)
     if kind == "fgc":
-        return InstanceDoc(kind, FgcInstance(graph, pairs))
+        return InstanceDoc(FgcInstance(graph, pairs))
     if kind == "fst":
-        return InstanceDoc(kind, FstInstance(graph, frozenset(terminals)))
+        return InstanceDoc(FstInstance(graph, frozenset(terminals)))
     if requirement is None:
         raise ParseError("missing requirement line")
-    return InstanceDoc(kind, NcFgcInstance(graph, frozenset(safe_nodes), requirement))
+    return InstanceDoc(NcFgcInstance(graph, frozenset(safe_nodes), requirement))
 
 
 def render_instance(doc: InstanceDoc) -> str:

@@ -153,13 +153,7 @@ class _EnumerationRoute:
             self.pairs.append((i, j, pool, need))
 
 
-def verify_ncfgc(
-    inst: NcFgcInstance,
-    edge_ids,
-    *,
-    mode: str = "both",
-    subset_guard: int = 10**6,
-) -> Verdict:
+def verify_ncfgc(inst: NcFgcInstance, edge_ids, *, mode: str = "both") -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both.
     Each route runs on its own up to its first failing pair, in sorted order,
     on the instance's network narrowed to F by `Network.within`: the flow
@@ -167,7 +161,7 @@ def verify_ncfgc(
     route the unit network for the least failing unsafe-node set, by (size,
     sorted ids), each node failing as its incident edges, and
     raises GuardExceededError when its search for a pair would try more
-    than `subset_guard` node sets.  In "both" mode the two must
+    than `flows.FAILURE_SET_GUARD` node sets.  In "both" mode the two must
     fail the same pair, or none, else one is wrong and SolverError is
     raised; the verdict carries the enumeration witness.
     """
@@ -188,7 +182,7 @@ def verify_ncfgc(
         enum = inst._enumeration_route
         unit = enum.net.within(chosen)
         for i, j, pool, need in enum.pairs:
-            found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
+            found = smallest_failing_set(unit, i, j, need, pool)
             if found is not None:
                 hit_e = NcViolation((i, j), *found)
                 break

@@ -114,15 +114,19 @@ def _branch_and_bound(order, costs, predicate, budget) -> OptResult:
     # Expensive ids first so exclusion decisions are made on them early.
     order = sorted(order, key=lambda eid: (-costs[eid], eid))
     best: tuple | None = None
-
-    def descend(idx: int, chosen: frozenset[int], cost: Fraction):
-        nonlocal best
+    # Depth first with an explicit stack, so the depth is not bounded by
+    # Python's recursion limit: each node decides order[idx], leaving it out
+    # before taking it in, and the pruning test reads `best` when a node is
+    # popped, as a recursive descent would on entering it.
+    stack = [(0, frozenset(), Fraction(0))]
+    while stack:
+        idx, chosen, cost = stack.pop()
         if best is not None and cost > best[0]:
-            return
+            continue
         rest = frozenset(order[idx:])
         meter.tick()
         if not predicate(chosen | rest):
-            return
+            continue
         meter.tick()
         if predicate(chosen):
             key = (cost, tuple(sorted(chosen)))
@@ -130,14 +134,12 @@ def _branch_and_bound(order, costs, predicate, budget) -> OptResult:
                 best = key
             # A strictly positive tail cannot tie, let alone improve.
             if all(costs[eid] > 0 for eid in rest):
-                return
+                continue
         if idx == len(order):
-            return
+            continue
         eid = order[idx]
-        descend(idx + 1, chosen, cost)
-        descend(idx + 1, chosen | {eid}, cost + costs[eid])
-
-    descend(0, frozenset(), Fraction(0))
+        stack.append((idx + 1, chosen | {eid}, cost + costs[eid]))
+        stack.append((idx + 1, chosen, cost))
     if best is None:
         raise SolverError("search missed the feasible full set")
     cost, edges = best[0], frozenset(best[1])

@@ -38,7 +38,7 @@ from flexconn.generators import (
     gen_ncfgc,
     random_multigraph,
 )
-from flexconn.instance_io import InstanceDoc, kind_of, parse_instance, render_instance
+from flexconn.instance_io import InstanceDoc, parse_instance, render_instance
 from flexconn.jain import first_unmet_pair, separation
 from flexconn.lp import solve_cut_lp
 from flexconn.oracle import OracleBudget, exact_opt, ratio_report
@@ -257,7 +257,7 @@ def test_determinism_and_io():
     for path in golden:
         kind, seed = path.stem.rsplit("-", 1)
         instance = gen_instance(kind, int(seed))
-        text = render_instance(InstanceDoc(kind_of(instance), instance))
+        text = render_instance(InstanceDoc(instance))
         assert text == path.read_text(), f"{path.name} drifted"
         assert render_instance(parse_instance(text)) == text
         assert gen_instance(kind, int(seed)) == instance

@@ -1,12 +1,12 @@
 """End-to-end command line behavior, driven through main()."""
 
-import functools
 from pathlib import Path
 
 import pytest
 
 import flexconn.cli as cli
 import flexconn.errors as errors
+import flexconn.flows as flows
 import flexconn.instance_io as instance_io
 from flexconn import parse_solution, read_solution
 from flexconn.cli import main
@@ -302,16 +302,10 @@ def test_refusals_exit_3(tmp_path, capsys, monkeypatch, error):
     assert captured.err == "refused: solver stack broke\n"
 
 
-def lower_guard(monkeypatch, name, guard):
-    """Run the kind's verifier with `subset_guard=guard`."""
-    verify = getattr(instance_io, name)
-    monkeypatch.setattr(instance_io, name, functools.partial(verify, subset_guard=guard))
-
-
 def test_verify_refuses_past_the_enumeration_guard(tmp_path, capsys, monkeypatch):
     """Three unsafe parallel edges and (p, q) = (3, 2): the search would try
     the empty set and then the three single edges, one more than the guard."""
-    lower_guard(monkeypatch, "verify_fgc", 3)
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 3)
     instance = tmp_path / "guard.instance"
     instance.write_text(
         "flexconn-instance v1\nkind fgc\nnodes 2\n"
@@ -329,7 +323,7 @@ def test_verify_refuses_past_the_ncfgc_enumeration_guard(tmp_path, capsys, monke
     """Six nodes that can all fail, every edge between them and p = 3: for
     pair (0, 1) the search tries the empty set, the two nodes on its flow
     and then the one pair of them, one more set than the guard."""
-    lower_guard(monkeypatch, "verify_ncfgc", 3)
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 3)
     instance = tmp_path / "guard.instance"
     instance.write_text(
         "flexconn-instance v1\nkind ncfgc\nnodes 6\n"
@@ -392,6 +386,26 @@ def test_internal_errors_exit_70(tmp_path, capsys, monkeypatch, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: solver stack broke\n"
+
+
+def test_crashes_exit_70(tmp_path, capsys, monkeypatch):
+    """A crash is no ratio past its bound (exit 1): it exits 70 with its type."""
+    break_fgc_solver(monkeypatch, RuntimeError)
+    instance = gen_one(tmp_path, "fgc-q1")
+    capsys.readouterr()
+    assert main(["solve", str(instance)]) == cli.EX_SOFTWARE
+    assert capsys.readouterr() == ("", "internal error: RuntimeError: solver stack broke\n")
+
+
+def test_oracle_searches_deeper_than_the_recursion_limit(tmp_path, capsys):
+    instance = tmp_path / "deep.instance"
+    instance.write_text(
+        "flexconn-instance v1\nkind fgc\nnodes 2\n"
+        + "".join(f"edge 0 1 {1 + eid % 3} safe\n" for eid in range(1100))
+        + "pair 0 1 1 0\n"
+    )
+    assert main(["oracle", str(instance)]) == 0
+    assert capsys.readouterr().out == "flexconn-solution v1\nkind fgc\ncost 1\nedge 0\n"
 
 
 def test_gen_is_deterministic(tmp_path):

@@ -299,17 +299,19 @@ def test_verify_fgc_matches_full_enumeration():
     assert failures > 100 and checked - failures > 100
 
 
-def test_verify_fgc_guard():
+def test_verify_fgc_guard(monkeypatch):
     # three unsafe parallel edges, (p, q) = (3, 2): the search tries the
     # empty set, then the three single edges, 4 sets before its answer
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 3)
     g = MultiGraph.build(2, [(0, 1, Fraction(1), False) for _ in range(3)])
     inst = FgcInstance(g, {(0, 1): (3, 2)})
     with pytest.raises(
         GuardExceededError,
         match=r"^pair \(0, 1\) needs up to 4 failure sets, guard is 3$",
     ):
-        verify_fgc(inst, g.edge_ids, subset_guard=3)
-    v = verify_fgc(inst, g.edge_ids, subset_guard=4).violation
+        verify_fgc(inst, g.edge_ids)
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 4)
+    v = verify_fgc(inst, g.edge_ids).violation
     assert (v.pair, v.removed, v.connectivity) == ((0, 1), frozenset({0}), 2)
     # the guard counts the sets the search tries, not the sets that could
     # fail: one safe edge carries the pair's flow and none of the 35 unsafe
@@ -317,7 +319,8 @@ def test_verify_fgc_guard():
     g = MultiGraph.build(4, [(0, 1, Fraction(1), True)] + [
         (2, 3, Fraction(1), False) for _ in range(35)
     ])
-    assert verify_fgc(FgcInstance(g, {(0, 1): (1, 6)}), g.edge_ids, subset_guard=1).ok
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 1)
+    assert verify_fgc(FgcInstance(g, {(0, 1): (1, 6)}), g.edge_ids).ok
 
 
 def test_cut_characterization_hand_case_and_guard():

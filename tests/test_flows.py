@@ -19,6 +19,7 @@ from flexconn import (
     rooted_q_flow,
 )
 
+from flexconn import flows as flow_module
 from flexconn.flows import integral, smallest_failing_set, undirected_network, unit_network
 from flexconn.ncfgc import _both_arcs, _split_network
 
@@ -202,8 +203,9 @@ def test_within_narrows_a_split_node_network_like_one_over_f_alone(g, data):
 
 @given(multigraphs(max_nodes=6, max_extra=6), st.data())
 def test_failing_set_search_runs_at_most_limit_flows(g, data):
-    """Whatever the limit, the search refuses before a level would take it
-    past the limit, and a search it lets finish gives the unbounded answer."""
+    """Whatever `FAILURE_SET_GUARD` is, the search refuses before a level
+    would take it past the guard, and a search it lets finish gives the
+    answer under the default guard."""
     s, t = data.draw(node_pairs(g.n))
     chosen = sorted(g.edge_ids)
     net = undirected_network(g, dict.fromkeys(chosen, 1))
@@ -212,13 +214,15 @@ def test_failing_set_search_runs_at_most_limit_flows(g, data):
     flows = []
     max_flow = net.max_flow
     net.max_flow = lambda *args, **kwargs: flows.append(args) or max_flow(*args, **kwargs)
-    answer = smallest_failing_set(net, s, t, need, shuts, 10**6)
+    answer = smallest_failing_set(net, s, t, need, shuts)
     for limit in range(1, len(flows) + 1):
         flows.clear()
-        try:
-            assert smallest_failing_set(net, s, t, need, shuts, limit) == answer
-        except GuardExceededError as refusal:
-            assert str(refusal).endswith(f" failure sets, guard is {limit}")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow_module, "FAILURE_SET_GUARD", limit)
+            try:
+                assert smallest_failing_set(net, s, t, need, shuts) == answer
+            except GuardExceededError as refusal:
+                assert str(refusal).endswith(f" failure sets, guard is {limit}")
         assert len(flows) <= limit
 
 

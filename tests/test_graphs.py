@@ -23,6 +23,7 @@ from flexconn import (
     steiner_tree_approx,
     steiner_tree_exact,
 )
+from flexconn import graphs
 from flexconn.graphs import Edge, as_cost
 from flexconn.ncfgc import arc
 
@@ -58,10 +59,26 @@ def test_as_cost_accepts_exact_forms():
         as_cost("spam")
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-def test_costs_must_be_finite(value):
-    with pytest.raises(ValidationError, match=f"^bad cost {value!r}$"):
-        MultiGraph.build(2, [(0, 1, value, True)])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "spam", None])
+@pytest.mark.parametrize("make", [
+    lambda cost: MultiGraph.build(2, [(0, 1, cost, True)]),
+    lambda cost: MultiGraph(2, [Edge(0, 0, 1, cost, True)]),
+    lambda cost: MultiGraph.build(2, [(0, 1, 1, True)]).with_costs({0: cost}),
+])
+def test_costs_must_be_finite(value, make):
+    with pytest.raises(ValidationError, match=f"^bad cost {re.escape(repr(value))}$"):
+        make(value)
+
+
+def test_each_cost_is_converted_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphs, "as_cost", lambda value: calls.append(value) or as_cost(value))
+    g = MultiGraph.build(3, [(0, 1, "1/2", True), (1, 2, 2, False)])
+    assert calls == ["1/2", 2]
+    assert [e.cost for e in g.edges] == [Fraction(1, 2), Fraction(2)]
+    assert all(type(e.cost) is Fraction for e in g.edges)
+    # a Fraction cost is held as it is, so a graph on the same edges reuses them
+    assert all(a is b for a, b in zip(MultiGraph(3, g.edges).edges, g.edges))
 
 
 def triangle():
@@ -257,8 +274,8 @@ def test_inflate_safe_nodes_builds_cliques():
     assert len(res.node_images[0]) == 3
     assert all(len(res.node_images[v]) == 1 for v in (1, 2, 3))
     # each original edge at 0 attaches to its own gadget node
-    ends = [res.attach_map[eid] for eid in (0, 3, 4)]
-    mine = {a for pair in ends for a in pair if a in set(res.node_images[0])}
+    ends = [res.graph.edge(eid) for eid in (0, 3, 4)]
+    mine = {a for e in ends for a in (e.u, e.v) if a in set(res.node_images[0])}
     assert len(mine) == 3
 
 

@@ -29,7 +29,7 @@ from flexconn.generators import GEN_KINDS, gen_instance
 def test_round_trip_is_identity(gen_kind):
     for seed in (0, 1, 2):
         instance = gen_instance(gen_kind, seed)
-        doc = InstanceDoc(kind_of(instance), instance)
+        doc = InstanceDoc(instance)
         text = render_instance(doc)
         parsed = parse_instance(text)
         assert parsed.kind == doc.kind
@@ -181,12 +181,10 @@ def test_parse_errors_name_the_line(text, line, needle):
     assert err.value.line == line
 
 
-def test_doc_kind_must_match_instance():
+def test_doc_kind_is_its_instances():
     g = MultiGraph.build(2, [(0, 1, Fraction(1), True)])
     inst = FgcInstance(g, {(0, 1): (1, 1)})
-    assert kind_of(inst) == "fgc"
-    with pytest.raises(ValidationError):
-        InstanceDoc("fst", inst)
+    assert kind_of(inst) == InstanceDoc(inst).kind == "fgc"
     with pytest.raises(ValidationError):
         kind_of(g)
 
@@ -228,7 +226,7 @@ def test_solution_parse_errors(text, needle):
 
 def test_file_helpers(tmp_path):
     instance = gen_instance("fst", 5)
-    doc = InstanceDoc("fst", instance)
+    doc = InstanceDoc(instance)
     path = tmp_path / "sample.instance"
     write_instance(path, doc)
     assert read_instance(path).instance == instance

@@ -27,6 +27,7 @@ from flexconn import (
     solve_rooted_qconn,
     verify_ncfgc,
 )
+from flexconn import flows
 from flexconn.flows import Network, smallest_failing_set, undirected_network
 from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
 from flexconn.graphs import Edge
@@ -121,19 +122,21 @@ def test_verify_modes_and_hand_cases():
         assert verify_ncfgc(NcFgcInstance(g, set(), 0), set(), mode=mode).ok
 
 
-def test_enumeration_guard_counts_failure_sets_per_pair():
+def test_enumeration_guard_counts_failure_sets_per_pair(monkeypatch):
     # six nodes that can all fail, p = 3: for pair (0, 1) the search tries
     # the empty set, then nodes 2 and 3 on its flow, then {2, 3}, 4 sets
     g = MultiGraph.build(6, [
         (u, v, Fraction(1), True) for u in range(6) for v in range(u + 1, 6)
     ])
     inst = NcFgcInstance(g, set(), 3)
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 3)
     with pytest.raises(
         GuardExceededError,
         match=r"^pair \(0, 1\) needs up to 4 failure sets, guard is 3$",
     ):
-        verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=3)
-    assert verify_ncfgc(inst, g.edge_ids, mode="enumeration", subset_guard=4).ok
+        verify_ncfgc(inst, g.edge_ids, mode="enumeration")
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 4)
+    assert verify_ncfgc(inst, g.edge_ids, mode="enumeration").ok
     # a safe node never fails: with node 2 safe only {3} joins the empty set
     # for pair (0, 1); the guard holds per pair, so (0, 2) is the next to pass it
     inst = NcFgcInstance(g, {2}, 3)
@@ -141,14 +144,15 @@ def test_enumeration_guard_counts_failure_sets_per_pair():
         (1, r"^pair \(0, 1\) needs up to 2 failure sets, guard is 1$"),
         (2, r"^pair \(0, 2\) needs up to 3 failure sets, guard is 2$"),
     ]:
+        monkeypatch.setattr(flows, "FAILURE_SET_GUARD", guard)
         with pytest.raises(GuardExceededError, match=message):
-            verify_ncfgc(inst, g.edge_ids, mode="both", subset_guard=guard)
-    assert verify_ncfgc(inst, g.edge_ids, mode="both", subset_guard=4).ok
+            verify_ncfgc(inst, g.edge_ids, mode="both")
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 4)
+    assert verify_ncfgc(inst, g.edge_ids, mode="both").ok
     # a pair cut before any node fails is answered by the first flow
     path = MultiGraph.build(42, [(v, v + 1, Fraction(1), True) for v in range(41)])
-    v = verify_ncfgc(
-        NcFgcInstance(path, set(), 7), path.edge_ids, mode="enumeration", subset_guard=1
-    ).violation
+    monkeypatch.setattr(flows, "FAILURE_SET_GUARD", 1)
+    v = verify_ncfgc(NcFgcInstance(path, set(), 7), path.edge_ids, mode="enumeration").violation
     assert (v.pair, v.removed, v.connectivity) == ((0, 1), frozenset(), 1)
 
 
@@ -278,7 +282,7 @@ def interleaved_verify(inst, edge_ids, mode):
             if mode in ("enumeration", "both"):
                 pool = {v: pairs for v, pairs in shuts.items() if v not in (i, j)}
                 need = [p - s for s in range(min(p, len(pool) + 1))]
-                found = smallest_failing_set(unit, i, j, need, pool, 10**6)
+                found = smallest_failing_set(unit, i, j, need, pool)
                 hit_e = None if found is None else NcViolation((i, j), *found)
             if mode == "both" and (hit_q is None) != (hit_e is None):
                 raise SolverError(f"routes disagree on pair ({i}, {j})")

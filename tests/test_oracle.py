@@ -255,6 +255,19 @@ def test_enumeration_asks_fewer_subsets_on_generated_instances(monkeypatch):
     assert 2 * sum(asked) < keyed
 
 
+def test_branch_and_bound_runs_deeper_than_the_recursion_limit(monkeypatch):
+    """1,100 parallel safe edges make the search 1,100 decisions deep, past
+    Python's default recursion limit; its explicit stack makes the 2,936
+    predicate calls a recursive descent makes once the limit is raised."""
+    g = MultiGraph.build(2, [(0, 1, 1 + eid % 3, True) for eid in range(1100)])
+    asked = []
+    verify = oracle.verify_fgc
+    monkeypatch.setattr(oracle, "verify_fgc", lambda inst, s: asked.append(s) or verify(inst, s))
+    res = exact_opt(FgcInstance(g, {(0, 1): (1, 0)}))
+    assert (res.feasible, res.cost, res.edges) == (True, 1, frozenset({0}))
+    assert len(asked) == 2936
+
+
 def test_check_budget_refusals():
     ids = list(range(6))
     costs = {eid: Fraction(1) for eid in ids}

@@ -36,7 +36,7 @@ def draws(kind):
         yield seed, gen_instance(kind, seed, cfg=cfg)
 
 
-def reference_verify_fgc(inst, edge_ids, subset_guard=10**6):
+def reference_verify_fgc(inst, edge_ids):
     g = inst.graph
     chosen = sorted(g.subset(edge_ids))
     net = undirected_network(g, dict.fromkeys(chosen, 1))
@@ -50,13 +50,13 @@ def reference_verify_fgc(inst, edge_ids, subset_guard=10**6):
         k = min(q, len(shuts))
         if k == 0:
             continue
-        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts, subset_guard)
+        hit = smallest_failing_set(net, i, j, [p] * (k + 1), shuts)
         if hit is not None:
             return Verdict(FgcViolation((i, j), *hit))
     return Verdict()
 
 
-def reference_verify_ncfgc(inst, edge_ids, mode, subset_guard=10**6):
+def reference_verify_ncfgc(inst, edge_ids, mode):
     g = inst.graph
     chosen = g.subset(edge_ids)
     p = inst.requirement
@@ -77,7 +77,7 @@ def reference_verify_ncfgc(inst, edge_ids, mode, subset_guard=10**6):
         for i, j in itertools.combinations(range(g.n), 2):
             pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
             need = [p - s for s in range(min(p, len(pool) + 1))]
-            found = smallest_failing_set(unit, i, j, need, pool, subset_guard)
+            found = smallest_failing_set(unit, i, j, need, pool)
             if found is not None:
                 hit_e = NcViolation((i, j), *found)
                 break
