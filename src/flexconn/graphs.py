@@ -100,6 +100,8 @@ class MultiGraph:
             if e.u == e.v:
                 raise ValidationError(f"edge {e.eid} is a self-loop on node {e.u}")
             cost = as_cost(e.cost)
+            if not isinstance(e.safe, bool):
+                raise ValidationError(f"edge {e.eid} safe label {e.safe!r} is not a bool")
             if cost is not e.cost:
                 e = Edge(e.eid, e.u, e.v, cost, e.safe)
             if e.eid in self._by_id:

@@ -7,10 +7,13 @@ predicate of supersets, so its predicate must be monotone: supersets of a
 feasible set stay feasible.  All feasibility notions in this package are
 monotone because extra edges never remove paths, and an extra unsafe edge
 only widens the adversary's choices by options it could ignore.
-`enumerate` assumes nothing of the predicate, so it cross-checks `bnb`: it
-refuses up front when the 2^m subsets exceed the check budget, keys every
-subset by (cost, sorted ids), and asks the predicate only of the subsets
-whose key is below the best feasible key found so far.
+`bnb` asks no subset twice: each node of its search carries down the
+verdicts its parent already holds.  `enumerate` assumes nothing of the
+predicate, so it cross-checks `bnb`: it refuses up front when the 2^m
+subsets exceed the check budget, then goes best-first, asking subsets in
+increasing key (cost, sorted ids) and stopping at the first feasible one.
+It so asks exactly the subsets keyed below the optimum, which any search
+that assumes nothing must ask.
 
 Among equal-cost optima the one with the lexicographically smallest sorted
 edge-id tuple is returned, by both search strategies, so results are
@@ -22,7 +25,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Mapping
 
 from .errors import OracleRefusalError, SolverError, ValidationError
@@ -68,9 +71,11 @@ def minimum_cost_subset(
     *,
     budget: OracleBudget | None = None,
 ) -> OptResult:
-    """Cheapest subset of ids satisfying the predicate.  Only `bnb` needs it
-    monotone; `enumerate` keys every subset, refuses up front on 2^m, and
-    asks only the subsets that can still win."""
+    """Cheapest subset of ids satisfying the predicate.  Both strategies
+    compare subsets by one integer key, (cost over the costs' common
+    denominator, sorted ids).  Only `bnb` needs the predicate monotone;
+    `enumerate` refuses up front on 2^m and asks subsets in increasing key
+    order until one is feasible."""
     budget = budget or OracleBudget()
     order = sorted(set(ids))
     for eid in order:
@@ -78,9 +83,13 @@ def minimum_cost_subset(
             raise ValidationError(f"no cost for id {eid}")
         if costs[eid] < 0:
             raise ValidationError(f"negative cost for id {eid}")
-    if budget.strategy == "enumerate":
-        return _enumerate_all(order, costs, predicate, budget)
-    return _branch_and_bound(order, costs, predicate, budget)
+    # costs over their common denominator order subsets as the costs do
+    scale, scaled = integral({eid: costs[eid] for eid in order})
+    search = _enumerate_all if budget.strategy == "enumerate" else _branch_and_bound
+    best = search(order, scaled, predicate, budget)
+    if best is None:
+        return OptResult(False, None, None)
+    return OptResult(True, Fraction(best[0], scale), frozenset(best[1]))
 
 
 class _Meter:
@@ -106,68 +115,91 @@ class _Meter:
             )
 
 
-def _branch_and_bound(order, costs, predicate, budget) -> OptResult:
+def _branch_and_bound(order, scaled, predicate, budget) -> tuple | None:
     meter = _Meter(budget)
-    meter.tick()
-    if not predicate(frozenset(order)):
-        return OptResult(False, None, None)
+
+    def ask(subset):
+        meter.tick()
+        return predicate(subset)
+
+    if not ask(frozenset(order)):
+        return None
     # Expensive ids first so exclusion decisions are made on them early.
-    order = sorted(order, key=lambda eid: (-costs[eid], eid))
+    order = sorted(order, key=lambda eid: (-scaled[eid], eid))
     best: tuple | None = None
     # Depth first with an explicit stack, so the depth is not bounded by
     # Python's recursion limit: each node decides order[idx], leaving it out
     # before taking it in, and the pruning test reads `best` when a node is
-    # popped, as a recursive descent would on entering it.
-    stack = [(0, frozenset(), Fraction(0))]
+    # popped, as a recursive descent would on entering it.  A node carries
+    # the verdicts its parent knows, None where unknown: `whole` on
+    # chosen | rest (an include child's is its parent's, found feasible) and
+    # `alone` on chosen (an exclude child's is its parent's).
+    stack = [(0, frozenset(), 0, True, None)]
     while stack:
-        idx, chosen, cost = stack.pop()
+        idx, chosen, cost, whole, alone = stack.pop()
         if best is not None and cost > best[0]:
             continue
-        rest = frozenset(order[idx:])
-        meter.tick()
-        if not predicate(chosen | rest):
+        rest = order[idx:]
+        # with nothing left to decide, chosen | rest is chosen itself
+        if whole is None:
+            whole = ask(chosen.union(rest)) if rest else alone
+        if not whole:
             continue
-        meter.tick()
-        if predicate(chosen):
+        if alone is None:
+            alone = ask(chosen) if rest else whole
+        if alone:
             key = (cost, tuple(sorted(chosen)))
             if best is None or key < best:
                 best = key
             # A strictly positive tail cannot tie, let alone improve.
-            if all(costs[eid] > 0 for eid in rest):
+            if all(scaled[eid] > 0 for eid in rest):
                 continue
-        if idx == len(order):
+        if not rest:
             continue
-        eid = order[idx]
-        stack.append((idx + 1, chosen | {eid}, cost + costs[eid]))
-        stack.append((idx + 1, chosen, cost))
+        eid = rest[0]
+        stack.append((idx + 1, chosen | {eid}, cost + scaled[eid], True, None))
+        stack.append((idx + 1, chosen, cost, None, alone))
     if best is None:
         raise SolverError("search missed the feasible full set")
-    cost, edges = best[0], frozenset(best[1])
-    return OptResult(True, cost, edges)
+    return best
 
 
-def _enumerate_all(order, costs, predicate, budget) -> OptResult:
+def _enumerate_all(order, scaled, predicate, budget) -> tuple | None:
+    """Best-first: subsets leave a heap in increasing key (cost, sorted ids)
+    and the first feasible one is the minimum, so exactly the subsets keyed
+    below it are asked, whatever the predicate.  A subset's parent is the
+    subset minus its largest id; `ext[t]` lists the ids above t cheapest
+    first (ties by id), the order of the keys of the children of a subset
+    whose largest id is t.  Each popped subset pushes its next sibling (its
+    last id swapped for the next one in its parent's list) and its first
+    child, neither keyed below it, so every subset is pushed once, after
+    every subset keyed below it has been pushed."""
     if 2 ** len(order) > budget.max_checks:
         raise OracleRefusalError(
             f"{2 ** len(order)} subsets exceed the {budget.max_checks} check budget"
         )
     meter = _Meter(budget)
-    # costs over their common denominator order subsets as the costs do
-    scale, scaled = integral({eid: costs[eid] for eid in order})
-    best = None
-    # order is sorted, so each combination is its own tie-break key; a subset
-    # whose key is not below the best found cannot win, so it is not asked
-    for size in range(len(order) + 1):
-        for subset in combinations(order, size):
-            key = (sum(scaled[e] for e in subset), subset)
-            if best is not None and not key < best:
-                continue
-            meter.tick()
-            if predicate(frozenset(subset)):
-                best = key
-    if best is None:
-        return OptResult(False, None, None)
-    return OptResult(True, Fraction(best[0], scale), frozenset(best[1]))
+    by_cost = sorted(order, key=lambda eid: (scaled[eid], eid))
+    ext = {t: [eid for eid in by_cost if eid > t] for t in order}
+    # (cost, sorted ids, the parent's list, the last id's place in it); no two
+    # entries share ids, so the heap compares no further than them
+    heap = [(0, (), (), 0)]
+    while heap:
+        cost, subset, siblings, k = heappop(heap)
+        meter.tick()
+        if predicate(frozenset(subset)):
+            return cost, subset
+        if k + 1 < len(siblings):
+            swap = siblings[k + 1]
+            heappush(heap, (
+                cost - scaled[subset[-1]] + scaled[swap],
+                subset[:-1] + (swap,), siblings, k + 1,
+            ))
+        children = ext[subset[-1]] if subset else by_cost
+        if children:
+            first = children[0]
+            heappush(heap, (cost + scaled[first], subset + (first,), children, 0))
+    return None
 
 
 def _sndp_feasible(inst: SndpInstance, subset: frozenset[int]) -> bool:

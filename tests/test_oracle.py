@@ -198,30 +198,55 @@ def test_enumeration_needs_no_monotone_predicate():
             assert (res.cost, res.edges) == (expected[0], frozenset(expected[1]))
 
 
-def test_enumeration_asks_only_subsets_that_can_win():
+def test_enumeration_asks_exactly_the_keys_below_the_optimum_in_order():
+    """Best-first: `enumerate` asks every subset keyed below the optimum,
+    in increasing key order, then the optimum, and stops; the reference
+    sorts all 2^m keys by brute force."""
     rng = random.Random(25)
-    for trial in range(40):
-        ids = list(range(rng.randint(1, 8)))
+    for trial in range(120):
+        ids = list(range(rng.randint(0, 8)))
         costs = _random_costs(rng, ids)
-        pred = _random_family(rng, ids, 0.3)
+        pred = _random_family(rng, ids, rng.choice([0.0, 0.05, 0.3]))
         asked = []
 
         def recording(subset, pred=pred):
-            verdict = pred(subset)
-            cost = sum((costs[e] for e in subset), Fraction(0))
-            asked.append(((cost, tuple(sorted(subset))), verdict))
-            return verdict
+            asked.append(tuple(sorted(subset)))
+            return pred(subset)
 
         res = minimum_cost_subset(
             ids, costs, recording, budget=OracleBudget(strategy="enumerate")
         )
-        best = None
-        for key, verdict in asked:
-            assert best is None or key < best
-            if verdict:
-                best = key
-        assert best == _fraction_key_optimum(ids, costs, pred)
-        assert res.feasible == (best is not None)
+        ranked = sorted(
+            (subset for size in range(len(ids) + 1)
+             for subset in itertools.combinations(ids, size)),
+            key=lambda subset: (sum((costs[e] for e in subset), Fraction(0)), subset),
+        )
+        feasible = [rank for rank, subset in enumerate(ranked) if pred(frozenset(subset))]
+        stop = feasible[0] + 1 if feasible else len(ranked)
+        assert asked == ranked[:stop], trial
+        assert res.feasible == bool(feasible)
+        if feasible:
+            assert res.edges == frozenset(ranked[feasible[0]])
+
+
+def test_branch_and_bound_never_asks_a_subset_twice(monkeypatch):
+    real = oracle._branch_and_bound
+    asked = []
+
+    def recording(order, scaled, predicate, budget):
+        asked.append([])
+
+        def recorded(subset):
+            asked[-1].append(subset)
+            return predicate(subset)
+
+        return real(order, scaled, recorded, budget)
+
+    monkeypatch.setattr(oracle, "_branch_and_bound", recording)
+    for kind in REPORT_KINDS:
+        for seed in range(3):
+            exact_opt(gen_instance(kind, seed))
+            assert len(set(asked[-1])) == len(asked[-1]), (kind, seed)
 
 
 def test_enumeration_asks_fewer_subsets_on_generated_instances(monkeypatch):
@@ -257,15 +282,16 @@ def test_enumeration_asks_fewer_subsets_on_generated_instances(monkeypatch):
 
 def test_branch_and_bound_runs_deeper_than_the_recursion_limit(monkeypatch):
     """1,100 parallel safe edges make the search 1,100 decisions deep, past
-    Python's default recursion limit; its explicit stack makes the 2,936
-    predicate calls a recursive descent makes once the limit is raised."""
+    Python's default recursion limit; its explicit stack makes the 1,467
+    predicate calls a recursive descent makes once the limit is raised, one
+    per distinct subset."""
     g = MultiGraph.build(2, [(0, 1, 1 + eid % 3, True) for eid in range(1100)])
     asked = []
     verify = oracle.verify_fgc
     monkeypatch.setattr(oracle, "verify_fgc", lambda inst, s: asked.append(s) or verify(inst, s))
     res = exact_opt(FgcInstance(g, {(0, 1): (1, 0)}))
     assert (res.feasible, res.cost, res.edges) == (True, 1, frozenset({0}))
-    assert len(asked) == 2936
+    assert len(asked) == len(set(asked)) == 1467
 
 
 def test_check_budget_refusals():
