@@ -56,10 +56,8 @@ class FgcInstance:
         return cls(graph, pairs)
 
     def active_pairs(self) -> list[tuple[tuple[int, int], int, int]]:
-        """Pairs with p_ij >= 1; others constrain nothing."""
-        return [
-            (pair, p, q) for pair, (p, q) in sorted(self.pairs.items()) if p >= 1
-        ]
+        """Pairs with p_ij >= 1, in sorted order; others constrain nothing."""
+        return [(pair, p, q) for pair, (p, q) in self.pairs.items() if p >= 1]
 
     def is_q1(self) -> bool:
         return all(q <= 1 for _, _, q in self.active_pairs())
@@ -74,9 +72,9 @@ class FgcInstance:
         return max((q for _, _, q in self.active_pairs()), default=1)
 
     @cached_property
-    def _unit(self) -> "_FgcUnit":
-        """What `verify_fgc` needs that does not depend on F (see there)."""
-        return _FgcUnit(self)
+    def _network(self) -> Network:
+        """Every edge at 1; `verify_fgc` narrows it, so it is not reentrant."""
+        return unit_network(self.graph)
 
 
 @dataclass(frozen=True)
@@ -205,24 +203,12 @@ class FgcViolation:
     connectivity: int
 
 
-class _FgcUnit:
-    """An instance's unit network over all its edges, each unsafe edge as
-    the failure element that blocks itself (`unsafe`) and the active pairs.
-    One network serves every `verify_fgc` call on the instance, so it is
-    not reentrant."""
-
-    def __init__(self, inst: FgcInstance):
-        g = inst.graph
-        self.net = unit_network(g)
-        self.unsafe = {eid: (eid,) for eid in sorted(g.edge_ids) if not g.edge(eid).safe}
-        self.pairs = inst.active_pairs()
-
-
 def verify_fgc(inst: FgcInstance, edge_ids) -> Verdict:
     """Check feasibility against the definition; the verdict names the first
     pair, in sorted order, that some failure set breaks.  The flows run on
     the instance's unit network narrowed to F by `Network.within`; each
-    unsafe edge of F fails on its own.
+    unsafe edge of F fails on its own, and they are listed only once a pair
+    needs the failure search.
 
     Two screens are decisive on their own: connectivity p_ij + q_ij within F
     clears the pair outright, while connectivity below p_ij condemns it with
@@ -231,16 +217,18 @@ def verify_fgc(inst: FgcInstance, edge_ids) -> Verdict:
     raises GuardExceededError when it would try more than
     `flows.FAILURE_SET_GUARD` edge sets for one pair.
     """
-    chosen = inst.graph.subset(edge_ids)
-    unit = inst._unit
-    net = unit.net.within(chosen)
-    shuts = {eid: shut for eid, shut in unit.unsafe.items() if eid in chosen}
-    for (i, j), p, q in unit.pairs:
+    g = inst.graph
+    chosen = g.subset(edge_ids)
+    net = inst._network.within(chosen)
+    shuts = None
+    for (i, j), p, q in inst.active_pairs():
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
             continue
         if lam < p:
             return Verdict(FgcViolation((i, j), frozenset(), lam))
+        if shuts is None:
+            shuts = {eid: (eid,) for eid in chosen if not g.edge(eid).safe}
         k = min(q, len(shuts))
         if k == 0:
             continue

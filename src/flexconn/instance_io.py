@@ -310,7 +310,7 @@ def render_instance(doc: InstanceDoc) -> str:
         label = "safe" if e.safe else "unsafe"
         lines.append(f"edge {e.u} {e.v} {e.cost} {label}")
     if doc.kind == "fgc":
-        for (i, j), (p, q) in sorted(doc.instance.pairs.items()):
+        for (i, j), (p, q) in doc.instance.pairs.items():
             lines.append(f"pair {i} {j} {p} {q}")
     elif doc.kind == "fst":
         for t in sorted(doc.instance.terminals):

@@ -8,9 +8,12 @@ met by the chosen edges alone.  A residual row asks a cut for its requirement
 less the chosen edges that cross it, and names only the undecided ones.
 Every vertex must offer an undecided edge at 1/2 or more; a miss is a bug in
 vertex recovery, not an instance property, and raises JainProgressError.
-`first_unmet_pair` is the one requirement loop, on a cached network that
-`Network.within` narrows to an edge set: at unit capacities here and in the
-oracle, at Cap-NDP capacities for fgc's refusal and closing check.
+`first_unmet_pair` checks a dict of pair requirements on a cached network
+that `Network.within` narrows to an edge set: at unit capacities here and in
+the oracle, at Cap-NDP capacities for fgc's refusal and closing check.
+ncfgc's qconn route and rooted pre-check keep their own loops over
+split-node pairs: they hold no such dict, and building one per oracle
+predicate call costs more than the loop.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from .lp import CutRow, FractionalSolution, solve_cut_lp
 
 
 def normalize_pairs(pairs: Mapping[tuple[int, int], object], n: int) -> dict:
-    """Validate and key every pair as (min, max); callers check the values."""
+    """Validate and key every pair as (min, max), in sorted order; callers
+    check the values."""
     out: dict = {}
     for (a, b), value in pairs.items():
         check_node(a, n, f"pair ({a}, {b})")
@@ -39,7 +43,7 @@ def normalize_pairs(pairs: Mapping[tuple[int, int], object], n: int) -> dict:
         if key in out and out[key] != value:
             raise ValidationError(f"conflicting requirements for pair {key}")
         out[key] = value
-    return out
+    return dict(sorted(out.items()))
 
 
 @dataclass(frozen=True)

@@ -75,17 +75,17 @@ class NcFgcInstance:
     def unsafe_nodes(self) -> list[int]:
         return [v for v in range(self.graph.n) if v not in self.safe_nodes]
 
-    # What each route of `verify_ncfgc` needs that does not depend on F,
-    # built on its first use (see there); one network serves every call on
-    # the instance, so neither is reentrant.
+    # The network of each route of `verify_ncfgc` over every edge, built on
+    # its first use (see there); one network serves every call on the
+    # instance, so neither is reentrant.
     @cached_property
     def _flow_route(self) -> Network:
         g = self.graph
         return _split_network(g, self.node_caps(), dict.fromkeys(_both_arcs(g.edge_ids), 1))
 
     @cached_property
-    def _enumeration_route(self) -> "_EnumerationRoute":
-        return _EnumerationRoute(self)
+    def _network(self) -> Network:
+        return unit_network(self.graph)
 
 
 def _split_network(g: MultiGraph, caps, arc_caps) -> Network:
@@ -135,31 +135,14 @@ class NcViolation:
     connectivity: int
 
 
-class _EnumerationRoute:
-    """The unit network over every edge (`net`), and each node pair in
-    sorted order with its unsafe-node failure elements and their needs
-    (`pairs`).  A node's failure element blocks its incident edges, chosen
-    or not: an edge outside F is closed anyway and never carries flow."""
-
-    def __init__(self, inst: NcFgcInstance):
-        g = inst.graph
-        p = inst.requirement
-        self.net = unit_network(g)
-        shuts = {v: [e.eid for e in g.incident(v)] for v in inst.unsafe_nodes()}
-        self.pairs = []
-        for i, j in combinations(range(g.n), 2):
-            pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
-            need = [p - s for s in range(min(p, len(pool) + 1))]
-            self.pairs.append((i, j, pool, need))
-
-
 def verify_ncfgc(inst: NcFgcInstance, edge_ids, *, mode: str = "both") -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both.
     Each route runs on its own up to its first failing pair, in sorted order,
     on the instance's network narrowed to F by `Network.within`: the flow
     route asks the split-node network about every pair, the enumeration
     route the unit network for the least failing unsafe-node set, by (size,
-    sorted ids), each node failing as its incident edges, and
+    sorted ids), each node failing as its incident edges, chosen or not (an
+    edge outside F is closed anyway and never carries flow), and
     raises GuardExceededError when its search for a pair would try more
     than `flows.FAILURE_SET_GUARD` node sets.  In "both" mode the two must
     fail the same pair, or none, else one is wrong and SolverError is
@@ -173,15 +156,18 @@ def verify_ncfgc(inst: NcFgcInstance, edge_ids, *, mode: str = "both") -> Verdic
     hit_q = hit_e = None
     if mode != "enumeration":
         net = inst._flow_route.within(chosen)
+        # own loop: a per-call dict for `first_unmet_pair` made oracle-small 20% slower
         for i, j in combinations(range(g.n), 2):
             lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
             if lam < p:
                 hit_q = NcViolation((i, j), None, lam)
                 break
     if mode != "qconn":
-        enum = inst._enumeration_route
-        unit = enum.net.within(chosen)
-        for i, j, pool, need in enum.pairs:
+        unit = inst._network.within(chosen)
+        shuts = {v: [e.eid for e in g.incident(v)] for v in inst.unsafe_nodes()}
+        for i, j in combinations(range(g.n), 2):
+            pool = {v: shut for v, shut in shuts.items() if v not in (i, j)}
+            need = [p - s for s in range(min(p, len(pool) + 1))]
             found = smallest_failing_set(unit, i, j, need, pool)
             if found is not None:
                 hit_e = NcViolation((i, j), *found)

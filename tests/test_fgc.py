@@ -31,6 +31,7 @@ from flexconn.fgc import CapacitatedFailure
 from flexconn.flows import edge_connectivity, max_flow_min_cut
 from flexconn.graphs import Cut
 from flexconn.generators import GenConfig, gen_fgc
+from flexconn.instance_io import InstanceDoc, render_instance
 from flexconn.oracle import exact_opt
 
 from strategies import edge_subsets, multigraphs, node_pairs
@@ -67,6 +68,35 @@ def test_pair_normalization_and_validation():
         FgcInstance(g, {(0, 1): (1, -1)})
     with pytest.raises(ValidationError):
         FgcInstance(g, {(0, 1): (1, 1), (1, 0): (2, 1)})
+
+
+def test_pair_order_is_fixed_at_construction():
+    # verify_fgc's first failing pair and render_instance's pair lines both
+    # read the order construction gives, whatever order the caller used
+    cfg = GenConfig(nodes=(5, 5), extra_edges=(3, 4), pairs=(5, 6), max_p=2, max_q=2)
+    base = gen_fgc(3, regime="any", cfg=cfg, ensure_feasible=False)
+    spare = next(pair for pair in itertools.combinations(range(5), 2) if pair not in base.pairs)
+    items = [*base.pairs.items(), (spare, (0, 2))]
+    rng = random.Random(7)
+    built = []
+    for _ in range(4):
+        rng.shuffle(items)
+        written = {
+            ((j, i) if t % 2 else (i, j)): pq for t, ((i, j), pq) in enumerate(items)
+        }
+        built.append(FgcInstance(base.graph, written))
+    texts = {render_instance(InstanceDoc(inst)) for inst in built}
+    assert len(texts) == 1
+    ids = sorted(base.graph.edge_ids)
+    failing = 0
+    for inst in built:
+        assert list(inst.pairs) == sorted(inst.pairs) == sorted(dict(items))
+    for size in range(len(ids) + 1):
+        for subset in itertools.combinations(ids, size):
+            verdicts = {verify_fgc(inst, subset) for inst in built}
+            assert len(verdicts) == 1, subset
+            failing += not verdicts.pop().ok
+    assert failing > 0
 
 
 def test_uniform_covers_every_pair():

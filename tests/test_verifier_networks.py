@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from flexconn import FgcInstance, NcFgcInstance
+from flexconn import FgcInstance, NcFgcInstance, flows
 from flexconn.fgc import (
     FgcViolation,
     build_capndp_p1,
@@ -139,6 +139,22 @@ def test_one_instance_answers_like_fresh_ones_in_any_order(kind):
                 assert verify_fgc(inst, subset) == verify_fgc(
                     FgcInstance(inst.graph, inst.pairs), subset
                 ), (seed, subset)
+
+
+@pytest.mark.parametrize("kind, routes", [("fgc-q1", 1), ("fgc-p1", 1), ("ncfgc", 2)])
+def test_each_instance_builds_one_network_per_route(monkeypatch, kind, routes):
+    # a copy: the generator's own feasibility check filled the original's cache
+    inst = dataclasses.replace(gen_instance(kind, 0, cfg=LARGER))
+    asked = random.Random(0).sample(list(subsets(inst.graph)), 50)
+    built = []
+    init = flows.Network.__init__
+    monkeypatch.setattr(flows.Network, "__init__", lambda net, n: built.append(n) or init(net, n))
+    for subset in asked:
+        if kind == "ncfgc":
+            verify_ncfgc(inst, subset, mode="both")
+        else:
+            verify_fgc(inst, subset)
+    assert len(built) == routes
 
 
 def test_split_network_never_shuts_a_node_arc():
