@@ -69,10 +69,12 @@ def first_unmet_pair(
     net: Network,
     requirements: Mapping[tuple[int, int], int],
 ) -> tuple[tuple[int, int], int] | None:
-    """First pair in sorted order, with its flow, whose max flow on `net`
-    falls short of its requirement, or None.  Each flow stops at the pair's
-    requirement, so a zero requirement is never short."""
-    for pair, r in sorted(requirements.items()):
+    """First pair, with its flow, whose max flow on `net` falls short of its
+    requirement, or None.  `requirements` must already be in sorted pair
+    order, as `normalize_pairs` leaves every instance's pairs, so the first
+    is the smallest.  Each flow stops at the pair's requirement, so a zero
+    requirement is never short."""
+    for pair, r in requirements.items():
         flow = net.max_flow(*pair, cutoff=r)
         if flow < r:
             return pair, flow
@@ -81,22 +83,25 @@ def first_unmet_pair(
 
 def separation(
     graph: MultiGraph,
-    x: Mapping[int, Fraction],
+    x: Mapping[int, float | Fraction],
     requirements: Mapping[tuple[int, int], int],
     chosen: Collection[int],
 ) -> list[CutRow]:
     """Every distinct violated residual cut under capacities x, chosen edges
     at 1, most violated first.
 
-    The flows run on one network whose capacities are x scaled to ints by
-    their common denominator, which keeps them exact.  Each pair (i, j) short
-    of its requirement r gives the cut side residual-reachable from i, its
-    canonical min cut; a side several pairs give appears once, at its largest
-    violation.  The rows are ranked by violation, then the smaller side, then
-    lexicographic node order, so the first is the single most violated cut.
-    A cut demands the largest requirement it separates, at least the violated
-    pair's own.  Each row is residual: it names the undecided boundary edges
-    and asks them for that demand less the number of chosen boundary edges.
+    The values of x are exact rationals, floats or `Fraction`s, as
+    `lp.CutOracle` hands them.  The flows run on one network whose
+    capacities are x scaled to ints by their common denominator, which keeps
+    them exact and makes a float and the `Fraction` equal to it give the
+    same rows.  Each pair (i, j) short of its requirement r gives the cut
+    side residual-reachable from i, its canonical min cut; a side several
+    pairs give appears once, at its largest violation.  The rows are ranked
+    by violation, then the smaller side, then lexicographic node order, so
+    the first is the single most violated cut.  A cut demands the largest
+    requirement it separates, at least the violated pair's own.  Each row
+    is residual: it names the undecided boundary edges and asks them for
+    that demand less the number of chosen boundary edges.
 
     No flow runs that cannot give a row.  Each stops at r times the scale,
     and a flow that stops short of it is the max flow, so its residual side

@@ -11,8 +11,13 @@ and handles 0 <= y <= 1 by bound flips rather than extra rows.  It starts with
 every y at its upper bound, which is dual feasible because costs are
 nonnegative; each batch of new rows is reduced against the current basis in
 one block and appended, and dual simplex pivots restore primal feasibility.
-A solve hands back its basis as the tableau holds it: one basic [y | s]
-column per row, and the set of nonbasic y at 1.  The answer returned is
+The tableau keeps its basis, each row's upper bound and each column's move
+direction as arrays that every pivot updates, so a pivot reads them rather
+than rebuilding them.  A solve hands back its basis as the tableau holds
+it: one basic [y | s] column per row, and the set of nonbasic y at 1.  The
+oracle sees each float vertex as floats clipped to [0, 1]; a float is an
+exact dyadic rational, so an oracle that judges it exactly gives the rows
+it would give the same point as `Fraction`s.  The answer returned is
 always rebuilt exactly from that basis and certified optimal through an
 exact dual feasibility check.  Both solve one square 0/1 system of tight
 rows by basic y, the check on its transpose, by Bareiss's fraction-free
@@ -70,8 +75,11 @@ class FractionalSolution:
 
 
 # A separation oracle: the rows violated at a point, most violated first; an
-# empty sequence means that none is.
-CutOracle = Callable[[Mapping[int, Fraction]], Sequence[CutRow]]
+# empty sequence means that none is.  The point's values are exact rationals:
+# floats in the float stage and `Fraction`s at the exact vertex.  Judge
+# violation exactly, e.g. on `flows.integral`'s scaled ints, never by float
+# sums.
+CutOracle = Callable[[Mapping[int, float | Fraction]], Sequence[CutRow]]
 
 
 class _SimplexStall(Exception):
@@ -85,12 +93,17 @@ class _DualTableau:
     Columns are [y_0..y_{k-1} | s_0..s_{R-1}] with s_r the slack of row r, so
     row r of the tableau starts out as row r of the system.  `tab` is B^-1 A,
     `beta` the basic values with every nonbasic at its bound, and `d` the
-    reduced costs of minimizing -costs.y.  A nonbasic y sits at 0 or at 1
-    (`at_upper`); a nonbasic slack sits at 0.
+    reduced costs of minimizing -costs.y.  A nonbasic y sits at 0 or at 1; a
+    nonbasic slack sits at 0.  Three arrays hold the bound state and are
+    kept current by every pivot: `basis`, the basic column of each row;
+    `bound`, the upper bound of that column (1 for a y, inf for a slack);
+    and `dirn`, the way each column may move off its bound (-1 at its lower
+    bound, +1 at its upper, 0 when basic).
 
     The float tableau holds `float64`s and compares within `_FLOAT_TOL` and
-    `_TIE`; an `exact` one holds `Fraction`s in an object array and compares
-    with no tolerance.  Costs and caps are converted on the way in.
+    `_TIE`; an `exact` one holds `Fraction`s in an object array (`dirn` holds
+    ints there) and compares with no tolerance.  Costs and caps are
+    converted on the way in.
     """
 
     def __init__(self, k: int, costs: Sequence, *, exact: bool = False):
@@ -101,10 +114,10 @@ class _DualTableau:
         self.tol, self.tie = (0, 0) if exact else (_FLOAT_TOL, _TIE)
         self.tab = np.full((0, k), self.zero, dtype=self.dtype)
         self.beta = np.full(0, self.zero, dtype=self.dtype)
+        self.bound = np.full(0, np.inf, dtype=self.dtype)
         self.d = -np.array([self.num(c) for c in costs], dtype=self.dtype)
-        self.at_upper = np.ones(k, dtype=bool)
-        self.is_basic = np.zeros(k, dtype=bool)
-        self.basis: list[int] = []
+        self.dirn = np.ones(k, dtype=self.dtype)
+        self.basis = np.zeros(0, dtype=np.intp)
 
     @property
     def rows(self) -> int:
@@ -118,23 +131,26 @@ class _DualTableau:
         if not rows:
             return
         zero, one = self.zero, self.one
-        width, m = self.k + self.rows, len(rows)
-        block = np.full((m, width + m), zero, dtype=self.dtype)
-        for i, (cols, _) in enumerate(rows):
-            block[i, list(cols)] = one
-            block[i, width + i] = one
-        value = np.where(self.at_upper, one, zero)
-        if self.basis:
+        old, m = self.rows, len(rows)
+        width = self.k + old
+        tab = np.full((old + m, width + m), zero, dtype=self.dtype)
+        tab[:old, :width] = self.tab
+        block = tab[old:]
+        lengths = [len(cols) for cols, _ in rows]
+        block[np.repeat(np.arange(m), lengths),
+              [j for cols, _ in rows for j in cols]] = one
+        block[np.arange(m), np.arange(width, width + m)] = one
+        value = np.where(self.dirn > 0, one, zero)
+        if old:
             block[:, :width] -= block[:, self.basis] @ self.tab
             value[self.basis] = self.beta
-        columns = np.full((self.rows, m), zero, dtype=self.dtype)
-        self.tab = np.vstack([np.hstack([self.tab, columns]), block])
+        self.tab = tab
         caps = [self.num(cap) - value[list(cols)].sum() for cols, cap in rows]
-        self.beta = np.append(self.beta, np.array(caps, dtype=self.dtype))
-        self.d = np.append(self.d, np.full(m, zero, dtype=self.dtype))
-        self.at_upper = np.append(self.at_upper, np.zeros(m, dtype=bool))
-        self.is_basic = np.append(self.is_basic, np.ones(m, dtype=bool))
-        self.basis.extend(range(width, width + m))
+        self.beta = np.concatenate([self.beta, np.array(caps, dtype=self.dtype)])
+        self.bound = np.concatenate([self.bound, np.full(m, np.inf, dtype=self.dtype)])
+        self.d = np.concatenate([self.d, np.full(m, zero, dtype=self.dtype)])
+        self.dirn = np.concatenate([self.dirn, np.zeros(m, dtype=self.dtype)])
+        self.basis = np.concatenate([self.basis, np.arange(width, width + m)])
 
     def solve(self) -> tuple[list, list[int], set[int]]:
         """Dual simplex to a primal feasible basis.
@@ -148,63 +164,62 @@ class _DualTableau:
         the y values, the basic column of each row in the tableau's own
         [y | s] numbering, and the nonbasic y that sit at 1.
         """
-        k, tol = self.k, self.tol
-        if not self.basis:
+        tol = self.tol
+        if not self.rows:
             return self._result()
-        upper = np.where(np.arange(k + self.rows) < k, self.one, np.inf)
-        cap = max(2000, 80 * (self.rows + k))
+        cap = max(2000, 80 * (self.rows + self.k))
         for pivot in range(2 * cap):
-            excess = np.maximum(-self.beta, self.beta - upper[self.basis])
-            r = int(np.argmax(excess))
+            beta = self.beta
+            excess = np.maximum(-beta, beta - self.bound)
+            r = int(excess.argmax())
             if excess[r] <= tol:
                 return self._result()
             if pivot >= cap:
                 infeasible = np.flatnonzero(excess > tol)
-                r = int(min(infeasible, key=self.basis.__getitem__))
+                r = int(infeasible[np.argmin(self.basis[infeasible])])
             # A basic value below 0 rises to 0 and one above 1 falls to 1;
-            # the entering column must move it that way from its bound.
-            raise_it = self.beta[r] < 0
+            # the entering column must move it that way from its bound, and
+            # a basic column (dirn 0) cannot enter.
+            raise_it = beta[r] < 0
             alpha = self.tab[r] if raise_it else -self.tab[r]
-            ok = ~self.is_basic & np.where(self.at_upper, alpha > tol, alpha < -tol)
+            ok = alpha * self.dirn > tol
             if not ok.any():
                 raise _SimplexStall
-            size = np.where(ok, np.abs(alpha), self.one)
-            ratio = np.where(ok, np.abs(self.d) / size, np.inf)
-            q = int(np.argmax(ratio <= ratio.min() + self.tie))
+            ratio = np.full(len(ok), np.inf, dtype=self.dtype)
+            np.divide(np.abs(self.d), np.abs(alpha), out=ratio, where=ok)
+            q = int((ratio <= ratio.min() + self.tie).argmax())
             self._pivot(r, q, to_upper=not raise_it)
         raise _SimplexStall
 
     def _pivot(self, r: int, q: int, *, to_upper: bool) -> None:
         tab, beta = self.tab, self.beta
-        if self.at_upper[q]:
+        if self.dirn[q] > 0:
             beta += tab[:, q]
-            self.at_upper[q] = False
         piv = tab[r, q]
         tab[r] /= piv
         beta[r] /= piv
         col = tab[:, q].copy()
         col[r] = self.zero
-        tab -= np.outer(col, tab[r])
+        tab -= col[:, None] * tab[r]
         beta -= col * beta[r]
         self.d -= self.d[q] * tab[r]
         leave = self.basis[r]
         self.basis[r] = q
-        self.is_basic[q] = True
-        self.is_basic[leave] = False
+        self.bound[r] = self.one if q < self.k else np.inf
+        self.dirn[q] = 0
+        self.dirn[leave] = 1 if to_upper else -1
         tab[:, q] = self.zero
         tab[r, q] = self.one
         self.d[q] = self.zero
         if to_upper:
-            self.at_upper[leave] = True
             beta -= tab[:, leave]
 
     def _result(self) -> tuple[list, list[int], set[int]]:
-        y = np.where(self.at_upper[:self.k], self.one, self.zero)
-        for r, b in enumerate(self.basis):
-            if b < self.k:
-                y[b] = self.beta[r]
+        y = np.where(self.dirn[:self.k] > 0, self.one, self.zero)
+        basic_y = self.basis < self.k
+        y[self.basis[basic_y]] = self.beta[basic_y]
         # Only a nonbasic y is ever at its upper bound; a slack never is.
-        return y.tolist(), list(self.basis), set(np.flatnonzero(self.at_upper).tolist())
+        return y.tolist(), self.basis.tolist(), set(np.flatnonzero(self.dirn > 0).tolist())
 
 
 def _simplex(k: int, rows: Sequence[tuple[tuple[int, ...], object]], costs, exact: bool):
@@ -396,7 +411,7 @@ def solve_cut_lp(
             fresh = True
         return fresh
 
-    def ask(x: Mapping[int, Fraction]) -> Sequence[CutRow]:
+    def ask(x: Mapping[int, float | Fraction]) -> Sequence[CutRow]:
         """The oracle's rows at `x`, each held to naming variables only and
         to being violated at `x`: over x scaled to ints, a row's numerators
         sum below its rhs times the scale."""
@@ -435,8 +450,7 @@ def solve_cut_lp(
             tableau = basis = None
 
         if basis is not None and register(ask({
-            e: Fraction(min(1.0, max(0.0, 1.0 - y_float[j])))
-            for j, e in enumerate(var_ids)
+            e: min(1.0, max(0.0, 1.0 - y_float[j])) for j, e in enumerate(var_ids)
         })):
             continue
 

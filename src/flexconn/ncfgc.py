@@ -223,9 +223,12 @@ def rooted_q_flow(
 def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
     """Most violated rooted cut over all sinks; ties go to the smaller sink.
 
-    One split-node network serves every sink; its arc values x and the
+    One split-node network serves every sink; its arc values x, exact
+    rationals (floats or `Fraction`s, as `lp.CutOracle` hands them), and the
     node caps of `node_caps` are scaled to ints by the common denominator
-    of x, which keeps the flows exact.  A safe node's arc is unlimited,
+    of x, which keeps the flows exact.  Each sink's flow stops at p times
+    the scale, and a flow that stops short of it is the max flow, so its
+    residual side is the min cut.  A safe node's arc is unlimited,
     more than all arcs out of the root carry, so no min cut crosses it: the
     wall, the nodes whose arc the cut crosses, is unsafe, and the rhs is
     p - |wall|.
@@ -236,11 +239,12 @@ def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
     caps = {v: None if c is None else c * scale for v, c in inst.node_caps().items()}
     net = _split_network(g, caps, xs)
     s = 2 * root + 1
+    need = inst.requirement * scale
     best = None
     for t in range(g.n):
         if t == root:
             continue
-        viol = inst.requirement * scale - net.max_flow(s, 2 * t)
+        viol = need - net.max_flow(s, 2 * t, cutoff=need)
         if viol > 0 and (best is None or viol > best[0]):
             best = (viol, net.reachable_from(s))
     if best is None:

@@ -47,7 +47,8 @@ def node_pairs(draw, n):
 def cut_lp_values(rng, style, ids):
     """Edge values in one of the styles the cut LP hands to its oracle."""
     if style == "float":
-        # the float stage: x = 1 - y of a float vertex, clipped to [0, 1]
+        # the float stage: x = 1 - y of a float vertex, clipped to [0, 1],
+        # as the `Fraction` equal to each float the cut LP hands over
         ys = [rng.choice([0.0, 1.0, rng.random(), rng.random() ** 8]) for _ in ids]
         return {e: Fraction(min(1.0, max(0.0, 1.0 - y))) for e, y in zip(ids, ys)}
     if style == "rational":

@@ -151,6 +151,9 @@ def test_separation_matches_fraction_reference(style):
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
         rows = separation(g, x, pairs, chosen)
         assert rows == reference_separation(g, x, pairs, chosen)
+        if style == "float":
+            # the cut LP hands its float stage's point over as the floats
+            assert separation(g, {e: float(v) for e, v in x.items()}, pairs, chosen) == rows
         found += bool(rows)
     assert found >= 20
 

@@ -2,7 +2,9 @@
 
 import random
 from fractions import Fraction
+from typing import Sequence
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from flexconn import (
     OracleContractError,
     solve_cut_lp,
 )
+from flexconn.lp import _FLOAT_TOL, _TIE, _SimplexStall
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -22,7 +25,7 @@ def static_oracle(rows):
     """The first row of `rows` violated at x, as a batch of one, or no row."""
     def oracle(x):
         for r in rows:
-            if sum(x[e] for e in r.edge_ids) < r.rhs:
+            if sum(Fraction(x[e]) for e in r.edge_ids) < r.rhs:
                 return [r]
         return []
     return oracle
@@ -139,15 +142,11 @@ def test_rows_as_one_block_or_blocks_of_one_reach_one_vertex(exact):
 
     fractional = 0
     for seed in range(40):
-        ids, costs, rows = _thirds_problem(random.Random(seed))
-        cvec = [costs[i] for i in ids]
-        active = [
-            (tuple(sorted(r.edge_ids)), len(r.edge_ids) - r.rhs) for r in rows
-        ]
+        k, cvec, active = _thirds_lp(seed)
         halves = [active[:len(active) // 2], active[len(active) // 2:]]
 
         def solve_in(blocks_of_each_half):
-            tableau = lp._DualTableau(len(ids), cvec, exact=exact)
+            tableau = lp._DualTableau(k, cvec, exact=exact)
             for blocks in blocks_of_each_half:
                 for block in blocks:
                     tableau.add_rows(block)
@@ -156,9 +155,9 @@ def test_rows_as_one_block_or_blocks_of_one_reach_one_vertex(exact):
 
         basis, upper = solve_in([[half] for half in halves])
         assert solve_in([[[row] for row in half] for half in halves]) == (basis, upper)
-        assert_basis_contract(len(ids), len(active), basis, upper)
-        y = lp._primal_from_basis(len(ids), active, basis, upper)
-        assert y is not None and lp._dual_certifies(len(ids), active, cvec, basis, upper)
+        assert_basis_contract(k, len(active), basis, upper)
+        y = lp._primal_from_basis(k, active, basis, upper)
+        assert y is not None and lp._dual_certifies(k, active, cvec, basis, upper)
         fractional += any(v.denominator > 1 for v in y)
     assert fractional > 10
 
@@ -358,6 +357,14 @@ def _thirds_problem(rng):
     return ids, costs, rows
 
 
+def _thirds_lp(seed):
+    """The problem `_thirds_problem` draws from `seed`, as the tableau takes
+    it: (k, costs, rows), each row (cols, cap) in y = 1 - x."""
+    ids, costs, rows = _thirds_problem(random.Random(seed))
+    active = [(tuple(sorted(r.edge_ids)), len(r.edge_ids) - r.rhs) for r in rows]
+    return len(ids), [costs[i] for i in ids], active
+
+
 def _tight_rows(ids, x):
     """Every row over two or more ids that holds with equality at `x` and has
     a fractional right-hand side."""
@@ -401,7 +408,7 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
         def oracle(x):
             nonlocal barely_violated
             for r in pool:
-                gap = r.rhs - sum(x[e] for e in r.edge_ids)
+                gap = r.rhs - sum(Fraction(x[e]) for e in r.edge_ids)
                 if gap > 0:
                     barely_violated += gap < Fraction(1, 10**7)
                     return [r]
@@ -721,3 +728,222 @@ def test_swapped_bases_are_judged_as_the_reference(recorded_bases):
             judged["primal"] += want is None
             judged["dual"] += not certified
     assert min(judged.values()) > 50, judged
+
+
+# Reference tableau: the float and exact dual simplex as it stood before the
+# tableau kept its bound state across pivots, copied verbatim.  The live
+# tableau must take the same pivots and reach the same (y, basis, upper) on
+# every input, bit for bit.
+
+class RefDualTableau:
+    """Bounded-variable tableau for max costs.y s.t. sum(y[cols]) <= cap.
+
+    Columns are [y_0..y_{k-1} | s_0..s_{R-1}] with s_r the slack of row r, so
+    row r of the tableau starts out as row r of the system.  `tab` is B^-1 A,
+    `beta` the basic values with every nonbasic at its bound, and `d` the
+    reduced costs of minimizing -costs.y.  A nonbasic y sits at 0 or at 1
+    (`at_upper`); a nonbasic slack sits at 0.
+
+    The float tableau holds `float64`s and compares within `_FLOAT_TOL` and
+    `_TIE`; an `exact` one holds `Fraction`s in an object array and compares
+    with no tolerance.  Costs and caps are converted on the way in.
+    """
+
+    def __init__(self, k: int, costs: Sequence, *, exact: bool = False):
+        self.k = k
+        self.num = Fraction if exact else float
+        self.dtype = object if exact else np.float64
+        self.zero, self.one = self.num(0), self.num(1)
+        self.tol, self.tie = (0, 0) if exact else (_FLOAT_TOL, _TIE)
+        self.tab = np.full((0, k), self.zero, dtype=self.dtype)
+        self.beta = np.full(0, self.zero, dtype=self.dtype)
+        self.d = -np.array([self.num(c) for c in costs], dtype=self.dtype)
+        self.at_upper = np.ones(k, dtype=bool)
+        self.is_basic = np.zeros(k, dtype=bool)
+        self.basis: list[int] = []
+
+    @property
+    def rows(self) -> int:
+        return len(self.basis)
+
+    def add_rows(self, rows: Sequence[tuple[Sequence[int], object]]) -> None:
+        """Append sum(y[cols]) + s = cap for each (cols, cap) in `rows`, each
+        with its own slack s basic, reduced against the current basis in one
+        block; the basis stays dual feasible.  A new row names y only, so no
+        new slack enters another new row's reduction."""
+        if not rows:
+            return
+        zero, one = self.zero, self.one
+        width, m = self.k + self.rows, len(rows)
+        block = np.full((m, width + m), zero, dtype=self.dtype)
+        for i, (cols, _) in enumerate(rows):
+            block[i, list(cols)] = one
+            block[i, width + i] = one
+        value = np.where(self.at_upper, one, zero)
+        if self.basis:
+            block[:, :width] -= block[:, self.basis] @ self.tab
+            value[self.basis] = self.beta
+        columns = np.full((self.rows, m), zero, dtype=self.dtype)
+        self.tab = np.vstack([np.hstack([self.tab, columns]), block])
+        caps = [self.num(cap) - value[list(cols)].sum() for cols, cap in rows]
+        self.beta = np.append(self.beta, np.array(caps, dtype=self.dtype))
+        self.d = np.append(self.d, np.full(m, zero, dtype=self.dtype))
+        self.at_upper = np.append(self.at_upper, np.zeros(m, dtype=bool))
+        self.is_basic = np.append(self.is_basic, np.ones(m, dtype=bool))
+        self.basis.extend(range(width, width + m))
+
+    def solve(self) -> tuple[list, list[int], set[int]]:
+        """Dual simplex to a primal feasible basis.
+
+        The leaving row is the most infeasible (ties to the smallest row), the
+        entering column the minimum |d_j / alpha_rj| (ties to the smallest
+        column).  That leaving rule can cycle on degenerate bases, so after
+        `cap` pivots the leaving row becomes the infeasible row with the
+        smallest basic column (Bland's rule), which cannot cycle; a second
+        `cap` pivots without an answer is a stall.  Returns (y, basis, upper):
+        the y values, the basic column of each row in the tableau's own
+        [y | s] numbering, and the nonbasic y that sit at 1.
+        """
+        k, tol = self.k, self.tol
+        if not self.basis:
+            return self._result()
+        upper = np.where(np.arange(k + self.rows) < k, self.one, np.inf)
+        cap = max(2000, 80 * (self.rows + k))
+        for pivot in range(2 * cap):
+            excess = np.maximum(-self.beta, self.beta - upper[self.basis])
+            r = int(np.argmax(excess))
+            if excess[r] <= tol:
+                return self._result()
+            if pivot >= cap:
+                infeasible = np.flatnonzero(excess > tol)
+                r = int(min(infeasible, key=self.basis.__getitem__))
+            # A basic value below 0 rises to 0 and one above 1 falls to 1;
+            # the entering column must move it that way from its bound.
+            raise_it = self.beta[r] < 0
+            alpha = self.tab[r] if raise_it else -self.tab[r]
+            ok = ~self.is_basic & np.where(self.at_upper, alpha > tol, alpha < -tol)
+            if not ok.any():
+                raise _SimplexStall
+            size = np.where(ok, np.abs(alpha), self.one)
+            ratio = np.where(ok, np.abs(self.d) / size, np.inf)
+            q = int(np.argmax(ratio <= ratio.min() + self.tie))
+            self._pivot(r, q, to_upper=not raise_it)
+        raise _SimplexStall
+
+    def _pivot(self, r: int, q: int, *, to_upper: bool) -> None:
+        tab, beta = self.tab, self.beta
+        if self.at_upper[q]:
+            beta += tab[:, q]
+            self.at_upper[q] = False
+        piv = tab[r, q]
+        tab[r] /= piv
+        beta[r] /= piv
+        col = tab[:, q].copy()
+        col[r] = self.zero
+        tab -= np.outer(col, tab[r])
+        beta -= col * beta[r]
+        self.d -= self.d[q] * tab[r]
+        leave = self.basis[r]
+        self.basis[r] = q
+        self.is_basic[q] = True
+        self.is_basic[leave] = False
+        tab[:, q] = self.zero
+        tab[r, q] = self.one
+        self.d[q] = self.zero
+        if to_upper:
+            self.at_upper[leave] = True
+            beta -= tab[:, leave]
+
+    def _result(self) -> tuple[list, list[int], set[int]]:
+        y = np.where(self.at_upper[:self.k], self.one, self.zero)
+        for r, b in enumerate(self.basis):
+            if b < self.k:
+                y[b] = self.beta[r]
+        # Only a nonbasic y is ever at its upper bound; a slack never is.
+        return y.tolist(), list(self.basis), set(np.flatnonzero(self.at_upper).tolist())
+
+
+def _trace_pivots(tableau):
+    """Every (r, q, to_upper) pivot `tableau` takes from now on."""
+    path = []
+    pivot = tableau._pivot
+
+    def record(r, q, *, to_upper):
+        path.append((r, q, to_upper))
+        pivot(r, q, to_upper=to_upper)
+
+    tableau._pivot = record
+    return path
+
+
+def _replay(cls, k, costs, blocks, exact):
+    """Feed `blocks` to a fresh `cls` tableau with a solve after each; the
+    outcome of each solve and the whole pivot path."""
+    tableau = cls(k, costs, exact=exact)
+    path = _trace_pivots(tableau)
+    outcomes = []
+    for block in blocks:
+        tableau.add_rows(block)
+        try:
+            y, basis, upper = tableau.solve()
+        except _SimplexStall:
+            outcomes.append("stall")
+            break
+        outcomes.append((repr(y), basis, upper))
+    return outcomes, path
+
+
+@pytest.fixture(scope="module")
+def recorded_lps():
+    """(k, costs, blocks) of every live tableau in seeded fgc, fst and ncfgc
+    solves: the row blocks in the order `solve_cut_lp` fed them, each
+    followed by a solve."""
+    from flexconn import lp
+    from flexconn.fgc import solve_fgc
+    from flexconn.fst import solve_fst
+    from flexconn.generators import GenConfig, gen_fgc, gen_fst, gen_ncfgc
+    from flexconn.ncfgc import solve_p_ncfgc
+
+    lps = []
+
+    class Recording(lp._DualTableau):
+        def __init__(self, k, costs, *, exact=False):
+            super().__init__(k, costs, exact=exact)
+            self.blocks = []
+            lps.append((k, list(costs), self.blocks))
+
+        def add_rows(self, rows):
+            self.blocks.append(list(rows))
+            super().add_rows(rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_DualTableau", Recording)
+        cfg = GenConfig(nodes=(8, 8), extra_edges=(8, 8), pairs=(3, 3),
+                        max_p=2, max_q=2)
+        for seed in range(8):
+            solve_fgc(gen_fgc(seed, regime=("q1", "p1")[seed % 2], cfg=cfg))
+        fst_cfg = GenConfig(nodes=(12, 12), extra_edges=(6, 6), terminals=(6, 6))
+        for seed in range(4):
+            solve_fst(gen_fst(seed, cfg=fst_cfg))
+        nc_cfg = GenConfig(nodes=(8, 8), extra_edges=(6, 8), ncfgc_p=(2, 2))
+        for seed in range(4):
+            solve_p_ncfgc(gen_ncfgc(seed, cfg=nc_cfg))
+    return lps
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_tableau_takes_the_reference_pivot_path(exact, recorded_lps):
+    from flexconn import lp
+
+    inputs = list(recorded_lps)
+    for seed in range(40):
+        k, cvec, active = _thirds_lp(seed)
+        half = len(active) // 2
+        inputs.append((k, cvec, [active[:half], active[half:]]))
+        inputs.append((k, cvec, [[row] for row in active]))
+    pivots = 0
+    for k, costs, blocks in inputs:
+        got = _replay(lp._DualTableau, k, costs, blocks, exact)
+        assert got == _replay(RefDualTableau, k, costs, blocks, exact)
+        pivots += len(got[1])
+    assert pivots > 800

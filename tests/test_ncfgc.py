@@ -576,6 +576,9 @@ def test_rooted_separation_matches_fraction_reference(style):
         x = cut_lp_values(rng, style, sorted(all_arcs(g)))
         row = _separate_rooted(inst, root, x)
         assert row == reference_separate_rooted(inst, root, x)
+        if style == "float":
+            # the cut LP hands its float stage's point over as the floats
+            assert _separate_rooted(inst, root, {e: float(v) for e, v in x.items()}) == row
         found += row is not None
     assert found >= 20
 
