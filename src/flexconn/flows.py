@@ -12,7 +12,10 @@ id and never see an arc.  One network over a whole edge set answers any
 subset F of it after `within(F)`: BFS skips an arc of residual 0, so the
 paths, values and cuts are those a network over F alone would give.  A
 query may block some edges, and `carrying` names the edges its flow used:
-see `smallest_failing_set`.  A network cached for every F is not reentrant.
+see `smallest_failing_set`.  `load` instead replaces every arc's starting
+capacity, as the separation oracles do at each LP point on the network
+their instance caches; the next `within` puts the built ones back.  A
+network cached for every F or every point is not reentrant.
 
 The separation oracles run on Python ints: `integral` multiplies rational
 capacities by their common denominator.  That is still exact, and it finds
@@ -44,8 +47,8 @@ class Network:
     """Flow network; arcs 2k and 2k+1 are mutual reverses, pair k, and the
     builders record the edge behind it as `edges[k]` (None for a node arc).
     `base` holds the capacities as built, `start` those with the pairs
-    `within` closed at 0, `cap` the residual the last max flow left and
-    `blocked` the edge ids it shut."""
+    `within` closed at 0 (or those `load` set), `cap` the residual the last
+    max flow left and `blocked` the edge ids it shut."""
 
     def __init__(self, n: int):
         self.n = n
@@ -79,6 +82,19 @@ class Network:
         for k, eid in enumerate(self.edges):
             if eid is not None and eid not in edge_ids:
                 start[2 * k] = start[2 * k + 1] = 0
+        self.start = start
+        self.cap = start.copy()
+        self.blocked = ()
+        return self
+
+    def load(self, start: list) -> Network:
+        """Start every later max flow, until the next `within`, from the
+        capacities `start`, one per arc in arc order; `base` stays as built.
+        Returns the network, which then reads as if no flow had run."""
+        if len(start) != len(self.to):
+            raise InvalidQueryError(
+                f"load needs {len(self.to)} arc capacities, got {len(start)}"
+            )
         self.start = start
         self.cap = start.copy()
         self.blocked = ()
@@ -118,10 +134,11 @@ class Network:
 
     def max_flow(self, s: int, t: int, cutoff=None, *, blocked: Collection[int] = ()):
         """Exact max s-t flow value from the built capacities less the pairs
-        `within` closed, stopping early once `cutoff` is reached; s and t
-        must be two distinct nodes of the network.  A value short of
-        `cutoff` is the max flow.  The arc pairs of the edges whose ids are
-        in `blocked` also carry nothing, in this flow only."""
+        `within` closed, or from those `load` set, stopping early once
+        `cutoff` is reached; s and t must be two distinct nodes of the
+        network.  A value short of `cutoff` is the max flow.  The arc pairs
+        of the edges whose ids are in `blocked` also carry nothing, in this
+        flow only."""
         if s == t or not (0 <= s < self.n and 0 <= t < self.n):
             raise InvalidQueryError(
                 f"max flow needs two distinct nodes in 0..{self.n - 1}, "

@@ -11,6 +11,9 @@ vertex recovery, not an instance property, and raises JainProgressError.
 `first_unmet_pair` checks a dict of pair requirements on a cached network
 that `Network.within` narrows to an edge set: at unit capacities here and in
 the oracle, at Cap-NDP capacities for fgc's refusal and closing check.
+`separation` loads each LP point into that same unit network with
+`Network.load`, so a whole rounding builds one network; the next `within`
+puts its unit capacities back.
 ncfgc's qconn route and rooted pre-check keep their own loops over
 split-node pairs: they hold no such dict, and building one per oracle
 predicate call costs more than the loop.
@@ -24,7 +27,7 @@ from functools import cached_property
 from typing import Collection, Mapping
 
 from .errors import JainProgressError, ValidationError
-from .flows import Network, integral, undirected_network, unit_network
+from .flows import Network, integral, unit_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import DisjointSets, MultiGraph, check_count, check_node
 from .lp import CutRow, FractionalSolution, solve_cut_lp
@@ -82,19 +85,18 @@ def first_unmet_pair(
 
 
 def separation(
-    graph: MultiGraph,
+    inst: SndpInstance,
     x: Mapping[int, float | Fraction],
-    requirements: Mapping[tuple[int, int], int],
     chosen: Collection[int],
 ) -> list[CutRow]:
-    """Every distinct violated residual cut under capacities x, chosen edges
-    at 1, most violated first.
+    """Every distinct violated residual cut of `inst` under capacities x,
+    chosen edges at 1, most violated first.
 
     The values of x are exact rationals, floats or `Fraction`s, as
-    `lp.CutOracle` hands them.  The flows run on one network whose
-    capacities are x scaled to ints by their common denominator, which keeps
-    them exact and makes a float and the `Fraction` equal to it give the
-    same rows.  Each pair (i, j) short of its requirement r gives the cut
+    `lp.CutOracle` hands them.  The flows run on the instance's cached
+    network, loaded with x scaled to ints by their common denominator, which
+    keeps them exact and makes a float and the `Fraction` equal to it give
+    the same rows.  Each pair (i, j) short of its requirement r gives the cut
     side residual-reachable from i, its canonical min cut; a side several
     pairs give appears once, at its largest violation.  The rows are ranked
     by violation, then the smaller side, then lexicographic node order, so
@@ -111,10 +113,11 @@ def separation(
     lambda(a, b) >= min(lambda(a, c), lambda(c, b)) (Gomory and Hu, 1961),
     it is met too.  The rows are those of every pair's full flow.
     """
-    scale, caps = integral({
-        e.eid: 1 if e.eid in chosen else x.get(e.eid, 0) for e in graph.edges
-    })
-    net = undirected_network(graph, caps)
+    graph = inst.graph
+    requirements = inst.requirements
+    net = inst._network
+    scale, caps = integral({eid: 1 if eid in chosen else x.get(eid, 0) for eid in net.edges})
+    net.load([c for c in caps.values() for _ in (0, 1)])
     pairs = sorted(requirements.items(), key=lambda item: (-item[1], item[0]))
     met = DisjointSets(graph.n)
     sides: dict[frozenset[int], int] = {}
@@ -159,7 +162,7 @@ def jain_round(inst: SndpInstance) -> JainResult:
     while first_unmet_pair(inst._network.within(chosen), requirements):
         sol: FractionalSolution = solve_cut_lp(
             {e: c for e, c in costs.items() if e not in chosen},
-            lambda x: separation(graph, x, requirements, chosen),
+            lambda x: separation(inst, x, chosen),
         )
         if first_objective is None:
             first_objective = sol.objective

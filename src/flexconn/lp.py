@@ -394,7 +394,7 @@ def solve_cut_lp(
         any was new."""
         fresh = False
         for row in cuts:
-            key = (row.edge_ids, Fraction(row.rhs))
+            key = (row.edge_ids, row.rhs)
             if key in seen:
                 continue
             if len(rows) >= max_rows:
@@ -407,7 +407,7 @@ def solve_cut_lp(
                     f"cut needs {row.rhs} but only {len(cols)} edges cross it",
                     row=row,
                 )
-            active.append((cols, len(cols) - Fraction(row.rhs)))
+            active.append((cols, len(cols) - row.rhs))
             fresh = True
         return fresh
 
@@ -423,7 +423,7 @@ def solve_cut_lp(
             unknown = cut.edge_ids.difference(num)
             if unknown:
                 raise OracleContractError(f"cut references unknown edge {min(unknown)}")
-            p, q = Fraction(cut.rhs).as_integer_ratio()
+            p, q = cut.rhs.as_integer_ratio()
             if sum(num[e] for e in cut.edge_ids) * q >= p * scale:
                 raise OracleContractError(
                     f"cut {sorted(cut.edge_ids)} >= {cut.rhs} is not violated"

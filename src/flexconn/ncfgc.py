@@ -17,8 +17,8 @@ under the instance's own node caps, as the optimal vertex of one cut LP,
 which is integral for this rooted problem (see `solve_rooted_qconn`).  Its
 feasibility pre-check and the closing check of the edges it returns both
 ask the instance's cached split-node network, opened to the edges at hand
-by `Network.within`; separation builds one network per call over the LP's
-arc values.  Taking both arcs of an optimal
+by `Network.within`, and separation loads the LP's arc values into that
+same network with `Network.load`.  Taking both arcs of an optimal
 undirected solution is always rooted-feasible, and the underlying edges of a
 rooted solution are feasible for the instance, so the edge set returned
 costs at most twice the undirected optimum.
@@ -77,7 +77,8 @@ class NcFgcInstance:
 
     # The network of each route of `verify_ncfgc` over every edge, built on
     # its first use (see there); one network serves every call on the
-    # instance, so neither is reentrant.
+    # instance, so neither is reentrant.  The flow route's also serves
+    # `solve_rooted_qconn` and its separation oracle.
     @cached_property
     def _flow_route(self) -> Network:
         g = self.graph
@@ -223,36 +224,45 @@ def rooted_q_flow(
 def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
     """Most violated rooted cut over all sinks; ties go to the smaller sink.
 
-    One split-node network serves every sink; its arc values x, exact
-    rationals (floats or `Fraction`s, as `lp.CutOracle` hands them), and the
-    node caps of `node_caps` are scaled to ints by the common denominator
-    of x, which keeps the flows exact.  Each sink's flow stops at p times
-    the scale, and a flow that stops short of it is the max flow, so its
-    residual side is the min cut.  A safe node's arc is unlimited,
-    more than all arcs out of the root carry, so no min cut crosses it: the
-    wall, the nodes whose arc the cut crosses, is unsafe, and the rhs is
-    p - |wall|.
+    Every sink's flow runs on the instance's cached split-node network,
+    loaded with the arc values x, exact rationals (floats or `Fraction`s, as
+    `lp.CutOracle` hands them), and the node caps, all scaled to ints by the
+    common denominator of x, which keeps the flows exact.  An unsafe node's
+    arc gets the scale; a safe node's is unlimited, 1 + the scaled total of
+    x, more than all arcs out of the root carry, so no min cut crosses it:
+    the wall, the nodes whose arc the cut crosses, is unsafe, and the rhs
+    is p - |wall|.  A crossing arc's ends are read off the network.
+
+    Each sink's flow stops at p times the scale less the largest violation
+    found so far.  A flow that reaches that cutoff cannot be more violated
+    than an earlier sink, and a tie keeps the earlier, smaller sink; a flow
+    that stops short of it is the max flow, so its residual side is the
+    min cut.  The row is therefore the one every flow run to p times the
+    scale gives.
     """
     g = inst.graph
+    net = inst._flow_route
     ids = _both_arcs(g.edge_ids)
     scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
-    caps = {v: None if c is None else c * scale for v, c in inst.node_caps().items()}
-    net = _split_network(g, caps, xs)
+    unlimited = 1 + sum(xs.values())
+    caps = [unlimited if c is None else c * scale for c in inst.node_caps().values()]
+    net.load([c for cap in (*caps, *xs.values()) for c in (cap, 0)])
     s = 2 * root + 1
     need = inst.requirement * scale
-    best = None
+    best_viol, side = 0, None
     for t in range(g.n):
         if t == root:
             continue
-        viol = need - net.max_flow(s, 2 * t, cutoff=need)
-        if viol > 0 and (best is None or viol > best[0]):
-            best = (viol, net.reachable_from(s))
-    if best is None:
+        viol = need - net.max_flow(s, 2 * t, cutoff=need - best_viol)
+        if viol > best_viol:
+            best_viol, side = viol, net.reachable_from(s)
+    if side is None:
         return None
-    side = best[1]
+    # arc aid is pair k: arc 2k ends at its head's in half, 2k + 1 at its tail's out half
+    to = net.to
     crossing = frozenset(
-        aid for aid in ids for u, v, _ in [arc(g, aid)]
-        if 2 * u + 1 in side and 2 * v not in side
+        aid for k, aid in enumerate(ids, g.n)
+        if to[2 * k + 1] in side and to[2 * k] not in side
     )
     wall = sum(2 * v in side and 2 * v + 1 not in side for v in range(g.n))
     return CutRow(crossing, Fraction(inst.requirement - wall))

@@ -182,6 +182,37 @@ def test_within_answers_like_a_network_over_f_alone(g, data):
 
 
 @given(multigraphs(), st.data())
+def test_load_then_within_answers_like_fresh_networks(g, data):
+    """Loaded with capacities, a network over every edge answers like one
+    built with them; the next `within(F)` puts the built capacities back,
+    and it answers like a fresh network over F alone."""
+    ids = sorted(g.edge_ids)
+    full = unit_network(g)
+    for _ in range(data.draw(st.integers(1, 3))):
+        caps = {eid: data.draw(st.integers(0, 3)) for eid in ids}
+        assert full.load([c for c in caps.values() for _ in (0, 1)]) is full
+        assert full.base == [1] * (2 * len(ids))
+        kept = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else ())
+        s, t = data.draw(node_pairs(g.n))
+        loaded = undirected_network(g, caps)
+        assert full.max_flow(s, t) == loaded.max_flow(s, t)
+        assert full.reachable_from(s) == loaded.reachable_from(s)
+        own = undirected_network(g, dict.fromkeys(kept, 1))
+        assert full.within(kept).max_flow(s, t) == own.max_flow(s, t)
+        assert full.reachable_from(s) == own.reachable_from(s)
+
+
+def test_load_needs_one_capacity_per_arc():
+    path = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
+    net = unit_network(path)
+    for start in ([1] * 3, [1] * 5, []):
+        with pytest.raises(InvalidQueryError, match="4 arc capacities"):
+            net.load(start)
+    assert net.start == [1] * 4
+    assert net.load([2] * 4).max_flow(0, 2) == 2
+
+
+@given(multigraphs(), st.data())
 def test_within_narrows_a_split_node_network_like_one_over_f_alone(g, data):
     """The split-node network over every arc, narrowed to F, agrees with the
     one built over F's arcs alone on values, carried edges and reachable

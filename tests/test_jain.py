@@ -73,21 +73,23 @@ def test_infeasible_requirement_reports_a_cut():
 
 def test_separation_finds_most_violated_cut():
     g = cycle(4)
+    inst = SndpInstance(g, {(0, 2): 2})
     x = {eid: Fraction(0) for eid in g.edge_ids}
-    rows = separation(g, x, {(0, 2): 2}, frozenset())
+    rows = separation(inst, x, frozenset())
     assert rows and rows[0].rhs == 2
     # a satisfied requirement yields silence
     x = {eid: Fraction(1) for eid in g.edge_ids}
-    assert separation(g, x, {(0, 2): 2}, frozenset()) == []
+    assert separation(inst, x, frozenset()) == []
 
 
 def test_separation_ignores_zero_requirements():
     g = cycle(4)
     x = {eid: Fraction(0) for eid in g.edge_ids}
     for chosen in (frozenset(), frozenset({0})):
-        alone = separation(g, x, {(0, 2): 2}, chosen)
+        alone = separation(SndpInstance(g, {(0, 2): 2}), x, chosen)
         assert alone
-        assert separation(g, x, {(0, 1): 0, (0, 2): 2, (1, 3): 0}, chosen) == alone
+        zeros = SndpInstance(g, {(0, 1): 0, (0, 2): 2, (1, 3): 0})
+        assert separation(zeros, x, chosen) == alone
 
 
 def test_first_unmet_pair_counts_capacity_units():
@@ -103,7 +105,7 @@ def test_half_integral_point_on_a_cycle_is_cut_short():
     # x = 1/2 everywhere moves only one unit across the cut around node 0
     g = cycle(4)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
-    rows = separation(g, x, {(0, 2): 2}, frozenset())
+    rows = separation(SndpInstance(g, {(0, 2): 2}), x, frozenset())
     assert rows and rows[0].rhs == 2
     assert sum(x[eid] for eid in rows[0].edge_ids) == 1
 
@@ -149,11 +151,12 @@ def test_separation_matches_fraction_reference(style):
             for _ in range(rng.randint(1, 5))
         }
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
-        rows = separation(g, x, pairs, chosen)
+        inst = SndpInstance(g, pairs)
+        rows = separation(inst, x, chosen)
         assert rows == reference_separation(g, x, pairs, chosen)
         if style == "float":
             # the cut LP hands its float stage's point over as the floats
-            assert separation(g, {e: float(v) for e, v in x.items()}, pairs, chosen) == rows
+            assert separation(inst, {e: float(v) for e, v in x.items()}, chosen) == rows
         found += bool(rows)
     assert found >= 20
 
@@ -163,7 +166,7 @@ def test_separation_breaks_ties_between_pairs_like_the_reference():
     g = cycle(6)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
     pairs = {(i, j): 2 for i in range(6) for j in range(i + 1, 6)}
-    rows = separation(g, x, pairs, frozenset())
+    rows = separation(SndpInstance(g, pairs), x, frozenset())
     assert rows == reference_separation(g, x, pairs, frozenset())
     assert rows[0] == CutRow(frozenset({0, 5}), Fraction(2))
 
@@ -197,8 +200,9 @@ def test_pruned_separation_matches_the_reference_on_a_clique_of_pairs(monkeypatc
             pair = tuple(sorted(rng.sample(range(g.n), 2)))
             pairs.setdefault(pair, 0)
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
+        inst = SndpInstance(g, pairs)
         flows_run.clear()
-        rows = separation(g, x, pairs, chosen)
+        rows = separation(inst, x, chosen)
         assert all(cutoff is not None for cutoff in flows_run)
         ran += len(flows_run)
         asked += sum(1 for need in pairs.values() if need > 0)
@@ -261,7 +265,8 @@ def test_every_vertex_offers_a_half_edge(g, data):
     if edge_connectivity(g, pair[0], pair[1]) < r:
         return
     costs = {e.eid: e.cost for e in g.edges}
-    sol = solve_cut_lp(costs, lambda x: separation(g, x, {pair: r}, frozenset()))
+    inst = SndpInstance(g, {pair: r})
+    sol = solve_cut_lp(costs, lambda x: separation(inst, x, frozenset()))
     assert any(v >= Fraction(1, 2) for v in sol.x.values())
 
 
@@ -314,17 +319,14 @@ def test_residual_lp_matches_the_explicit_residual_system():
             lam = edge_connectivity(g, i, j, g.edge_ids, cutoff=4)
             requirements[(i, j)] = min(rng.randint(1, 4), lam)
         costs = {e.eid: e.cost for e in g.edges}
-        first = solve_cut_lp(
-            costs, lambda x: separation(g, x, requirements, frozenset())
-        )
+        inst = SndpInstance(g, requirements)
+        first = solve_cut_lp(costs, lambda x: separation(inst, x, frozenset()))
         half = sorted(e for e, v in first.x.items() if v >= Fraction(1, 2))
         if len(half) < 2:
             continue
         chosen = frozenset(half) - {rng.choice(half)}
         undecided = {e: c for e, c in costs.items() if e not in chosen}
-        sol = solve_cut_lp(
-            undecided, lambda x: separation(g, x, requirements, chosen)
-        )
+        sol = solve_cut_lp(undecided, lambda x: separation(inst, x, chosen))
         assert sol.x.keys() == undecided.keys()
         reference = _residual_lp_by_highs(g, undecided, requirements, chosen)
         assert abs(float(sol.objective) - reference) < 1e-7

@@ -583,6 +583,27 @@ def test_rooted_separation_matches_fraction_reference(style):
     assert found >= 20
 
 
+def test_rooted_separation_keeps_the_smaller_of_two_tied_sinks():
+    # edges 0-1, 0-2, 1-2; from root 0 the arcs into 1 and 2 carry 1 each,
+    # so at p = 2 both sinks fall short by exactly one unit, with other cuts;
+    # the second flow stops at the first's cutoff and must not take over
+    g = MultiGraph.build(3, [
+        (0, 1, Fraction(1), True),
+        (0, 2, Fraction(1), True),
+        (1, 2, Fraction(1), True),
+    ])
+    inst = NcFgcInstance(g, {0}, 2)
+    x = {0: Fraction(1), 2: Fraction(1)}
+    row = _separate_rooted(inst, 0, x)
+    # sink 1's side holds the root's out half and both halves of node 2
+    assert row == CutRow(frozenset({0, 3, 5}), Fraction(2))
+    assert row == reference_separate_rooted(inst, 0, x)
+    # with arc 2 -> 1 open too, sink 1 is met and sink 2 gives its own cut
+    assert _separate_rooted(inst, 0, {**x, 5: Fraction(1)}) == CutRow(
+        frozenset({1, 2, 4}), Fraction(2)
+    )
+
+
 def test_solve_hand_cases():
     cycle = MultiGraph.build(4, [
         (0, 1, Fraction(1), True),

@@ -9,20 +9,27 @@ import random
 
 import pytest
 
-from flexconn import FgcInstance, NcFgcInstance, flows
+from flexconn import FgcInstance, NcFgcInstance, flows, jain, ncfgc
 from flexconn.fgc import (
     FgcViolation,
     build_capndp_p1,
     build_capndp_q1,
     check_capacitated_cuts,
+    solve_fgc,
     verify_fgc,
 )
 from flexconn.flows import smallest_failing_set, undirected_network
-from flexconn.fst import FstViolation, verify_fst
+from flexconn.fst import FstViolation, build_second_stage, steiner_tree_approx, verify_fst
 from flexconn.generators import GenConfig, gen_instance
 from flexconn.graphs import Edge, MultiGraph, Verdict
 from flexconn.jain import SndpInstance
-from flexconn.ncfgc import NcViolation, _both_arcs, _split_network, verify_ncfgc
+from flexconn.ncfgc import (
+    NcViolation,
+    _both_arcs,
+    _split_network,
+    solve_rooted_qconn,
+    verify_ncfgc,
+)
 from flexconn.oracle import _sndp_feasible, exact_opt
 
 MODES = ("qconn", "enumeration", "both")
@@ -155,6 +162,35 @@ def test_each_instance_builds_one_network_per_route(monkeypatch, kind, routes):
         else:
             verify_fgc(inst, subset)
     assert len(built) == routes
+
+
+@pytest.mark.parametrize("kind", ["fgc-q1", "fst", "ncfgc"])
+def test_separation_reuses_the_instance_network(monkeypatch, kind):
+    # each oracle loads its LP point into the network its instance caches,
+    # so no separation call, of any cut LP, builds a network of its own
+    built, during = [], []
+    init = flows.Network.__init__
+    monkeypatch.setattr(flows.Network, "__init__", lambda net, n: built.append(n) or init(net, n))
+
+    def counted(oracle):
+        def run(*args):
+            before = len(built)
+            rows = oracle(*args)
+            during.append(len(built) - before)
+            return rows
+        return run
+
+    monkeypatch.setattr(jain, "separation", counted(jain.separation))
+    monkeypatch.setattr(ncfgc, "_separate_rooted", counted(ncfgc._separate_rooted))
+    for seed, inst in draws(kind):
+        if kind == "fgc-q1":
+            solve_fgc(inst)  # `jain_round` on the split Cap-NDP instance
+        elif kind == "fst":
+            tree = steiner_tree_approx(inst.graph, inst.terminals)
+            jain.jain_round(build_second_stage(inst, tree))
+        else:
+            solve_rooted_qconn(inst, min(inst.safe_nodes))
+    assert len(during) > 20 and sum(during) == 0
 
 
 def test_split_network_never_shuts_a_node_arc():
