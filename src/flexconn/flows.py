@@ -17,10 +17,10 @@ capacity, as the separation oracles do at each LP point on the network
 their instance caches; the next `within` puts the built ones back.  A
 network cached for every F or every point is not reentrant.
 
-The separation oracles run on Python ints: `integral` multiplies rational
-capacities by their common denominator.  That is still exact, and it finds
-the same paths and the same cut side, since BFS only asks which residuals
-are positive and every push is scaled by the same positive factor.
+`lp.solve_cut_lp` hands the separation oracles each LP point as Python ints,
+scaled by `integral` to a common denominator.  That is still exact, and it
+finds the same paths and the same cut side, since BFS only asks which
+residuals are positive and every push is scaled by the same positive factor.
 """
 
 from __future__ import annotations

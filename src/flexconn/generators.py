@@ -37,6 +37,14 @@ class GenConfig:
     terminals: tuple[int, int] = (2, 4)
     ncfgc_p: tuple[int, int] = (1, 2)
 
+    def __post_init__(self):
+        # an extra edge needs two nodes to join
+        for name in ("nodes", "extra_edges", "pairs", "terminals", "ncfgc_p"):
+            low, high = getattr(self, name)
+            floor = 2 if name == "nodes" else 0
+            if not floor <= low <= high:
+                raise ValidationError(f"{name} ({low}, {high}) is not {floor} <= low <= high")
+
 
 def _cost(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, _MAX_COST), rng.choice(_DENOMINATORS))

@@ -115,7 +115,7 @@ class MultiGraph:
     def build(cls, n: int, rows: Iterable[tuple]) -> "MultiGraph":
         """Construct from (u, v, cost, safe) tuples; ids are assigned by position."""
         edges = tuple(
-            Edge(i, u, v, c, bool(safe)) for i, (u, v, c, safe) in enumerate(rows)
+            Edge(i, u, v, c, safe) for i, (u, v, c, safe) in enumerate(rows)
         )
         return cls(n, edges)
 

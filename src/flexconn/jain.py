@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Collection, Mapping
 
 from .errors import JainProgressError, ValidationError
-from .flows import Network, integral, unit_network
+from .flows import Network, unit_network
 from .flows import edge_connectivity, max_flow_min_cut  # unused here; perfbench/spans.py wraps these names
 from .graphs import DisjointSets, MultiGraph, check_count, check_node
 from .lp import CutRow, FractionalSolution, solve_cut_lp
@@ -86,24 +86,23 @@ def first_unmet_pair(
 
 def separation(
     inst: SndpInstance,
-    x: Mapping[int, float | Fraction],
+    scale: int,
+    num: Mapping[int, int],
     chosen: Collection[int],
 ) -> list[CutRow]:
-    """Every distinct violated residual cut of `inst` under capacities x,
-    chosen edges at 1, most violated first.
+    """Every distinct violated residual cut of `inst` under capacities
+    x_e = num[e] / scale, chosen edges at 1, most violated first.
 
-    The values of x are exact rationals, floats or `Fraction`s, as
-    `lp.CutOracle` hands them.  The flows run on the instance's cached
-    network, loaded with x scaled to ints by their common denominator, which
-    keeps them exact and makes a float and the `Fraction` equal to it give
-    the same rows.  Each pair (i, j) short of its requirement r gives the cut
-    side residual-reachable from i, its canonical min cut; a side several
-    pairs give appears once, at its largest violation.  The rows are ranked
-    by violation, then the smaller side, then lexicographic node order, so
-    the first is the single most violated cut.  A cut demands the largest
-    requirement it separates, at least the violated pair's own.  Each row
-    is residual: it names the undecided boundary edges and asks them for
-    that demand less the number of chosen boundary edges.
+    The flows run on the instance's cached network, loaded with `num` and
+    with `scale` on the chosen edges, so they stay exact on ints.  Each pair
+    (i, j) short of its requirement r gives the cut side residual-reachable
+    from i, its canonical min cut; a side several pairs give appears once,
+    at its largest violation.  The rows are ranked by violation, then the
+    smaller side, then lexicographic node order, so the first is the single
+    most violated cut.  A cut demands the largest requirement it separates,
+    at least the violated pair's own.  Each row is residual: it names the
+    undecided boundary edges and asks them for that demand less the number
+    of chosen boundary edges.
 
     No flow runs that cannot give a row.  Each stops at r times the scale,
     and a flow that stops short of it is the max flow, so its residual side
@@ -116,8 +115,7 @@ def separation(
     graph = inst.graph
     requirements = inst.requirements
     net = inst._network
-    scale, caps = integral({eid: 1 if eid in chosen else x.get(eid, 0) for eid in net.edges})
-    net.load([c for c in caps.values() for _ in (0, 1)])
+    net.load([scale if eid in chosen else num.get(eid, 0) for eid in net.edges for _ in (0, 1)])
     pairs = sorted(requirements.items(), key=lambda item: (-item[1], item[0]))
     met = DisjointSets(graph.n)
     sides: dict[frozenset[int], int] = {}
@@ -162,7 +160,7 @@ def jain_round(inst: SndpInstance) -> JainResult:
     while first_unmet_pair(inst._network.within(chosen), requirements):
         sol: FractionalSolution = solve_cut_lp(
             {e: c for e, c in costs.items() if e not in chosen},
-            lambda x: separation(inst, x, chosen),
+            lambda scale, num: separation(inst, scale, num, chosen),
         )
         if first_objective is None:
             first_objective = sol.objective

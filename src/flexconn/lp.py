@@ -5,29 +5,30 @@ form sum(x_e for e in ids) >= rhs and bounds 0 <= x <= 1.  Rows come from a
 separation oracle that inspects candidate solutions and answers with a batch
 of violated rows, most violated first, or with none.
 
-Substituting x = 1 - y turns every row into a packing row sum(y) <= cap.  One
-float tableau lives for the whole row generation: it has a row per active cut
-and handles 0 <= y <= 1 by bound flips rather than extra rows.  It starts with
-every y at its upper bound, which is dual feasible because costs are
-nonnegative; each batch of new rows is reduced against the current basis in
-one block and appended, and dual simplex pivots restore primal feasibility.
-The tableau keeps its basis, each row's upper bound and each column's move
-direction as arrays that every pivot updates, so a pivot reads them rather
-than rebuilding them.  A solve hands back its basis as the tableau holds
-it: one basic [y | s] column per row, and the set of nonbasic y at 1.  The
-oracle sees each float vertex as floats clipped to [0, 1]; a float is an
-exact dyadic rational, so an oracle that judges it exactly gives the rows
-it would give the same point as `Fraction`s.  The answer returned is
-always rebuilt exactly from that basis and certified optimal through an
-exact dual feasibility check.  Both solve one square 0/1 system of tight
-rows by basic y, the check on its transpose, by Bareiss's fraction-free
-elimination on right-hand sides scaled to ints by their common denominator,
-and compare integer numerators; `Fraction`s are built only for the returned
-vertex.  When the float tableau stalls, cannot hold a cost or cap as a
-float, or its basis fails the check, the same dual simplex runs again from a
-cold start on `Fraction`s with no tolerance, and its basis goes through the
-same rebuild and check.  Identical inputs produce identical row sequences
-and solutions.
+Substituting x = 1 - y turns every row into a packing row sum(y) <= cap.
+One float tableau lives for the whole row generation: it has a row per
+active cut and handles 0 <= y <= 1 by bound flips rather than extra rows.
+It starts with every y at its upper bound, which is dual feasible because
+costs are nonnegative; each batch of new rows is reduced against the current
+basis in one block and appended, and dual simplex pivots restore primal
+feasibility.  The tableau keeps its basis, each row's upper bound and each
+column's move direction as arrays that every pivot updates, so a pivot reads
+them rather than rebuilding them.  A solve hands back its basis as the
+tableau holds it: one basic [y | s] column per row, and the set of nonbasic
+y at 1.  Each point shown to the oracle, a float vertex clipped to [0, 1] or
+an exact one, is scaled once to ints over its common denominator by
+`flows.integral`, and the oracle's rows are checked on those ints; a float
+is an exact dyadic rational, so it scales as the `Fraction` equal to it
+does.  The answer returned is always rebuilt exactly from that basis and
+certified optimal through an exact dual feasibility check.  Both solve one
+square 0/1 system of tight rows by basic y, the check on its transpose, by
+Bareiss's fraction-free elimination on right-hand sides scaled to ints by
+their common denominator, and compare integer numerators; `Fraction`s are
+built only for a vertex that passes the primal checks.  When the float
+tableau stalls, cannot hold a cost or cap as a float, or its basis fails the
+check, the same dual simplex runs again from a cold start on `Fraction`s
+with no tolerance, and its basis goes through the same rebuild and check.
+Identical inputs produce identical row sequences and solutions.
 """
 
 from __future__ import annotations
@@ -74,12 +75,10 @@ class FractionalSolution:
         return tuple(sorted(e for e, v in self.x.items() if 0 < v < 1))
 
 
-# A separation oracle: the rows violated at a point, most violated first; an
-# empty sequence means that none is.  The point's values are exact rationals:
-# floats in the float stage and `Fraction`s at the exact vertex.  Judge
-# violation exactly, e.g. on `flows.integral`'s scaled ints, never by float
-# sums.
-CutOracle = Callable[[Mapping[int, float | Fraction]], Sequence[CutRow]]
+# A separation oracle: given a point as `scale` and integer numerators `num`,
+# x_e = num[e] / scale, the rows violated there, most violated first; an
+# empty sequence means that none is.
+CutOracle = Callable[[int, Mapping[int, int]], Sequence[CutRow]]
 
 
 class _SimplexStall(Exception):
@@ -412,13 +411,11 @@ def solve_cut_lp(
         return fresh
 
     def ask(x: Mapping[int, float | Fraction]) -> Sequence[CutRow]:
-        """The oracle's rows at `x`, each held to naming variables only and
-        to being violated at `x`: over x scaled to ints, a row's numerators
-        sum below its rhs times the scale."""
-        cuts = oracle(x)
-        if not cuts:
-            return cuts
+        """The oracle's rows at `x`, scaled to ints once for the oracle and
+        the check alike.  Each row must name variables only and be violated:
+        its numerators sum below its rhs times the scale."""
         scale, num = integral(x)
+        cuts = oracle(scale, num)
         for cut in cuts:
             unknown = cut.edge_ids.difference(num)
             if unknown:

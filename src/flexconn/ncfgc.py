@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import combinations
 
 from .errors import (
@@ -44,7 +44,7 @@ from .errors import (
     UnsupportedInstanceError,
     ValidationError,
 )
-from .flows import Network, integral, smallest_failing_set, unit_network
+from .flows import Network, smallest_failing_set, unit_network
 from .flows import edge_connectivity  # unused here; perfbench/spans.py wraps this name
 from .graphs import InflationResult, MultiGraph, Verdict, check_count, check_node
 from .graphs import inflate_safe_nodes
@@ -221,17 +221,17 @@ def rooted_q_flow(
     return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 
-def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
-    """Most violated rooted cut over all sinks; ties go to the smaller sink.
+def _separate_rooted(inst: NcFgcInstance, root: int, scale: int, num) -> list[CutRow]:
+    """The most violated rooted cut over all sinks at x_a = num[a] / scale,
+    as a list of its one row, or no row; ties go to the smaller sink.
 
     Every sink's flow runs on the instance's cached split-node network,
-    loaded with the arc values x, exact rationals (floats or `Fraction`s, as
-    `lp.CutOracle` hands them), and the node caps, all scaled to ints by the
-    common denominator of x, which keeps the flows exact.  An unsafe node's
-    arc gets the scale; a safe node's is unlimited, 1 + the scaled total of
-    x, more than all arcs out of the root carry, so no min cut crosses it:
-    the wall, the nodes whose arc the cut crosses, is unsafe, and the rhs
-    is p - |wall|.  A crossing arc's ends are read off the network.
+    loaded with `num` and the node caps times `scale`, so the flows stay
+    exact on ints.  An unsafe node's arc gets the scale; a safe node's is
+    unlimited, 1 + the total of `num`, more than all arcs out of the root
+    carry, so no min cut crosses it: the wall, the nodes whose arc the cut
+    crosses, is unsafe, and the rhs is p - |wall|.  A crossing arc's ends
+    are read off the network.
 
     Each sink's flow stops at p times the scale less the largest violation
     found so far.  A flow that reaches that cutoff cannot be more violated
@@ -243,10 +243,10 @@ def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
     g = inst.graph
     net = inst._flow_route
     ids = _both_arcs(g.edge_ids)
-    scale, xs = integral({aid: x.get(aid, 0) for aid in ids})
-    unlimited = 1 + sum(xs.values())
+    xs = [num.get(aid, 0) for aid in ids]
+    unlimited = 1 + sum(xs)
     caps = [unlimited if c is None else c * scale for c in inst.node_caps().values()]
-    net.load([c for cap in (*caps, *xs.values()) for c in (cap, 0)])
+    net.load([c for cap in (*caps, *xs) for c in (cap, 0)])
     s = 2 * root + 1
     need = inst.requirement * scale
     best_viol, side = 0, None
@@ -257,7 +257,7 @@ def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
         if viol > best_viol:
             best_viol, side = viol, net.reachable_from(s)
     if side is None:
-        return None
+        return []
     # arc aid is pair k: arc 2k ends at its head's in half, 2k + 1 at its tail's out half
     to = net.to
     crossing = frozenset(
@@ -265,7 +265,7 @@ def _separate_rooted(inst: NcFgcInstance, root: int, x) -> CutRow | None:
         if to[2 * k + 1] in side and to[2 * k] not in side
     )
     wall = sum(2 * v in side and 2 * v + 1 not in side for v in range(g.n))
-    return CutRow(crossing, Fraction(inst.requirement - wall))
+    return [CutRow(crossing, Fraction(inst.requirement - wall))]
 
 
 @dataclass(frozen=True)
@@ -323,11 +323,7 @@ def solve_rooted_qconn(inst: NcFgcInstance, root: int) -> RootedSolveResult:
                 pair=(root, t),
             )
     costs = {aid: arc(g, aid)[2] for aid in _both_arcs(g.edge_ids)}
-    sol = solve_cut_lp(
-        costs,
-        lambda x: [] if (cut := _separate_rooted(inst, root, x)) is None else [cut],
-        max_rows=4000,
-    )
+    sol = solve_cut_lp(costs, partial(_separate_rooted, inst, root), max_rows=4000)
     fractional = sol.fractional_ids()
     if fractional:
         raise SolverError(

@@ -156,7 +156,7 @@ def test_rounding_engine_vertex_progress_and_factor():
         ):
             sol = solve_cut_lp(
                 {e: c for e, c in costs.items() if e not in chosen},
-                lambda x: separation(inst, x, chosen),
+                lambda scale, num: separation(inst, scale, num, chosen),
             )
             newly = [e for e, v in sol.x.items() if v >= threshold]
             assert newly, "vertex without a half-integral undecided edge"

@@ -19,6 +19,21 @@ def test_random_multigraph_is_connected_and_in_range():
         assert g.n - 1 + 1 <= len(g.edge_ids) <= g.n - 1 + 4
 
 
+@pytest.mark.parametrize("cfg", [
+    {"nodes": (1, 1)},        # one node: no second end for an extra edge
+    {"nodes": (5, 3)},        # low end above the high end
+    {"extra_edges": (-1, 2)},
+    {"pairs": (3, 1)},
+    {"terminals": (-2, 4)},
+    {"ncfgc_p": (2, 1)},
+])
+def test_gen_config_rejects_bad_ranges(cfg):
+    # refused at once, not at the first draw, where nodes (1, 1) hangs and
+    # nodes (5, 3) raises a bare ValueError from `random`
+    with pytest.raises(ValidationError):
+        GenConfig(**cfg)
+
+
 @pytest.mark.parametrize("kind", GEN_KINDS)
 def test_instances_are_deterministic_per_seed(kind):
     assert gen_instance(kind, 11) == gen_instance(kind, 11)

@@ -161,12 +161,15 @@ def test_multigraph_checks_node_count_and_edge_ids(n, eid, text):
         MultiGraph(n, edges)
 
 
-@pytest.mark.parametrize("safe", ["no", 1, 0, None])
+@pytest.mark.parametrize("safe", ["no", "unsafe", 1, 0, None])
 def test_multigraph_checks_safe_labels(safe):
-    """A safe label is a bool: a truthy string or int would be read as safe."""
+    """A safe label is a bool: a truthy string or int would be read as safe,
+    whether the edge comes whole or as a `build` row."""
     text = f"edge 0 safe label {safe!r} is not a bool"
     with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
         MultiGraph(2, [Edge(0, 0, 1, Fraction(1), safe)])
+    with pytest.raises(ValidationError, match=f"^{re.escape(text)}$"):
+        MultiGraph.build(2, [(0, 1, 1, safe)])
 
 
 def test_boundary_is_the_edges_with_one_end_in_the_side():

@@ -71,25 +71,31 @@ def test_infeasible_requirement_reports_a_cut():
     assert row is not None and row.rhs == 2 and len(row.edge_ids) < 2
 
 
+def separate(inst, x, chosen):
+    """`separation` at x as `solve_cut_lp` hands it over: the undecided
+    edges' values scaled to ints by `integral`."""
+    return separation(inst, *integral({e: v for e, v in x.items() if e not in chosen}), chosen)
+
+
 def test_separation_finds_most_violated_cut():
     g = cycle(4)
     inst = SndpInstance(g, {(0, 2): 2})
     x = {eid: Fraction(0) for eid in g.edge_ids}
-    rows = separation(inst, x, frozenset())
+    rows = separate(inst, x, frozenset())
     assert rows and rows[0].rhs == 2
     # a satisfied requirement yields silence
     x = {eid: Fraction(1) for eid in g.edge_ids}
-    assert separation(inst, x, frozenset()) == []
+    assert separate(inst, x, frozenset()) == []
 
 
 def test_separation_ignores_zero_requirements():
     g = cycle(4)
     x = {eid: Fraction(0) for eid in g.edge_ids}
     for chosen in (frozenset(), frozenset({0})):
-        alone = separation(SndpInstance(g, {(0, 2): 2}), x, chosen)
+        alone = separate(SndpInstance(g, {(0, 2): 2}), x, chosen)
         assert alone
         zeros = SndpInstance(g, {(0, 1): 0, (0, 2): 2, (1, 3): 0})
-        assert separation(zeros, x, chosen) == alone
+        assert separate(zeros, x, chosen) == alone
 
 
 def test_first_unmet_pair_counts_capacity_units():
@@ -105,7 +111,7 @@ def test_half_integral_point_on_a_cycle_is_cut_short():
     # x = 1/2 everywhere moves only one unit across the cut around node 0
     g = cycle(4)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
-    rows = separation(SndpInstance(g, {(0, 2): 2}), x, frozenset())
+    rows = separate(SndpInstance(g, {(0, 2): 2}), x, frozenset())
     assert rows and rows[0].rhs == 2
     assert sum(x[eid] for eid in rows[0].edge_ids) == 1
 
@@ -152,11 +158,11 @@ def test_separation_matches_fraction_reference(style):
         }
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
         inst = SndpInstance(g, pairs)
-        rows = separation(inst, x, chosen)
+        rows = separate(inst, x, chosen)
         assert rows == reference_separation(g, x, pairs, chosen)
         if style == "float":
-            # the cut LP hands its float stage's point over as the floats
-            assert separation(inst, {e: float(v) for e, v in x.items()}, chosen) == rows
+            # the cut LP scales its float stage's point from the floats
+            assert separate(inst, {e: float(v) for e, v in x.items()}, chosen) == rows
         found += bool(rows)
     assert found >= 20
 
@@ -166,7 +172,7 @@ def test_separation_breaks_ties_between_pairs_like_the_reference():
     g = cycle(6)
     x = {eid: Fraction(1, 2) for eid in g.edge_ids}
     pairs = {(i, j): 2 for i in range(6) for j in range(i + 1, 6)}
-    rows = separation(SndpInstance(g, pairs), x, frozenset())
+    rows = separate(SndpInstance(g, pairs), x, frozenset())
     assert rows == reference_separation(g, x, pairs, frozenset())
     assert rows[0] == CutRow(frozenset({0, 5}), Fraction(2))
 
@@ -202,7 +208,7 @@ def test_pruned_separation_matches_the_reference_on_a_clique_of_pairs(monkeypatc
         chosen = frozenset(e for e in g.edge_ids if rng.random() < 0.2)
         inst = SndpInstance(g, pairs)
         flows_run.clear()
-        rows = separation(inst, x, chosen)
+        rows = separate(inst, x, chosen)
         assert all(cutoff is not None for cutoff in flows_run)
         ran += len(flows_run)
         asked += sum(1 for need in pairs.values() if need > 0)
@@ -266,7 +272,7 @@ def test_every_vertex_offers_a_half_edge(g, data):
         return
     costs = {e.eid: e.cost for e in g.edges}
     inst = SndpInstance(g, {pair: r})
-    sol = solve_cut_lp(costs, lambda x: separation(inst, x, frozenset()))
+    sol = solve_cut_lp(costs, lambda scale, num: separation(inst, scale, num, frozenset()))
     assert any(v >= Fraction(1, 2) for v in sol.x.values())
 
 
@@ -320,13 +326,13 @@ def test_residual_lp_matches_the_explicit_residual_system():
             requirements[(i, j)] = min(rng.randint(1, 4), lam)
         costs = {e.eid: e.cost for e in g.edges}
         inst = SndpInstance(g, requirements)
-        first = solve_cut_lp(costs, lambda x: separation(inst, x, frozenset()))
+        first = solve_cut_lp(costs, lambda scale, num: separation(inst, scale, num, frozenset()))
         half = sorted(e for e, v in first.x.items() if v >= Fraction(1, 2))
         if len(half) < 2:
             continue
         chosen = frozenset(half) - {rng.choice(half)}
         undecided = {e: c for e, c in costs.items() if e not in chosen}
-        sol = solve_cut_lp(undecided, lambda x: separation(inst, x, chosen))
+        sol = solve_cut_lp(undecided, lambda scale, num: separation(inst, scale, num, chosen))
         assert sol.x.keys() == undecided.keys()
         reference = _residual_lp_by_highs(g, undecided, requirements, chosen)
         assert abs(float(sol.objective) - reference) < 1e-7

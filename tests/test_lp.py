@@ -22,10 +22,11 @@ scipy_opt = pytest.importorskip("scipy.optimize")
 
 
 def static_oracle(rows):
-    """The first row of `rows` violated at x, as a batch of one, or no row."""
-    def oracle(x):
+    """The first row of `rows` violated at x = num / scale, as a batch of
+    one, or no row."""
+    def oracle(scale, num):
         for r in rows:
-            if sum(Fraction(x[e]) for e in r.edge_ids) < r.rhs:
+            if sum(num[e] for e in r.edge_ids) < r.rhs * scale:
                 return [r]
         return []
     return oracle
@@ -81,7 +82,7 @@ def test_infeasible_row_detected():
 
 def test_lp_without_variables():
     # the float tableau over no columns solves at once: objective 0
-    sol = solve_cut_lp({}, lambda x: [])
+    sol = solve_cut_lp({}, lambda scale, num: [])
     assert (sol.x, sol.objective, sol.rows) == ({}, 0, ())
     # a row over no edges cannot be met once it asks for anything
     for rhs in (1, 2):
@@ -90,7 +91,7 @@ def test_lp_without_variables():
 
 
 def test_oracle_must_name_known_edges():
-    def oracle(x):
+    def oracle(scale, num):
         return [CutRow(frozenset({99}), Fraction(1))]
     with pytest.raises(OracleContractError):
         solve_cut_lp({0: Fraction(1)}, oracle)
@@ -98,7 +99,7 @@ def test_oracle_must_name_known_edges():
 
 def test_oracle_must_return_violated_rows():
     # claims a violation that the current point already satisfies
-    def oracle(x):
+    def oracle(scale, num):
         return [CutRow(frozenset({0}), Fraction(0))]
     with pytest.raises(OracleContractError):
         solve_cut_lp({0: Fraction(1)}, oracle)
@@ -114,14 +115,14 @@ def test_every_row_of_a_batch_joins_before_the_next_solve():
     ]
     points = []
 
-    def oracle(x):
-        points.append(dict(x))
-        return [r for r in rows if sum(x[e] for e in r.edge_ids) < r.rhs]
+    def oracle(scale, num):
+        points.append((scale, dict(num)))
+        return [r for r in rows if sum(num[e] for e in r.edge_ids) < r.rhs * scale]
 
     sol = solve_cut_lp({i: Fraction(1) for i in range(3)}, oracle)
     assert sol.rows == tuple(rows)
     assert sol.objective == Fraction(3, 2)
-    assert len(points) == 3 and points[0] == {0: 0, 1: 0, 2: 0}
+    assert len(points) == 3 and points[0] == (1, {0: 0, 1: 0, 2: 0})
 
 
 def test_known_rows_at_the_exact_vertex_break_the_contract():
@@ -130,7 +131,43 @@ def test_known_rows_at_the_exact_vertex_break_the_contract():
     row = CutRow(frozenset({0, 1}), Fraction(1))
     answers = iter([[row], [], [row]])
     with pytest.raises(OracleContractError):
-        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, lambda x: next(answers))
+        solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, lambda scale, num: next(answers))
+
+
+def test_each_lp_point_is_scaled_once(monkeypatch):
+    # `solve_cut_lp` scales every point it shows an oracle to ints once, and
+    # both oracles take those ints as they are; the only other scaling on
+    # the way is `_solve_square`'s, of its right-hand side.
+    import sys
+
+    from flexconn import flows, jain, lp, ncfgc
+    from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
+    from flexconn.jain import SndpInstance
+
+    calls = {"integral": 0, "oracle": 0, "square": 0}
+
+    def counted(key, fn):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    real = flows.integral
+    for name, module in list(sys.modules.items()):
+        if name.startswith("flexconn") and getattr(module, "integral", None) is real:
+            monkeypatch.setattr(module, "integral", counted("integral", real))
+    monkeypatch.setattr(jain, "separation", counted("oracle", jain.separation))
+    monkeypatch.setattr(ncfgc, "_separate_rooted", counted("oracle", ncfgc._separate_rooted))
+    monkeypatch.setattr(lp, "_solve_square", counted("square", lp._solve_square))
+
+    rng = random.Random("scaled-once")
+    g = random_multigraph(rng, GenConfig(nodes=(7, 7), extra_edges=(6, 6)))
+    requirements = {(0, g.n - 1): 2, (1, 3): 2, (2, 4): 1}
+    jain.jain_round(SndpInstance(g, requirements))
+    inst = gen_ncfgc(1, cfg=GenConfig(nodes=(7, 7), extra_edges=(5, 5), ncfgc_p=(2, 2)))
+    ncfgc.solve_rooted_qconn(inst, min(inst.safe_nodes))
+    assert calls["oracle"] > 10 and calls["square"] > 0
+    assert calls["integral"] == calls["oracle"] + calls["square"]
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -405,10 +442,10 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
         assert abs(float(first.objective) - _highs_objective(ids, costs, rows)) < 1e-7
         pool = rows + _tight_rows(ids, first.x)
 
-        def oracle(x):
+        def oracle(scale, num):
             nonlocal barely_violated
             for r in pool:
-                gap = r.rhs - sum(Fraction(x[e]) for e in r.edge_ids)
+                gap = r.rhs - Fraction(sum(num[e] for e in r.edge_ids), scale)
                 if gap > 0:
                     barely_violated += gap < Fraction(1, 10**7)
                     return [r]

@@ -28,7 +28,7 @@ from flexconn import (
     verify_ncfgc,
 )
 from flexconn import flows
-from flexconn.flows import Network, smallest_failing_set, undirected_network
+from flexconn.flows import Network, integral, smallest_failing_set, undirected_network
 from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
 from flexconn.graphs import Edge
 from flexconn.lp import CutRow
@@ -515,9 +515,16 @@ def test_fractional_rooted_vertex_is_an_internal_error(monkeypatch, tmp_path, ca
     assert captured.err.startswith("internal error: rooted cut LP vertex is fractional")
 
 
+def separate_rooted(inst, root, x):
+    """`_separate_rooted` at x as `solve_cut_lp` hands it over, scaled to
+    ints by `integral`."""
+    return _separate_rooted(inst, root, *integral(x))
+
+
 def reference_separate_rooted(inst, root, x):
-    """Rooted separation on Fraction capacities with a new network per sink;
-    the root, the sink and uncapped nodes get infinite node arcs."""
+    """Rooted separation on Fraction capacities with a new network per sink,
+    as a list of the most violated row or no row; the root, the sink and
+    uncapped nodes get infinite node arcs."""
     g = inst.graph
     caps = inst.node_caps()
     p = Fraction(inst.requirement)
@@ -554,7 +561,7 @@ def reference_separate_rooted(inst, root, x):
                 if 2 * v in side and 2 * v + 1 not in side
             )
             best = (viol, CutRow(crossing, p - node_cost))
-    return None if best is None else best[1]
+    return [] if best is None else [best[1]]
 
 
 @pytest.mark.parametrize("style", ["float", "rational", "binary", "tie"])
@@ -574,12 +581,12 @@ def test_rooted_separation_matches_fraction_reference(style):
         inst = NcFgcInstance(g, safe, p)
         root = rng.choice(sorted(safe))
         x = cut_lp_values(rng, style, sorted(all_arcs(g)))
-        row = _separate_rooted(inst, root, x)
-        assert row == reference_separate_rooted(inst, root, x)
+        rows = separate_rooted(inst, root, x)
+        assert rows == reference_separate_rooted(inst, root, x)
         if style == "float":
-            # the cut LP hands its float stage's point over as the floats
-            assert _separate_rooted(inst, root, {e: float(v) for e, v in x.items()}) == row
-        found += row is not None
+            # the cut LP scales its float stage's point from the floats
+            assert separate_rooted(inst, root, {e: float(v) for e, v in x.items()}) == rows
+        found += bool(rows)
     assert found >= 20
 
 
@@ -594,14 +601,14 @@ def test_rooted_separation_keeps_the_smaller_of_two_tied_sinks():
     ])
     inst = NcFgcInstance(g, {0}, 2)
     x = {0: Fraction(1), 2: Fraction(1)}
-    row = _separate_rooted(inst, 0, x)
+    rows = separate_rooted(inst, 0, x)
     # sink 1's side holds the root's out half and both halves of node 2
-    assert row == CutRow(frozenset({0, 3, 5}), Fraction(2))
-    assert row == reference_separate_rooted(inst, 0, x)
+    assert rows == [CutRow(frozenset({0, 3, 5}), Fraction(2))]
+    assert rows == reference_separate_rooted(inst, 0, x)
     # with arc 2 -> 1 open too, sink 1 is met and sink 2 gives its own cut
-    assert _separate_rooted(inst, 0, {**x, 5: Fraction(1)}) == CutRow(
-        frozenset({1, 2, 4}), Fraction(2)
-    )
+    assert separate_rooted(inst, 0, {**x, 5: Fraction(1)}) == [
+        CutRow(frozenset({1, 2, 4}), Fraction(2))
+    ]
 
 
 def test_solve_hand_cases():
