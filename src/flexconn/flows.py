@@ -2,7 +2,9 @@
 
 Capacities are ints or exact rationals.  All arithmetic is exact, augmenting
 paths are found by BFS in arc insertion order, and the reported min cut side
-is always the set of nodes residual-reachable from s.
+is always the set of nodes residual-reachable from s.  `reaching(t)` gives
+the mirror set, the nodes with a residual path to t; after a max flow that
+stops short the nodes outside it are the min cut side farthest from s.
 
 A `Network` keeps the capacities it was built with and starts every max
 flow from them, so one network answers any number of (s, t) queries about
@@ -172,13 +174,26 @@ class Network:
     def reachable_from(self, s: int) -> frozenset[int]:
         """Nodes reachable from s along residual-positive arcs of the last
         max flow (of the capacities it would start from before the first)."""
+        return self._residual_closure(s, 0)
+
+    def reaching(self, t: int) -> frozenset[int]:
+        """Nodes with a path to t along residual-positive arcs of the last
+        max flow, the mirror of `reachable_from`.  After a max s-t flow the
+        nodes outside this set are the source side of the min cut farthest
+        from s."""
+        return self._residual_closure(t, 1)
+
+    def _residual_closure(self, start: int, flip: int) -> frozenset[int]:
+        """BFS from `start` that steps from u to to[i] over each arc i of u
+        whose arc i ^ flip has residual: arc i itself for flip 0, its
+        reverse, from to[i] into u, for flip 1."""
         cap, to, adj = self.cap, self.to, self.adj
-        seen = {s}
-        queue = [s]
+        seen = {start}
+        queue = [start]
         for u in queue:
             for i in adj[u]:
                 v = to[i]
-                if v not in seen and cap[i] > 0:
+                if v not in seen and cap[i ^ flip] > 0:
                     seen.add(v)
                     queue.append(v)
         return frozenset(seen)

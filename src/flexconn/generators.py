@@ -44,6 +44,11 @@ class GenConfig:
             floor = 2 if name == "nodes" else 0
             if not floor <= low <= high:
                 raise ValidationError(f"{name} ({low}, {high}) is not {floor} <= low <= high")
+        # fst draws at least terminals[0] of the n nodes, and n may be nodes[0]
+        if self.terminals[0] > self.nodes[0]:
+            raise ValidationError(
+                f"terminals {self.terminals} needs more nodes than nodes {self.nodes} may draw"
+            )
 
 
 def _cost(rng: random.Random) -> Fraction:

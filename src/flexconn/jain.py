@@ -95,14 +95,16 @@ def separation(
 
     The flows run on the instance's cached network, loaded with `num` and
     with `scale` on the chosen edges, so they stay exact on ints.  Each pair
-    (i, j) short of its requirement r gives the cut side residual-reachable
-    from i, its canonical min cut; a side several pairs give appears once,
-    at its largest violation.  The rows are ranked by violation, then the
-    smaller side, then lexicographic node order, so the first is the single
-    most violated cut.  A cut demands the largest requirement it separates,
-    at least the violated pair's own.  Each row is residual: it names the
-    undecided boundary edges and asks them for that demand less the number
-    of chosen boundary edges.
+    (i, j) short of its requirement r gives both extreme min cuts of its
+    flow (Ford and Fulkerson, 1962): the side residual-reachable from i,
+    nearest i, and the side of every node without a residual path to j,
+    farthest from i; they are one side when the min cut is unique.  A side
+    several pairs give appears once, at its largest violation.  The rows
+    are ranked by violation, then the smaller side, then lexicographic node
+    order, so the first is the single most violated cut.  A cut demands the
+    largest requirement it separates, at least the violated pair's own.
+    Each row is residual: it names the undecided boundary edges and asks
+    them for that demand less the number of chosen boundary edges.
 
     No flow runs that cannot give a row.  Each stops at r times the scale,
     and a flow that stops short of it is the max flow, so its residual side
@@ -118,6 +120,7 @@ def separation(
     net.load([scale if eid in chosen else num.get(eid, 0) for eid in net.edges for _ in (0, 1)])
     pairs = sorted(requirements.items(), key=lambda item: (-item[1], item[0]))
     met = DisjointSets(graph.n)
+    nodes = frozenset(range(graph.n))
     sides: dict[frozenset[int], int] = {}
     for (i, j), r in pairs:
         if r == 0 or met.find(i) == met.find(j):
@@ -129,6 +132,7 @@ def separation(
         # every pair that gives a side is short by the side's cut value, so
         # the first to give it, in decreasing requirement, falls shortest
         sides.setdefault(net.reachable_from(i), viol)
+        sides.setdefault(nodes.difference(net.reaching(j)), viol)
     rows = []
     for side in sorted(sides, key=lambda s: (-sides[s], len(s), sorted(s))):
         boundary = graph.boundary(side)

@@ -223,7 +223,8 @@ def rooted_q_flow(
 
 def _separate_rooted(inst: NcFgcInstance, root: int, scale: int, num) -> list[CutRow]:
     """The most violated rooted cut over all sinks at x_a = num[a] / scale,
-    as a list of its one row, or no row; ties go to the smaller sink.
+    ties to the smaller sink, then the in-cut of every sink it violates; no
+    row when no sink is short.
 
     Every sink's flow runs on the instance's cached split-node network,
     loaded with `num` and the node caps times `scale`, so the flows stay
@@ -237,10 +238,18 @@ def _separate_rooted(inst: NcFgcInstance, root: int, scale: int, num) -> list[Cu
     found so far.  A flow that reaches that cutoff cannot be more violated
     than an earlier sink, and a tie keeps the earlier, smaller sink; a flow
     that stops short of it is the max flow, so its residual side is the
-    min cut.  The row is therefore the one every flow run to p times the
-    scale gives.
+    min cut.  The first row is therefore the one every flow run to p times
+    the scale gives.
+
+    A sink t's in-cut asks the arcs whose head is t for p: it is the biset
+    row ({t}, {t}), with an empty wall.  Those rows follow, most violated
+    first, ties to the smaller sink, and one equal to the first row is left
+    out.  A sink's flow is no more than its in-cut, so the first row stays
+    the most violated; and an LP gains at most n - 1 in-cuts in all, where
+    one min cut per short sink in each batch would grow without that bound.
     """
     g = inst.graph
+    p = inst.requirement
     net = inst._flow_route
     ids = _both_arcs(g.edge_ids)
     xs = [num.get(aid, 0) for aid in ids]
@@ -248,7 +257,7 @@ def _separate_rooted(inst: NcFgcInstance, root: int, scale: int, num) -> list[Cu
     caps = [unlimited if c is None else c * scale for c in inst.node_caps().values()]
     net.load([c for cap in (*caps, *xs) for c in (cap, 0)])
     s = 2 * root + 1
-    need = inst.requirement * scale
+    need = p * scale
     best_viol, side = 0, None
     for t in range(g.n):
         if t == root:
@@ -265,7 +274,18 @@ def _separate_rooted(inst: NcFgcInstance, root: int, scale: int, num) -> list[Cu
         if to[2 * k + 1] in side and to[2 * k] not in side
     )
     wall = sum(2 * v in side and 2 * v + 1 not in side for v in range(g.n))
-    return [CutRow(crossing, Fraction(inst.requirement - wall))]
+    rows = [CutRow(crossing, Fraction(p - wall))]
+    into: list[list[int]] = [[] for _ in range(g.n)]
+    inflow = [0] * g.n
+    for k, (aid, x) in enumerate(zip(ids, xs), g.n):
+        head = to[2 * k] >> 1
+        into[head].append(aid)
+        inflow[head] += x
+    for _, t in sorted((inflow[t], t) for t in range(g.n) if t != root and inflow[t] < need):
+        row = CutRow(frozenset(into[t]), Fraction(p))
+        if row != rows[0]:
+            rows.append(row)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -302,12 +322,12 @@ def solve_rooted_qconn(inst: NcFgcInstance, root: int) -> RootedSolveResult:
     again: `solve_cut_lp` returns x only once `_separate_rooted` finds none
     short at it, the same question at a 0/1 x (scale 1, arcs at 0 shut).
 
-    The oracle hands `solve_cut_lp` one row per call, the most violated,
-    where `jain.separation` hands it every violated cut.  One cut per short
-    sink grew these dense rooted tableaus to about 1,250 rows and made
-    ncfgc n = 40, seed 1 ten times slower (2.0 to 19.3 s with Python 3.11
-    on a shared 2-CPU host), so one row per call stays until the tableau
-    takes large degenerate row sets cheaply.
+    The oracle hands `solve_cut_lp` the most violated min cut and every
+    violated in-cut, both rows of this family, each call.  The in-cuts are
+    at most n - 1 per LP; one min cut per short sink, tried before, grew
+    these dense rooted tableaus to about 1,250 rows and made ncfgc n = 40,
+    seed 1 ten times slower (2.0 to 19.3 s with Python 3.11 on a shared
+    2-CPU host).
     """
     g = inst.graph
     p = inst.requirement

@@ -282,6 +282,52 @@ def _reference_augmenting_path(net, s, t):
     return path
 
 
+def _reference_reaching(net, t):
+    """Nodes with a residual-positive path to t: a BFS from t over the
+    residual arcs turned around."""
+    into = [[] for _ in range(net.n)]
+    for i, cap in enumerate(net.cap):
+        if cap > 0:
+            into[net.to[i]].append(net.to[i ^ 1])
+    seen = {t}
+    queue = deque([t])
+    while queue:
+        for v in into[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return frozenset(seen)
+
+
+@given(st.data())
+def test_reaching_matches_the_reference_bfs(data):
+    n = data.draw(st.integers(2, 7))
+    capacity = st.integers(0, 4) | st.builds(Fraction, st.integers(0, 4), st.sampled_from([2, 3]))
+    arcs = data.draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), capacity,
+                  capacity | st.just(0)),
+        max_size=14,
+    ))
+    net = Network(n)
+    for u, v, cap_uv, cap_vu in arcs:
+        net.add_pair(u, v, cap_uv, cap_vu)
+    # before any flow the residual is the capacities as built
+    assert all(net.reaching(t) == _reference_reaching(net, t) for t in range(n))
+    for _ in range(data.draw(st.integers(1, 4))):
+        s = data.draw(st.integers(0, n - 1))
+        t = (s + 1 + data.draw(st.integers(0, n - 2))) % n
+        cutoff = data.draw(st.none() | st.integers(0, 6))
+        value = net.max_flow(s, t, cutoff)
+        assert all(net.reaching(v) == _reference_reaching(net, v) for v in range(n))
+        if cutoff is None or value < cutoff:
+            # a max flow: the nodes that cannot reach t are a min cut side,
+            # the largest, so it holds the smallest, the nodes s reaches
+            far = frozenset(range(n)) - net.reaching(t)
+            assert net.reachable_from(s) <= far and t not in far
+            out = [i for i in range(len(net.to)) if net.to[i ^ 1] in far and net.to[i] not in far]
+            assert sum(net.start[i] for i in out) == value
+
+
 class _Recording(Network):
     """A network that logs every augmenting path its `find` returns."""
 

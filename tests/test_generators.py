@@ -26,10 +26,14 @@ def test_random_multigraph_is_connected_and_in_range():
     {"pairs": (3, 1)},
     {"terminals": (-2, 4)},
     {"ncfgc_p": (2, 1)},
+    # fst could draw 3 nodes and then need 4 terminals among them
+    {"nodes": (3, 3), "terminals": (4, 5)},
+    {"nodes": (3, 6), "terminals": (4, 4)},
 ])
 def test_gen_config_rejects_bad_ranges(cfg):
     # refused at once, not at the first draw, where nodes (1, 1) hangs and
-    # nodes (5, 3) raises a bare ValueError from `random`
+    # nodes (5, 3) or more terminals than nodes raise a bare ValueError
+    # from `random`
     with pytest.raises(ValidationError):
         GenConfig(**cfg)
 

@@ -15,7 +15,7 @@ from flexconn import (
     edge_connectivity,
     jain_round,
 )
-from flexconn.flows import integral, max_flow_min_cut, undirected_network
+from flexconn.flows import integral, undirected_network
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
 from flexconn.jain import first_unmet_pair, separation
@@ -116,12 +116,26 @@ def test_half_integral_point_on_a_cycle_is_cut_short():
     assert sum(x[eid] for eid in rows[0].edge_ids) == 1
 
 
+def reaching_by_fixed_point(net, t):
+    """Nodes with a residual-positive path to t on `net`, grown from t by
+    adding the tail of every positive arc whose head is in, until none is
+    added."""
+    arcs = [(net.to[i ^ 1], net.to[i]) for i, cap in enumerate(net.cap) if cap > 0]
+    found = {t}
+    while True:
+        grown = found | {tail for tail, head in arcs if head in found}
+        if grown == found:
+            return frozenset(found)
+        found = grown
+
+
 def reference_separation(graph, x, requirements, chosen):
     """Separation on Fraction capacities with a new network per pair, a
     flow run to the end for every pair and no pair skipped: one row per
-    distinct violated cut side, ranked by (violation, side size, sorted
-    side), each naming the undecided boundary edges and taking the chosen
-    ones off its rhs."""
+    distinct violated cut side, both the side residual-reachable from i and
+    the complement of the nodes with a residual path to j, ranked by
+    (violation, side size, sorted side), each naming the undecided boundary
+    edges and taking the chosen ones off its rhs."""
     caps = {
         e.eid: Fraction(1) if e.eid in chosen else Fraction(x.get(e.eid, 0))
         for e in graph.edges
@@ -129,13 +143,16 @@ def reference_separation(graph, x, requirements, chosen):
     best = {}
     pairs = sorted((p, r) for p, r in requirements.items() if r >= 1)
     for (i, j), r in pairs:
-        value, cut = max_flow_min_cut(graph, caps, i, j)
-        viol = Fraction(r) - value
+        net = undirected_network(graph, caps)
+        viol = Fraction(r) - net.max_flow(i, j)
         if viol <= 0:
             continue
-        rank = (-viol, len(cut.side), tuple(sorted(cut.side)))
-        if cut.side not in best or rank < best[cut.side]:
-            best[cut.side] = rank
+        near = net.reachable_from(i)
+        far = frozenset(range(graph.n)) - reaching_by_fixed_point(net, j)
+        for side in (near, far):
+            rank = (-viol, len(side), tuple(sorted(side)))
+            if side not in best or rank < best[side]:
+                best[side] = rank
     rows = []
     for rank, side in sorted((rank, side) for side, rank in best.items()):
         boundary = graph.boundary(side)
@@ -165,6 +182,22 @@ def test_separation_matches_fraction_reference(style):
             assert separate(inst, {e: float(v) for e, v in x.items()}, chosen) == rows
         found += bool(rows)
     assert found >= 20
+
+
+def test_separation_returns_both_extreme_min_cuts():
+    # on the path 0-1-2 at x = 1/2 the pair (0, 2) has two min cuts, {0}
+    # nearest 0 and {0, 1} farthest; both rows are violated, the smaller
+    # side first
+    g = MultiGraph.build(3, [(0, 1, Fraction(1), True), (1, 2, Fraction(1), True)])
+    x = {0: Fraction(1, 2), 1: Fraction(1, 2)}
+    pairs = {(0, 2): 1}
+    rows = separate(SndpInstance(g, pairs), x, frozenset())
+    assert rows == [CutRow(frozenset({0}), Fraction(1)), CutRow(frozenset({1}), Fraction(1))]
+    assert all(sum(x[e] for e in row.edge_ids) < row.rhs for row in rows)
+    assert rows == reference_separation(g, x, pairs, frozenset())
+    # a unique min cut gives one row
+    x = {0: Fraction(1, 2), 1: Fraction(1)}
+    assert separate(SndpInstance(g, pairs), x, frozenset()) == [CutRow(frozenset({0}), Fraction(1))]
 
 
 def test_separation_breaks_ties_between_pairs_like_the_reference():

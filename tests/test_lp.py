@@ -164,8 +164,9 @@ def test_each_lp_point_is_scaled_once(monkeypatch):
     g = random_multigraph(rng, GenConfig(nodes=(7, 7), extra_edges=(6, 6)))
     requirements = {(0, g.n - 1): 2, (1, 3): 2, (2, 4): 1}
     jain.jain_round(SndpInstance(g, requirements))
-    inst = gen_ncfgc(1, cfg=GenConfig(nodes=(7, 7), extra_edges=(5, 5), ncfgc_p=(2, 2)))
-    ncfgc.solve_rooted_qconn(inst, min(inst.safe_nodes))
+    for seed in (1, 2, 3):
+        inst = gen_ncfgc(seed, cfg=GenConfig(nodes=(7, 7), extra_edges=(5, 5), ncfgc_p=(2, 2)))
+        ncfgc.solve_rooted_qconn(inst, min(inst.safe_nodes))
     assert calls["oracle"] > 10 and calls["square"] > 0
     assert calls["integral"] == calls["oracle"] + calls["square"]
 
@@ -459,13 +460,14 @@ def test_rows_one_at_a_time_match_reference(exact_fallbacks):
 
 
 def test_fgc_instances_never_take_the_exact_fallback(exact_fallbacks):
-    # Two of these seeds meet a fresh cut that the float vertex violates by
-    # less than 1e-7; a float basis read against the row set one row longer
-    # than the one it was computed for sends them to the exact simplex.
+    # Two of these seeds (0 and 7) meet a fresh cut that the float vertex
+    # violates by less than 1e-7; a float basis read against the row set one
+    # row longer than the one it was computed for sends them to the exact
+    # simplex.
     from flexconn.fgc import solve_fgc
     from flexconn.generators import GenConfig, gen_fgc
 
-    cfg = GenConfig(nodes=(12, 12), extra_edges=(12, 12), pairs=(3, 3),
+    cfg = GenConfig(nodes=(16, 16), extra_edges=(16, 16), pairs=(3, 3),
                     max_p=2, max_q=2)
     for seed in range(12):
         result = solve_fgc(gen_fgc(seed, regime="q1", cfg=cfg))
@@ -474,28 +476,74 @@ def test_fgc_instances_never_take_the_exact_fallback(exact_fallbacks):
 
 
 def test_dense_rooted_lp_leaves_a_cycle_by_blands_rule(exact_fallbacks, monkeypatch):
-    # On this dense ncfgc instance the most-infeasible leaving rule cycles
-    # until the pivot cap; past the cap Bland's rule must finish the float
-    # stage instead of a stall handing the LP to the exact simplex.
-    from flexconn import lp
+    # On this dense ncfgc instance, fed only the first row of each rooted
+    # separation call, the most-infeasible leaving rule cycles until the
+    # pivot cap; past the cap Bland's rule must finish the float stage
+    # instead of a stall handing the LP to the exact simplex.  With the
+    # in-cuts that follow that row the LP takes under 100 pivots.
+    from flexconn import lp, ncfgc
     from flexconn.generators import GenConfig, random_multigraph
     from flexconn.ncfgc import NcFgcInstance, solve_p_ncfgc
 
-    solve = lp._DualTableau.solve
+    solve, pivot = lp._DualTableau.solve, lp._DualTableau._pivot
+    pivots, past_cap = [0], []
 
     def no_stall(self):
+        cap = max(2000, 80 * (self.rows + self.k))   # as `solve` sets it
+        pivots[0] = 0
         try:
             return solve(self)
         except lp._SimplexStall:
             pytest.fail(f"float tableau stalled on {self.rows} rows")
+        finally:
+            past_cap.append(pivots[0] - cap)
 
+    def counted(self, r, q, *, to_upper):
+        pivots[0] += 1
+        pivot(self, r, q, to_upper=to_upper)
+
+    separate = ncfgc._separate_rooted
+    monkeypatch.setattr(ncfgc, "_separate_rooted", lambda *args: separate(*args)[:1])
     monkeypatch.setattr(lp._DualTableau, "solve", no_stall)
+    monkeypatch.setattr(lp._DualTableau, "_pivot", counted)
     rng = random.Random("sweep/20/1/28")
     g = random_multigraph(rng, GenConfig(nodes=(20, 20), extra_edges=(40, 60)))
     share = rng.choice([0.1, 0.3, 0.5, 0.8])
     safe = {v for v in range(g.n) if rng.random() < share}
     result = solve_p_ncfgc(NcFgcInstance(g, safe, 1))
     assert result.cost <= result.rooted_cost == Fraction(103, 4)
+    assert exact_fallbacks == []
+    assert max(past_cap) > 0
+
+
+@pytest.mark.parametrize("kind, guard", [("ncfgc", 1000), ("fgc-q1", 2000)])
+def test_north_star_sizes_stay_under_a_pivot_guard(kind, guard, exact_fallbacks, monkeypatch):
+    # ncfgc at n = 40 and fgc-q1 at n = 80, seed 0: with each short pair's
+    # far min cut and each short sink's in-cut in every batch their cut LPs
+    # take 86 and 252 pivots in all, where one side per pair and one rooted
+    # row per call took 85,381 and 22,857
+    from flexconn import lp
+    from flexconn.fgc import solve_fgc
+    from flexconn.generators import GenConfig, gen_fgc, gen_ncfgc
+    from flexconn.ncfgc import solve_p_ncfgc
+
+    pivots = [0]
+    pivot = lp._DualTableau._pivot
+
+    def counted(self, r, q, *, to_upper):
+        pivots[0] += 1
+        pivot(self, r, q, to_upper=to_upper)
+
+    monkeypatch.setattr(lp._DualTableau, "_pivot", counted)
+    if kind == "ncfgc":
+        cfg = GenConfig(nodes=(40, 40), extra_edges=(40, 40), ncfgc_p=(2, 2))
+        result = solve_p_ncfgc(gen_ncfgc(0, cfg=cfg))
+        assert result.cost <= result.rooted_cost == Fraction(821, 4)
+    else:
+        cfg = GenConfig(nodes=(80, 80), extra_edges=(80, 80), pairs=(3, 3), max_p=2, max_q=2)
+        result = solve_fgc(gen_fgc(0, regime="q1", cfg=cfg))
+        assert result.cost <= 2 * result.lp_objective == Fraction(871, 4)
+    assert pivots[0] <= guard
     assert exact_fallbacks == []
 
 
@@ -957,13 +1005,13 @@ def recorded_lps():
         mp.setattr(lp, "_DualTableau", Recording)
         cfg = GenConfig(nodes=(8, 8), extra_edges=(8, 8), pairs=(3, 3),
                         max_p=2, max_q=2)
-        for seed in range(8):
+        for seed in range(16):
             solve_fgc(gen_fgc(seed, regime=("q1", "p1")[seed % 2], cfg=cfg))
         fst_cfg = GenConfig(nodes=(12, 12), extra_edges=(6, 6), terminals=(6, 6))
-        for seed in range(4):
+        for seed in range(8):
             solve_fst(gen_fst(seed, cfg=fst_cfg))
         nc_cfg = GenConfig(nodes=(8, 8), extra_edges=(6, 8), ncfgc_p=(2, 2))
-        for seed in range(4):
+        for seed in range(8):
             solve_p_ncfgc(gen_ncfgc(seed, cfg=nc_cfg))
     return lps
 

@@ -522,9 +522,11 @@ def separate_rooted(inst, root, x):
 
 
 def reference_separate_rooted(inst, root, x):
-    """Rooted separation on Fraction capacities with a new network per sink,
-    as a list of the most violated row or no row; the root, the sink and
-    uncapped nodes get infinite node arcs."""
+    """Rooted separation on Fraction capacities with a new network per sink
+    (the root, the sink and uncapped nodes on infinite node arcs): the most
+    violated row, then each violated sink in-cut (the arcs with head t, rhs
+    p) by decreasing violation and then sink, less one equal to the first
+    row; or no row."""
     g = inst.graph
     caps = inst.node_caps()
     p = Fraction(inst.requirement)
@@ -561,7 +563,19 @@ def reference_separate_rooted(inst, root, x):
                 if 2 * v in side and 2 * v + 1 not in side
             )
             best = (viol, CutRow(crossing, p - node_cost))
-    return [] if best is None else [best[1]]
+    if best is None:
+        return []
+    in_cuts = sorted(
+        (sum(x.get(aid, 0) for aid, _, head in arcs if head == t) - p, t)
+        for t in range(g.n)
+        if t != root
+    )
+    rows = [best[1]]
+    for short, t in in_cuts:
+        row = CutRow(frozenset(aid for aid, _, head in arcs if head == t), p)
+        if short < 0 and row != rows[0]:
+            rows.append(row)
+    return rows
 
 
 @pytest.mark.parametrize("style", ["float", "rational", "binary", "tie"])
@@ -590,6 +604,26 @@ def test_rooted_separation_matches_fraction_reference(style):
     assert found >= 20
 
 
+def test_rooted_separation_at_zero_gives_the_root_out_cut_then_every_in_cut():
+    # at x = 0 every sink is p short; the first sink's min cut nearest the
+    # root is the root's out-arcs, and every sink's in-cut is p short too
+    for seed in range(6):
+        inst = gen_ncfgc(seed)
+        g, p = inst.graph, inst.requirement
+        root = min(inst.safe_nodes)
+        tails_heads = {aid: arc(g, aid)[:2] for aid in all_arcs(g)}
+        out_cut = CutRow(frozenset(a for a, (u, _) in tails_heads.items() if u == root), Fraction(p))
+        in_cuts = [
+            CutRow(frozenset(a for a, (_, v) in tails_heads.items() if v == t), Fraction(p))
+            for t in range(g.n)
+            if t != root
+        ]
+        assert separate_rooted(inst, root, {}) == [out_cut, *in_cuts]
+    # on two nodes the root's out-cut is the sink's in-cut, given once
+    g = MultiGraph.build(2, [(0, 1, Fraction(1), True), (0, 1, Fraction(2), True)])
+    assert separate_rooted(NcFgcInstance(g, {0}, 2), 0, {}) == [CutRow(frozenset({0, 2}), Fraction(2))]
+
+
 def test_rooted_separation_keeps_the_smaller_of_two_tied_sinks():
     # edges 0-1, 0-2, 1-2; from root 0 the arcs into 1 and 2 carry 1 each,
     # so at p = 2 both sinks fall short by exactly one unit, with other cuts;
@@ -602,13 +636,23 @@ def test_rooted_separation_keeps_the_smaller_of_two_tied_sinks():
     inst = NcFgcInstance(g, {0}, 2)
     x = {0: Fraction(1), 2: Fraction(1)}
     rows = separate_rooted(inst, 0, x)
-    # sink 1's side holds the root's out half and both halves of node 2
-    assert rows == [CutRow(frozenset({0, 3, 5}), Fraction(2))]
-    assert rows == reference_separate_rooted(inst, 0, x)
-    # with arc 2 -> 1 open too, sink 1 is met and sink 2 gives its own cut
-    assert separate_rooted(inst, 0, {**x, 5: Fraction(1)}) == [
-        CutRow(frozenset({1, 2, 4}), Fraction(2))
+    # sink 1's side holds the root's out half and both halves of node 2;
+    # the in-cuts of sinks 1 and 2, each one unit short, follow in sink order
+    assert rows == [
+        CutRow(frozenset({0, 3, 5}), Fraction(2)),
+        CutRow(frozenset({0, 5}), Fraction(2)),
+        CutRow(frozenset({2, 4}), Fraction(2)),
     ]
+    assert rows == reference_separate_rooted(inst, 0, x)
+    # with arc 2 -> 1 open too, sink 1 is met and sink 2 gives its own cut;
+    # sink 1's in-cut now holds, and sink 2's is still one unit short
+    x = {**x, 5: Fraction(1)}
+    rows = separate_rooted(inst, 0, x)
+    assert rows == [
+        CutRow(frozenset({1, 2, 4}), Fraction(2)),
+        CutRow(frozenset({2, 4}), Fraction(2)),
+    ]
+    assert rows == reference_separate_rooted(inst, 0, x)
 
 
 def test_solve_hand_cases():

@@ -182,7 +182,10 @@ def test_separation_reuses_the_instance_network(monkeypatch, kind):
 
     monkeypatch.setattr(jain, "separation", counted(jain.separation))
     monkeypatch.setattr(ncfgc, "_separate_rooted", counted(ncfgc._separate_rooted))
-    for seed, inst in draws(kind):
+    # six more of the larger draws: each call hands over both sides of every
+    # short pair, so fst's LPs need few calls
+    more = [(seed, gen_instance(kind, seed, cfg=LARGER)) for seed in range(3, 9)]
+    for seed, inst in [*draws(kind), *more]:
         if kind == "fgc-q1":
             solve_fgc(inst)  # `jain_round` on the split Cap-NDP instance
         elif kind == "fst":
