@@ -57,7 +57,12 @@ class FgcInstance:
 
     def active_pairs(self) -> list[tuple[tuple[int, int], int, int]]:
         """Pairs with p_ij >= 1, in sorted order; others constrain nothing."""
-        return [(pair, p, q) for pair, (p, q) in self.pairs.items() if p >= 1]
+        return list(self._active)
+
+    @cached_property
+    def _active(self) -> tuple[tuple[tuple[int, int], int, int], ...]:
+        """`active_pairs`, listed once per instance for `verify_fgc`."""
+        return tuple((pair, p, q) for pair, (p, q) in self.pairs.items() if p >= 1)
 
     def is_q1(self) -> bool:
         return all(q <= 1 for _, _, q in self.active_pairs())
@@ -221,7 +226,7 @@ def verify_fgc(inst: FgcInstance, edge_ids) -> Verdict:
     chosen = g.subset(edge_ids)
     net = inst._network.within(chosen)
     shuts = None
-    for (i, j), p, q in inst.active_pairs():
+    for (i, j), p, q in inst._active:
         lam = net.max_flow(i, j, cutoff=p + q)
         if lam >= p + q:
             continue

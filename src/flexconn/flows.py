@@ -19,10 +19,12 @@ capacity, as the separation oracles do at each LP point on the network
 their instance caches; the next `within` puts the built ones back.  A
 network cached for every F or every point is not reentrant.
 
-`lp.solve_cut_lp` hands the separation oracles each LP point as Python ints,
-scaled by `integral` to a common denominator.  That is still exact, and it
-finds the same paths and the same cut side, since BFS only asks which
-residuals are positive and every push is scaled by the same positive factor.
+`lp.solve_cut_lp` hands the separation oracles each LP point as Python ints
+over one denominator: a float point scaled by `integral` to its common
+denominator, an exact vertex as the numerators it was solved in.  That is
+still exact, and any positive scale finds the same paths and the same cut
+side, since BFS only asks which residuals are positive and every push is
+scaled by the same positive factor.
 """
 
 from __future__ import annotations
@@ -120,8 +122,10 @@ class Network:
         queue = [s]
         for u in queue:
             for i in adj[u]:
+                if cap[i] <= 0:
+                    continue
                 v = to[i]
-                if parent[v] == -1 and cap[i] > 0:
+                if parent[v] == -1:
                     parent[v] = i
                     if v == t:
                         path = []
@@ -156,9 +160,9 @@ class Network:
             path = self._augmenting_path(s, t)
             if path is None:
                 break
-            push = min(cap[i] for i in path)
-            if cutoff is not None:
-                push = min(push, cutoff - total)
+            push = min(map(cap.__getitem__, path))
+            if cutoff is not None and push > cutoff - total:
+                push = cutoff - total
             for i in path:
                 cap[i] -= push
                 cap[i ^ 1] += push

@@ -15,16 +15,20 @@ feasibility.  The tableau keeps its basis, each row's upper bound and each
 column's move direction as arrays that every pivot updates, so a pivot reads
 them rather than rebuilding them.  A solve hands back its basis as the
 tableau holds it: one basic [y | s] column per row, and the set of nonbasic
-y at 1.  Each point shown to the oracle, a float vertex clipped to [0, 1] or
-an exact one, is scaled once to ints over its common denominator by
-`flows.integral`, and the oracle's rows are checked on those ints; a float
-is an exact dyadic rational, so it scales as the `Fraction` equal to it
-does.  The answer returned is always rebuilt exactly from that basis and
-certified optimal through an exact dual feasibility check.  Both solve one
-square 0/1 system of tight rows by basic y, the check on its transpose, by
-Bareiss's fraction-free elimination on right-hand sides scaled to ints by
-their common denominator, and compare integer numerators; `Fraction`s are
-built only for a vertex that passes the primal checks.  When the float
+y at 1.  Each point is shown to the oracle as ints over one denominator,
+and the oracle's rows are checked on those ints: a float vertex, clipped to
+[0, 1], is scaled once to its common denominator by `flows.integral` (a
+float is an exact dyadic rational, so it scales as the `Fraction` equal to
+it does), and an exact vertex comes as numerators already.  The answer
+returned is always rebuilt exactly from that basis and certified optimal
+through an exact dual feasibility check.  Both solve one square 0/1 system
+of tight rows by basic y, the check on its transpose, by Bareiss's
+fraction-free elimination on right-hand sides scaled to ints by their
+common denominator, and compare integer numerators.  The vertex stays
+numerators over that denominator, which need not be the least one: an
+oracle answers the point, whatever its scale.  `Fraction`s
+are built only for the x and the objective returned, the objective as one
+quotient of integer sums over the costs scaled once per LP.  When the float
 tableau stalls, cannot hold a cost or cap as a float, or its basis fails the
 check, the same dual simplex runs again from a cold start on `Fraction`s
 with no tolerance, and its basis goes through the same rebuild and check.
@@ -296,8 +300,9 @@ def _tight_system(k, rows, basis):
     return unknown, tight, mat
 
 
-def _primal_from_basis(k, rows, basis, upper) -> list[Fraction] | None:
-    """Rebuild the basic solution exactly from the basis combinatorics.
+def _primal_from_basis(k, rows, basis, upper) -> tuple[list[int], int] | None:
+    """Rebuild the basic solution exactly from the basis combinatorics, as
+    the numerators of y over one positive denominator.
 
     A nonbasic y is 0, or 1 when it is in `upper`; the basic y solve the
     tight rows.  The bound and row checks compare integer numerators over
@@ -321,7 +326,7 @@ def _primal_from_basis(k, rows, basis, upper) -> list[Fraction] | None:
         p, q = cap.as_integer_ratio()
         if sum(num[j] for j in cols) * q > p * den:
             return None
-    return [Fraction(v, den) for v in num]
+    return num, den
 
 
 def _dual_certifies(k, rows, costs, basis, upper) -> bool:
@@ -383,6 +388,7 @@ def solve_cut_lp(
     pos = {e: j for j, e in enumerate(var_ids)}
     k = len(var_ids)
     cvec = [cost_map[e] for e in var_ids]
+    cost_scale, cost_num = integral(cost_map)
 
     rows: list[CutRow] = []
     active: list[tuple[tuple[int, ...], Fraction]] = []
@@ -410,11 +416,10 @@ def solve_cut_lp(
             fresh = True
         return fresh
 
-    def ask(x: Mapping[int, float | Fraction]) -> Sequence[CutRow]:
-        """The oracle's rows at `x`, scaled to ints once for the oracle and
-        the check alike.  Each row must name variables only and be violated:
-        its numerators sum below its rhs times the scale."""
-        scale, num = integral(x)
+    def ask(scale: int, num: Mapping[int, int]) -> Sequence[CutRow]:
+        """The oracle's rows at x_e = num[e] / scale, checked on the same
+        ints.  Each row must name variables only and be violated: its
+        numerators sum below its rhs times the scale."""
         cuts = oracle(scale, num)
         for cut in cuts:
             unknown = cut.edge_ids.difference(num)
@@ -427,7 +432,7 @@ def solve_cut_lp(
                 )
         return cuts
 
-    def certified(basis, upper) -> list[Fraction] | None:
+    def certified(basis, upper) -> tuple[list[int], int] | None:
         y = _primal_from_basis(k, active, basis, upper)
         if y is None or not _dual_certifies(k, active, cvec, basis, upper):
             return None
@@ -446,9 +451,9 @@ def solve_cut_lp(
         except (_SimplexStall, OverflowError):
             tableau = basis = None
 
-        if basis is not None and register(ask({
+        if basis is not None and register(ask(*integral({
             e: min(1.0, max(0.0, 1.0 - y_float[j])) for j, e in enumerate(var_ids)
-        })):
+        }))):
             continue
 
         # Exact stage: rebuild the vertex from the float basis and certify
@@ -471,9 +476,14 @@ def solve_cut_lp(
                     f"exact simplex basis over {len(active)} rows does not certify"
                 )
 
-        x_exact = {e: 1 - y_exact[j] for j, e in enumerate(var_ids)}
-        objective = sum((cost_map[e] * x_exact[e] for e in var_ids), Fraction(0))
-        cuts = ask(x_exact)
+        # x = 1 - y, as numerators over the denominator of y
+        y_num, den = y_exact
+        x_num = {e: den - y_num[j] for j, e in enumerate(var_ids)}
+        cuts = ask(den, x_num)
         if not cuts:
+            x_exact = {e: Fraction(v, den) for e, v in x_num.items()}
+            objective = Fraction(
+                sum(cost_num[e] * v for e, v in x_num.items()), cost_scale * den
+            )
             return FractionalSolution(x_exact, objective, tuple(rows))
         register(cuts)

@@ -7,7 +7,10 @@ most once; it is computed as a max flow after splitting every node into an
 in/out pair joined by a capacitated arc, on the one split-node network
 `_split_network` builds for verifier and solver alike.  A solution F is
 feasible for requirement p when every node pair has q-connectivity at least
-p within F.
+p within F.  Both the solver and the verifier's flow route rest on one
+stitching fact: a safe node r never fails, so no cut of the split-node
+network under p crosses its node arc, and the q-connectivity of i and j is
+at least the smaller of theirs to r.
 
 The solver picks a safe root and directs every edge both ways by arc id,
 on the graph itself: arcs 2*eid and 2*eid + 1 are edge eid's two
@@ -27,7 +30,9 @@ Feasibility has a second, definitional reading: for every set of failing
 unsafe nodes, the survivors must keep max(0, p - failures) edge-disjoint
 paths.  `verify_ncfgc` runs each reading on its own up to its first
 failing pair and cross-checks the two pairs; the definitional one runs
-`flows.smallest_failing_set`, as `verify_fgc` does for edges.
+`flows.smallest_failing_set`, as `verify_fgc` does for edges, and asks
+every pair, while the flow route stitches its pairs through the smallest
+safe node and runs at most 2n - 3 flows on a feasible set.
 """
 
 from __future__ import annotations
@@ -139,15 +144,22 @@ class NcViolation:
 def verify_ncfgc(inst: NcFgcInstance, edge_ids, *, mode: str = "both") -> Verdict:
     """Check feasibility by capacitated flow, by failure enumeration, or both.
     Each route runs on its own up to its first failing pair, in sorted order,
-    on the instance's network narrowed to F by `Network.within`: the flow
-    route asks the split-node network about every pair, the enumeration
-    route the unit network for the least failing unsafe-node set, by (size,
-    sorted ids), each node failing as its incident edges, chosen or not (an
-    edge outside F is closed anyway and never carries flow), and
-    raises GuardExceededError when its search for a pair would try more
-    than `flows.FAILURE_SET_GUARD` node sets.  In "both" mode the two must
-    fail the same pair, or none, else one is wrong and SolverError is
-    raised; the verdict carries the enumeration witness.
+    on the instance's network narrowed to F by `Network.within`.
+
+    The flow route asks the split-node network for p units of q-flow, from
+    node 0 to every node first, then stitches the other pairs through the
+    smallest safe node r (see `_first_short_pair`): a pair whose ends both
+    have p units to r passes with no flow of its own, so a feasible F costs
+    n - 1 flows when node 0 is safe and 2n - 3 when another node is.  Its
+    first failing pair, and that pair's flow, are those one flow per pair
+    gives.  The enumeration route asks the unit network, for every pair,
+    for the least failing unsafe-node set, by (size, sorted ids), each node
+    failing as its incident edges, chosen or not (an edge outside F is
+    closed anyway and never carries flow), and raises GuardExceededError
+    when its search for a pair would try more than
+    `flows.FAILURE_SET_GUARD` node sets.  In "both" mode the two must fail
+    the same pair, or none, else one is wrong and SolverError is raised;
+    the verdict carries the enumeration witness.
     """
     if mode not in ("qconn", "enumeration", "both"):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -156,13 +168,7 @@ def verify_ncfgc(inst: NcFgcInstance, edge_ids, *, mode: str = "both") -> Verdic
     p = inst.requirement
     hit_q = hit_e = None
     if mode != "enumeration":
-        net = inst._flow_route.within(chosen)
-        # own loop: a per-call dict for `first_unmet_pair` made oracle-small 20% slower
-        for i, j in combinations(range(g.n), 2):
-            lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
-            if lam < p:
-                hit_q = NcViolation((i, j), None, lam)
-                break
+        hit_q = _first_short_pair(inst._flow_route.within(chosen), g.n, p, inst.safe_nodes)
     if mode != "qconn":
         unit = inst._network.within(chosen)
         shuts = {v: [e.eid for e in g.incident(v)] for v in inst.unsafe_nodes()}
@@ -180,6 +186,50 @@ def verify_ncfgc(inst: NcFgcInstance, edge_ids, *, mode: str = "both") -> Verdic
             f"enumeration fails pair {first_e} first"
         )
     return Verdict(hit_e or hit_q)
+
+
+def _first_short_pair(net: Network, n: int, p: int, safe) -> NcViolation | None:
+    """The first pair (i, j), in sorted order, with less than p units of
+    q-flow on the split-node network `net`, and that flow, or None.
+
+    Row 0 runs first, each flow cut off at p, as one flow per pair would
+    run it: most of the sets the exact oracle asks fail there, and taking
+    the safe node's row first made the oracle's subset search slower.
+
+    Once row 0 passes, the pairs are stitched through the smallest safe
+    node r.  A cut of `net` under p cannot cross r's unlimited node arc, so
+    it separates r from i or from j, and lambda(i, j) >= min(lambda(i, r),
+    lambda(r, j)).  With r = 0 row 0 decides it; otherwise the flows (r, t)
+    for t outside {0, r} run, and a pair with both ends among r and the t
+    that reach p needs no flow.  The network is symmetric, so lambda(i,
+    r) = lambda(r, i) and the root row's values serve the pairs that end at
+    r.  Every other pair gets its own flow, as every pair does when no node
+    is safe.  A flow under p is exact, so the pair and flow returned are
+    those one flow per pair gives.
+    """
+
+    def flow(i: int, j: int) -> int:
+        return net.max_flow(2 * i + 1, 2 * j, cutoff=p)
+
+    for t in range(1, n):
+        lam = flow(0, t)
+        if lam < p:
+            return NcViolation((0, t), None, lam)
+    r = min(safe, default=None)
+    if r == 0:
+        return None
+    row: dict[int, int] = {}
+    good: set[int] = set()
+    if r is not None:
+        row = {t: flow(r, t) for t in range(1, n) if t != r}
+        good = {r, *(t for t, lam in row.items() if lam >= p)}
+    for i, j in combinations(range(1, n), 2):
+        if i in good and j in good:
+            continue
+        lam = row[j] if i == r else row[i] if j == r else flow(i, j)
+        if lam < p:
+            return NcViolation((i, j), None, lam)
+    return None
 
 
 def reduce_by_inflation(inst: NcFgcInstance) -> tuple[NcFgcInstance, InflationResult]:

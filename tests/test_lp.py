@@ -32,6 +32,17 @@ def static_oracle(rows):
     return oracle
 
 
+def primal_values(primal):
+    """The y that `_primal_from_basis` gives as integer numerators over one
+    positive denominator, as `Fraction`s; None stays None."""
+    if primal is None:
+        return None
+    num, den = primal
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in num)
+    return [Fraction(v, den) for v in num]
+
+
 @pytest.fixture
 def exact_fallbacks(monkeypatch):
     """Records every `_simplex(exact=True)` call, i.e. every vertex the float
@@ -134,17 +145,19 @@ def test_known_rows_at_the_exact_vertex_break_the_contract():
         solve_cut_lp({0: Fraction(1), 1: Fraction(2)}, lambda scale, num: next(answers))
 
 
-def test_each_lp_point_is_scaled_once(monkeypatch):
-    # `solve_cut_lp` scales every point it shows an oracle to ints once, and
-    # both oracles take those ints as they are; the only other scaling on
-    # the way is `_solve_square`'s, of its right-hand side.
+def test_each_lp_point_is_scaled_once(exact_fallbacks, monkeypatch):
+    # `solve_cut_lp` scales every float point it shows an oracle to ints
+    # once, shows each exact vertex as the numerators `_primal_from_basis`
+    # rebuilt it in, and scales its costs once per LP; both oracles take
+    # those ints as they are.  The only other scaling on the way is
+    # `_solve_square`'s, of its right-hand side.
     import sys
 
     from flexconn import flows, jain, lp, ncfgc
     from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
     from flexconn.jain import SndpInstance
 
-    calls = {"integral": 0, "oracle": 0, "square": 0}
+    calls = {"integral": 0, "oracle": 0, "square": 0, "exact": 0, "lp": 0}
 
     def counted(key, fn):
         def run(*args, **kwargs):
@@ -159,6 +172,9 @@ def test_each_lp_point_is_scaled_once(monkeypatch):
     monkeypatch.setattr(jain, "separation", counted("oracle", jain.separation))
     monkeypatch.setattr(ncfgc, "_separate_rooted", counted("oracle", ncfgc._separate_rooted))
     monkeypatch.setattr(lp, "_solve_square", counted("square", lp._solve_square))
+    monkeypatch.setattr(lp, "_primal_from_basis", counted("exact", lp._primal_from_basis))
+    for module in (jain, ncfgc):
+        monkeypatch.setattr(module, "solve_cut_lp", counted("lp", module.solve_cut_lp))
 
     rng = random.Random("scaled-once")
     g = random_multigraph(rng, GenConfig(nodes=(7, 7), extra_edges=(6, 6)))
@@ -167,8 +183,11 @@ def test_each_lp_point_is_scaled_once(monkeypatch):
     for seed in (1, 2, 3):
         inst = gen_ncfgc(seed, cfg=GenConfig(nodes=(7, 7), extra_edges=(5, 5), ncfgc_p=(2, 2)))
         ncfgc.solve_rooted_qconn(inst, min(inst.safe_nodes))
-    assert calls["oracle"] > 10 and calls["square"] > 0
-    assert calls["integral"] == calls["oracle"] + calls["square"]
+    # with no exact fallback each exact stage rebuilds one vertex and asks once
+    assert not exact_fallbacks
+    assert calls["oracle"] > 10 and calls["exact"] >= calls["lp"] > 3
+    float_points = calls["oracle"] - calls["exact"]
+    assert calls["integral"] == float_points + calls["square"] + calls["lp"]
 
 
 @pytest.mark.parametrize("exact", [False, True])
@@ -194,7 +213,7 @@ def test_rows_as_one_block_or_blocks_of_one_reach_one_vertex(exact):
         basis, upper = solve_in([[half] for half in halves])
         assert solve_in([[[row] for row in half] for half in halves]) == (basis, upper)
         assert_basis_contract(k, len(active), basis, upper)
-        y = lp._primal_from_basis(k, active, basis, upper)
+        y = primal_values(lp._primal_from_basis(k, active, basis, upper))
         assert y is not None and lp._dual_certifies(k, active, cvec, basis, upper)
         fractional += any(v.denominator > 1 for v in y)
     assert fractional > 10
@@ -778,9 +797,8 @@ def test_recorded_bases_certify_as_the_reference(recorded_bases):
     fractional = 0
     for k, rows, costs, basis, upper in recorded_bases:
         assert_basis_contract(k, len(rows), basis, upper)
-        y = _primal_from_basis(k, rows, basis, upper)
+        y = primal_values(_primal_from_basis(k, rows, basis, upper))
         assert y is not None and y == ref_primal_from_basis(k, rows, basis, upper)
-        assert all(type(v) is Fraction for v in y)
         fractional += any(v.denominator > 1 for v in y)
         assert _dual_certifies(k, rows, costs, basis, upper)
         assert ref_dual_certifies(k, rows, costs, basis, upper)
@@ -807,7 +825,7 @@ def test_swapped_bases_are_judged_as_the_reference(recorded_bases):
                 bounds.add(leave)
             assert_basis_contract(k, len(rows), swapped, bounds)
             want = ref_primal_from_basis(k, rows, swapped, bounds)
-            assert _primal_from_basis(k, rows, swapped, bounds) == want
+            assert primal_values(_primal_from_basis(k, rows, swapped, bounds)) == want
             certified = ref_dual_certifies(k, rows, costs, swapped, bounds)
             assert _dual_certifies(k, rows, costs, swapped, bounds) == certified
             judged["primal"] += want is None

@@ -169,6 +169,56 @@ def test_star_center_is_the_weak_point():
     assert v.pair == (1, 2) and v.removed == frozenset({0}) and v.connectivity == 0
 
 
+def count_flows(monkeypatch):
+    """A list that grows by one on every `Network.max_flow` call."""
+    calls = []
+    real = Network.max_flow
+
+    def counted(net, *args, **kwargs):
+        calls.append(args)
+        return real(net, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "max_flow", counted)
+    return calls
+
+
+def test_row_0_passes_but_the_unsafe_cut_node_fails_a_later_pair(monkeypatch):
+    # two triangles joined at node 0, which fails: every node has 2 paths
+    # to node 0, but a pair across it has one path through it.  Node 4 is
+    # the stitching root; its row reaches 2 only toward node 3, so (1, 2)
+    # and (1, 3) each need a flow of their own: the first passes, the
+    # second fails
+    g = MultiGraph.build(5, [
+        (u, v, Fraction(1), True) for u, v in [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]
+    ])
+    inst = NcFgcInstance(g, {4}, 2)
+    flows_run = count_flows(monkeypatch)
+    flow_only = verify_ncfgc(inst, g.edge_ids, mode="qconn").violation
+    assert flow_only == NcViolation((1, 3), None, 1)
+    # row 0, the root row toward 1, 2 and 3, then (1, 2) and (1, 3)
+    assert [(s >> 1, t >> 1) for s, t in flows_run] == [
+        (0, 1), (0, 2), (0, 3), (0, 4), (4, 1), (4, 2), (4, 3), (1, 2), (1, 3),
+    ]
+    # the enumeration route names node 0 for the same pair
+    for mode in ("enumeration", "both"):
+        v = verify_ncfgc(inst, g.edge_ids, mode=mode).violation
+        assert v == NcViolation((1, 3), frozenset({0}), 0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_a_feasible_set_costs_n_minus_1_flows_with_node_0_safe_else_2n_minus_3(monkeypatch, n):
+    # two parallel edges between every pair: every pair has p = 2 paths
+    g = MultiGraph.build(n, [
+        (u, v, Fraction(1), True) for u in range(n) for v in range(u + 1, n) for _ in range(2)
+    ])
+    flows_run = count_flows(monkeypatch)
+    for safe, count in [({0}, n - 1), ({0, n - 1}, n - 1), ({n - 1}, 2 * n - 3),
+                        (set(), n * (n - 1) // 2)]:
+        flows_run.clear()
+        assert verify_ncfgc(NcFgcInstance(g, safe, 2), g.edge_ids, mode="qconn").ok
+        assert len(flows_run) == count, (safe, flows_run)
+
+
 @given(multigraphs(max_nodes=5, max_extra=3), st.data())
 def test_flow_and_enumeration_routes_agree(g, data):
     safe = frozenset(data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n)))

@@ -43,6 +43,36 @@ def draws(kind):
         yield seed, gen_instance(kind, seed, cfg=cfg)
 
 
+def bowtie(inst):
+    """Two copies of the instance's graph glued at node 0, which fails,
+    node v of the second copy numbered n - 1 + v; the other safe nodes of
+    both copies stay safe, and p is 2.  Row 0 can pass while a pair across
+    node 0 fails."""
+    g = inst.graph
+    shift = lambda v: v and g.n - 1 + v
+    rows = [(e.u, e.v, e.cost, e.safe) for e in g.edges]
+    rows += [(shift(e.u), shift(e.v), e.cost, e.safe) for e in g.edges]
+    safe = {w for v in inst.safe_nodes - {0} for w in (v, shift(v))}
+    return NcFgcInstance(MultiGraph.build(2 * g.n - 1, rows), safe, 2)
+
+
+def ncfgc_draws():
+    """Each ncfgc draw as generated, then with node 0 unsafe and its last
+    node safe, with no safe node, and at p = 1 and p = 3, and the bowtie of
+    each draw of at most 5 edges: the flow route stitches pairs through the
+    smallest safe node, so that node's place and the requirement both steer
+    which flows run."""
+    for seed, inst in draws("ncfgc"):
+        yield seed, inst
+        later = (inst.safe_nodes - {0}) | {inst.graph.n - 1}
+        yield seed, dataclasses.replace(inst, safe_nodes=later)
+        yield seed, dataclasses.replace(inst, safe_nodes=frozenset())
+        for p in (1, 3):
+            yield seed, dataclasses.replace(inst, requirement=p)
+        if inst.graph.m <= 5:
+            yield seed, bowtie(dataclasses.replace(inst, safe_nodes=later))
+
+
 def reference_verify_fgc(inst, edge_ids):
     g = inst.graph
     chosen = sorted(g.subset(edge_ids))
@@ -112,13 +142,22 @@ def test_verify_fgc_matches_a_network_per_subset(kind):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_verify_ncfgc_matches_a_network_per_subset(mode):
+    # `seen` counts the verdicts the stitching decides, node 0 unsafe and
+    # another node safe: sets that pass, and sets that fail past row 0
     failing = 0
-    for seed, inst in draws("ncfgc"):
+    seen = {"passed": 0, "failed past row 0": 0}
+    for seed, inst in ncfgc_draws():
+        stitched = 0 not in inst.safe_nodes and bool(inst.safe_nodes)
         for subset in subsets(inst.graph):
             verdict = verify_ncfgc(inst, subset, mode=mode)
-            assert verdict == reference_verify_ncfgc(inst, subset, mode), (seed, subset)
+            assert verdict == reference_verify_ncfgc(inst, subset, mode), (seed, inst, subset)
             failing += not verdict.ok
-    assert failing > 0
+            if stitched:
+                bad = verdict.violation
+                seen["passed" if bad is None else "failed past row 0"] += (
+                    bad is None or bad.pair[0] > 0
+                )
+    assert failing > 0 and min(seen.values()) > 20, seen
 
 
 def _interleaved(g):
