@@ -138,23 +138,12 @@ def build_capndp_p1(inst: FgcInstance) -> CapNdpInstance:
     return CapNdpInstance(inst.graph, caps, demands)
 
 
-@dataclass(frozen=True)
-class CapacitatedFailure:
-    pair: tuple[int, int]
-    flow: int
-    demand: int
-
-
 def check_capacitated_cuts(inst: CapNdpInstance, edge_ids) -> Verdict:
     """Check every demand by an exact max flow over the chosen edges at their
     capacities, on the instance's network narrowed to them; the verdict
-    names the first demand that fails."""
+    names the first demand that fails as an `UnmetPair`."""
     chosen = inst.graph.subset(edge_ids)
-    hit = first_unmet_pair(inst._network.within(chosen), inst.demands)
-    if hit is None:
-        return Verdict()
-    pair, flow = hit
-    return Verdict(CapacitatedFailure(pair, flow, inst.demands[pair]))
+    return Verdict(first_unmet_pair(inst._network.within(chosen), inst.demands))
 
 
 @dataclass(frozen=True)
@@ -167,10 +156,11 @@ class CapNdpResult:
 
 def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
     """Decide infeasibility on the instance's network, every edge at its
-    capacity, then split each edge of capacity u >= 1 into u unit copies,
-    round the cut LP and keep the touched originals.  A refusal's cut side is
-    residual-reachable from the short pair's first node after its flow, a max
-    flow, so it is the inclusion-minimal side in any order of the capacities.
+    capacity, then split each edge of capacity u into u unit copies (none
+    for u = 0), round the cut LP and keep the touched originals.  A
+    refusal's cut side is residual-reachable from the short pair's first
+    node after its flow, a max flow, so it is the inclusion-minimal side in
+    any order of the capacities.
     The returned set is re-checked against the capacitated demands; a
     failure there would mean the rounding is broken.
     """
@@ -178,16 +168,15 @@ def solve_capndp(inst: CapNdpInstance) -> CapNdpResult:
     net = inst._network.within(g.edge_ids)
     hit = first_unmet_pair(net, inst.demands)
     if hit is not None:
-        (i, j), flow = hit
+        i, j = hit.pair
         side = net.reachable_from(i)
         raise InfeasibleInstanceError(
-            f"pair ({i}, {j}) needs {inst.demands[i, j]} edge-disjoint "
-            f"paths but the graph admits only {flow}",
+            f"pair ({i}, {j}) needs {hit.demand} edge-disjoint "
+            f"paths but the graph admits only {hit.flow}",
             pair=(i, j),
             cut=Cut(side, g.boundary(side)),
         )
-    usable = MultiGraph(g.n, [e for e in g.edges if inst.capacities[e.eid] >= 1])
-    split = split_parallel(usable, inst.capacities)
+    split = split_parallel(g, inst.capacities)
     rounded = jain_round(SndpInstance(split.graph, inst.demands))
     edges = frozenset(split.copy_map[sid] for sid in rounded.edges)
     bad = check_capacitated_cuts(inst, edges).violation

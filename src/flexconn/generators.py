@@ -44,6 +44,8 @@ class GenConfig:
             floor = 2 if name == "nodes" else 0
             if not floor <= low <= high:
                 raise ValidationError(f"{name} ({low}, {high}) is not {floor} <= low <= high")
+        if min(self.max_p, self.max_q) < 1:
+            raise ValidationError(f"max_p {self.max_p} and max_q {self.max_q} must be >= 1")
         # fst draws at least terminals[0] of the n nodes, and n may be nodes[0]
         if self.terminals[0] > self.nodes[0]:
             raise ValidationError(
@@ -95,6 +97,8 @@ def gen_fgc(
     ensure_feasible: bool = True,
 ) -> FgcInstance:
     """Random requirement instance; regime "q1", "p1", or "any"."""
+    if regime not in ("q1", "p1", "any"):
+        raise ValidationError(f"unknown regime {regime!r}")
 
     def draw(rng):
         g = random_multigraph(rng, cfg)

@@ -17,9 +17,11 @@ from .errors import UnknownEdgeError, ValidationError
 
 def as_cost(value) -> Fraction:
     """Coerce a number or numeric string to an exact nonnegative rational
-    cost; a `Fraction` comes back as itself."""
+    cost; a `Fraction` comes back as itself, and a bool is not a cost."""
     cost = value
     if type(cost) is not Fraction:
+        if isinstance(value, bool):
+            raise ValidationError(f"bad cost {value!r}")
         try:
             cost = Fraction(value)
         except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
@@ -264,22 +266,20 @@ def split_parallel(g: MultiGraph, multiplicity: Mapping[int, int]) -> SplitResul
     """Replace each edge e by multiplicity[e] unit copies sharing cost and label.
 
     Copy ids are assigned 0.. in edge order; `copy_map` sends copies back to the
-    original edge id.  A multiplicity below one is rejected: dropping an edge is
-    the caller's decision, not a degenerate split.
+    original edge id.  An edge of multiplicity 0 gets no copy and takes no id;
+    a missing or negative multiplicity is rejected.
     """
     edges = []
     copy_map: dict[int, int] = {}
-    next_id = 0
     for e in g.edges:
         if e.eid not in multiplicity:
             raise ValidationError(f"no multiplicity given for edge {e.eid}")
         count = multiplicity[e.eid]
-        if count < 1:
-            raise ValidationError(f"multiplicity {count} for edge {e.eid} must be >= 1")
+        if count < 0:
+            raise ValidationError(f"multiplicity {count} for edge {e.eid} must be >= 0")
         for _ in range(count):
-            edges.append(Edge(next_id, e.u, e.v, e.cost, e.safe))
-            copy_map[next_id] = e.eid
-            next_id += 1
+            copy_map[len(edges)] = e.eid
+            edges.append(Edge(len(edges), e.u, e.v, e.cost, e.safe))
     return SplitResult(MultiGraph(g.n, tuple(edges)), copy_map)
 
 

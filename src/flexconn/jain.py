@@ -9,7 +9,8 @@ less the chosen edges that cross it, and names only the undecided ones.
 Every vertex must offer an undecided edge at 1/2 or more; a miss is a bug in
 vertex recovery, not an instance property, and raises JainProgressError.
 `first_unmet_pair` checks a dict of pair requirements on a cached network
-that `Network.within` narrows to an edge set: at unit capacities here and in
+that `Network.within` narrows to an edge set, and names the first short
+pair as an `UnmetPair` (pair, flow, demand): at unit capacities here and in
 the oracle, at Cap-NDP capacities for fgc's refusal and closing check.
 `separation` loads each LP point into that same unit network with
 `Network.load`, so a whole rounding builds one network; the next `within`
@@ -68,19 +69,28 @@ class SndpInstance:
         return unit_network(self.graph)
 
 
+@dataclass(frozen=True)
+class UnmetPair:
+    """A pair whose max flow falls short of its demand."""
+
+    pair: tuple[int, int]
+    flow: int
+    demand: int
+
+
 def first_unmet_pair(
     net: Network,
     requirements: Mapping[tuple[int, int], int],
-) -> tuple[tuple[int, int], int] | None:
-    """First pair, with its flow, whose max flow on `net` falls short of its
-    requirement, or None.  `requirements` must already be in sorted pair
-    order, as `normalize_pairs` leaves every instance's pairs, so the first
-    is the smallest.  Each flow stops at the pair's requirement, so a zero
-    requirement is never short."""
+) -> UnmetPair | None:
+    """First pair whose max flow on `net` falls short of its requirement,
+    with that flow and requirement, or None.  `requirements` must already
+    be in sorted pair order, as `normalize_pairs` leaves every instance's
+    pairs, so the first is the smallest.  Each flow stops at the pair's
+    requirement, so a zero requirement is never short."""
     for pair, r in requirements.items():
         flow = net.max_flow(*pair, cutoff=r)
         if flow < r:
-            return pair, flow
+            return UnmetPair(pair, flow, r)
     return None
 
 

@@ -390,22 +390,19 @@ def solve_cut_lp(
     cvec = [cost_map[e] for e in var_ids]
     cost_scale, cost_num = integral(cost_map)
 
-    rows: list[CutRow] = []
+    rows: dict[CutRow, None] = {}     # every generated row, in order
     active: list[tuple[tuple[int, ...], Fraction]] = []
-    seen: set[tuple[frozenset[int], Fraction]] = set()
 
     def register(cuts: Sequence[CutRow]) -> bool:
         """Add every row of `cuts` not generated before, in order; True when
         any was new."""
         fresh = False
         for row in cuts:
-            key = (row.edge_ids, row.rhs)
-            if key in seen:
+            if row in rows:
                 continue
             if len(rows) >= max_rows:
                 raise LpResourceError(f"row cap {max_rows} exceeded")
-            seen.add(key)
-            rows.append(row)
+            rows[row] = None
             cols = tuple(pos[e] for e in sorted(row.edge_ids))
             if row.rhs > len(cols):
                 raise LpInfeasibleError(

@@ -87,48 +87,30 @@ class NcFgcInstance:
     @cached_property
     def _flow_route(self) -> Network:
         g = self.graph
-        return _split_network(g, self.node_caps(), dict.fromkeys(_both_arcs(g.edge_ids), 1))
+        return _split_network(g, self.node_caps(), _both_arcs(g.edge_ids))
 
     @cached_property
     def _network(self) -> Network:
         return unit_network(self.graph)
 
 
-def _split_network(g: MultiGraph, caps, arc_caps) -> Network:
+def _split_network(g: MultiGraph, caps, arcs) -> Network:
     """Network on 2 * g.n nodes, each node v split into the arc 2v -> 2v+1
-    of capacity caps.get(v) (index 2v), then one arc per arc id of g in
-    `arc_caps`, in its order, from its tail's out half 2u+1 to its head's in
-    half 2v with capacity arc_caps[aid] (see `arc`), recorded as its edge's.
-    A cap of None (or none given) means unlimited and becomes 1 + the total
-    arc capacity: every out-to-in path crosses an arc of `arc_caps`, so no
-    flow reaches it."""
-    unlimited = 1 + sum(arc_caps.values())
+    of capacity caps.get(v) (index 2v), then one unit arc per arc id of g
+    in `arcs`, in its order, from its tail's out half 2u+1 to its head's in
+    half 2v (see `arc`), recorded as its edge's.  A cap of None (or none
+    given) means unlimited and becomes 1 + the number of arcs: every
+    out-to-in path crosses one of them, so no flow reaches it."""
+    unlimited = 1 + len(arcs)
     net = Network(2 * g.n)
     for v in range(g.n):
         cap = caps.get(v)
         net.add_pair(2 * v, 2 * v + 1, unlimited if cap is None else cap, 0)
-    for aid, cap in arc_caps.items():
+    for aid in arcs:
         u, v, _ = arc(g, aid)
-        net.add_pair(2 * u + 1, 2 * v, cap, 0)
-    net.edges = [None] * g.n + [aid >> 1 for aid in arc_caps]
+        net.add_pair(2 * u + 1, 2 * v, 1, 0)
+    net.edges = [None] * g.n + [aid >> 1 for aid in arcs]
     return net
-
-
-def q_connectivity(
-    g: MultiGraph,
-    caps,
-    s: int,
-    t: int,
-    edge_ids=None,
-    *,
-    cutoff: int | None = None,
-) -> int:
-    """Max (s, t)-flow with unit edges and capacitated intermediate nodes:
-    the rooted q-flow over both arcs of each edge in `edge_ids` (default:
-    every edge).  The endpoints' own caps do not matter.
-    """
-    ids = g.edge_ids if edge_ids is None else edge_ids
-    return rooted_q_flow(g, caps, s, t, _both_arcs(ids), cutoff=cutoff)
 
 
 @dataclass(frozen=True)
@@ -266,8 +248,8 @@ def rooted_q_flow(
     with capacitated intermediate nodes; `arcs` defaults to every arc."""
     if root == t:
         raise InvalidQueryError("root and t must differ")
-    ids = _both_arcs(g.edge_ids) if arcs is None else sorted(arcs)
-    net = _split_network(g, caps, dict.fromkeys(ids, 1))
+    ids = _both_arcs(g.edge_ids) if arcs is None else sorted(set(arcs))
+    net = _split_network(g, caps, ids)
     return net.max_flow(2 * root + 1, 2 * t, cutoff=cutoff)
 
 

@@ -21,8 +21,8 @@ from flexconn import (
     check_cut_characterization,
     edge_connectivity,
     jain_round,
-    q_connectivity,
     reduce_by_inflation,
+    rooted_q_flow,
     solve_fgc,
     solve_fst,
     solve_p_ncfgc,
@@ -239,8 +239,8 @@ def test_inflation_preserves_connectivity():
         first = {v: images[0] for v, images in inflated.node_images.items()}
         for i in range(g.n):
             for j in range(i + 1, g.n):
-                before = q_connectivity(g, caps, i, j)
-                after = q_connectivity(reduced.graph, red_caps, first[i], first[j])
+                before = rooted_q_flow(g, caps, i, j)
+                after = rooted_q_flow(reduced.graph, red_caps, first[i], first[j])
                 assert before == after, f"pair ({i}, {j}): {before} != {after}"
                 pairs_checked += 1
     _report(

@@ -27,9 +27,9 @@ from flexconn import (
     verify_fgc,
 )
 from flexconn import flows
-from flexconn.fgc import CapacitatedFailure
 from flexconn.flows import edge_connectivity, max_flow_min_cut
 from flexconn.graphs import Cut
+from flexconn.jain import UnmetPair
 from flexconn.generators import GenConfig, gen_fgc
 from flexconn.instance_io import InstanceDoc, render_instance
 from flexconn.oracle import exact_opt
@@ -160,12 +160,12 @@ def test_capacitated_check_reports_flow_shortfall():
     assert check_capacitated_cuts(inst, {0, 1}).ok
     report = check_capacitated_cuts(inst, {0})
     assert not report.ok
-    assert report.violation == report.violation.__class__((0, 1), 2, 3)
+    assert report.violation == UnmetPair((0, 1), 2, 3)
 
 
 def test_capacitated_check_ignores_zero_demands():
     inst = CapNdpInstance(mixed_triangle(), {0: 1, 1: 1, 2: 1}, {(0, 1): 0, (0, 2): 1})
-    assert check_capacitated_cuts(inst, set()).violation == CapacitatedFailure((0, 2), 0, 1)
+    assert check_capacitated_cuts(inst, set()).violation == UnmetPair((0, 2), 0, 1)
     assert check_capacitated_cuts(inst, {2}).ok
 
 
@@ -238,6 +238,27 @@ def test_zero_capacity_edges_are_never_bought():
     res = solve_capndp(inst)
     assert 2 not in res.edges
     assert res.cost == exact_opt(inst).cost == 4
+
+
+def test_zero_capacity_edges_take_no_copy_and_no_copy_id():
+    """Edges 0 and 3 have capacity 0 and get no unit copy, so the copies of
+    every later edge shift down; the solve is the one the split of the
+    positive-capacity edges alone gives."""
+    g = MultiGraph.build(4, [
+        (0, 1, 1, True),
+        (0, 1, 3, True),
+        (1, 2, 2, False),
+        (2, 3, 1, True),
+        (0, 3, 4, False),
+        (0, 2, Fraction(5, 2), True),
+        (1, 3, 1, False),
+    ])
+    inst = CapNdpInstance(g, {0: 0, 1: 2, 2: 1, 3: 0, 4: 2, 5: 1, 6: 1}, {(0, 3): 2, (1, 2): 1})
+    res = solve_capndp(inst)
+    assert res.edges == frozenset({1, 2, 4, 5, 6})
+    assert res.cost == Fraction(25, 2)
+    assert res.lp_objective == Fraction(35, 4)
+    assert res.iterations == 1
 
 
 def test_solve_capndp_prefers_cheap_capacity():

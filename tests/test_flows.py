@@ -15,7 +15,6 @@ from flexconn import (
     UnknownEdgeError,
     edge_connectivity,
     max_flow_min_cut,
-    q_connectivity,
     rooted_q_flow,
 )
 
@@ -86,7 +85,7 @@ def test_max_flow_min_cut_rejects_same_endpoints():
     for query in (
         lambda: edge_connectivity(path, -1, 0),
         lambda: max_flow_min_cut(path, {0: 1, 1: 1}, -1, 0),
-        lambda: q_connectivity(path, {}, -1, 0),
+        lambda: rooted_q_flow(path, {}, -1, 0),
         lambda: max_flow_min_cut(path, {0: 1}, 0, -2),
         lambda: edge_connectivity(path, 0, 3),
         lambda: Network(3).max_flow(0, 0),
@@ -218,11 +217,11 @@ def test_within_narrows_a_split_node_network_like_one_over_f_alone(g, data):
     one built over F's arcs alone on values, carried edges and reachable
     sets, whatever the node caps; its node arcs belong to no edge."""
     caps = {v: data.draw(st.none() | st.integers(0, 2)) for v in range(g.n)}
-    full = _split_network(g, caps, dict.fromkeys(_both_arcs(g.edge_ids), 1))
+    full = _split_network(g, caps, _both_arcs(g.edge_ids))
     assert full.edges == [None] * g.n + [aid >> 1 for aid in _both_arcs(g.edge_ids)]
     for _ in range(data.draw(st.integers(1, 4))):
         kept = data.draw(st.sets(st.sampled_from(sorted(g.edge_ids))))
-        own = _split_network(g, caps, dict.fromkeys(_both_arcs(kept), 1))
+        own = _split_network(g, caps, _both_arcs(kept))
         full.within(kept)
         i, j = data.draw(node_pairs(g.n))
         s, t = 2 * i + 1, 2 * j

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from flexconn import ValidationError, verify_fgc, verify_fst, verify_ncfgc
-from flexconn.generators import GEN_KINDS, GenConfig, gen_instance, random_multigraph
+from flexconn.generators import GEN_KINDS, GenConfig, gen_fgc, gen_instance, random_multigraph
 
 
 def test_random_multigraph_is_connected_and_in_range():
@@ -29,6 +29,10 @@ def test_random_multigraph_is_connected_and_in_range():
     # fst could draw 3 nodes and then need 4 terminals among them
     {"nodes": (3, 3), "terminals": (4, 5)},
     {"nodes": (3, 6), "terminals": (4, 4)},
+    # no requirement value to draw: randint(1, 0) raises a bare ValueError
+    {"max_p": 0},
+    {"max_q": 0},
+    {"max_q": -1},
 ])
 def test_gen_config_rejects_bad_ranges(cfg):
     # refused at once, not at the first draw, where nodes (1, 1) hangs and
@@ -67,3 +71,9 @@ def test_generated_fst_and_ncfgc_are_feasible():
 def test_unknown_kind_is_rejected():
     with pytest.raises(ValidationError):
         gen_instance("steiner", 0)
+
+
+def test_unknown_regime_is_rejected():
+    # refused, not drawn as "any"
+    with pytest.raises(ValidationError, match="unknown regime 'bogus'"):
+        gen_fgc(0, regime="bogus")

@@ -59,7 +59,7 @@ def test_as_cost_accepts_exact_forms():
         as_cost("spam")
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "spam", None])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), "spam", None, True, False])
 @pytest.mark.parametrize("make", [
     lambda cost: MultiGraph.build(2, [(0, 1, cost, True)]),
     lambda cost: MultiGraph(2, [Edge(0, 0, 1, cost, True)]),
@@ -267,8 +267,13 @@ def test_split_parallel_copies_and_copy_map():
     for sid, orig in res.copy_map.items():
         a, b = res.graph.edge(sid), g.edge(orig)
         assert (a.u, a.v, a.cost, a.safe) == (b.u, b.v, b.cost, b.safe)
-    with pytest.raises(ValidationError):
-        split_parallel(g, {eid: 0 for eid in g.edge_ids})
+    # an edge of multiplicity 0 gets no copy, and later copy ids close up
+    res = split_parallel(g, {0: 2, 1: 0, 2: 3, 3: 0, 4: 1})
+    assert sorted(res.copy_map.items()) == [(0, 0), (1, 0), (2, 2), (3, 2), (4, 2), (5, 4)]
+    assert res.graph.edge_ids == frozenset(range(6))
+    assert split_parallel(g, {eid: 0 for eid in g.edge_ids}).graph.m == 0
+    with pytest.raises(ValidationError, match="multiplicity -1 for edge 1 must be >= 0"):
+        split_parallel(g, {0: 1, 1: -1, 2: 1, 3: 1, 4: 1})
     with pytest.raises(ValidationError):
         split_parallel(g, {0: 1})
 

@@ -18,7 +18,7 @@ from flexconn import (
 from flexconn.flows import integral, undirected_network
 from flexconn.fst import _shortest_paths
 from flexconn.generators import GenConfig, random_multigraph
-from flexconn.jain import first_unmet_pair, separation
+from flexconn.jain import UnmetPair, first_unmet_pair, separation
 from flexconn.lp import CutRow, solve_cut_lp
 from flexconn.oracle import exact_opt
 
@@ -101,7 +101,7 @@ def test_separation_ignores_zero_requirements():
 def test_first_unmet_pair_counts_capacity_units():
     # 1-2-3 and 1-0-3 each pass one unit; 0-1-2 alone passes 3
     net = undirected_network(cycle(4), {0: 3, 1: 3, 2: 1, 3: 1})
-    assert first_unmet_pair(net, {(0, 1): 0, (0, 2): 2, (1, 3): 3}) == ((1, 3), 2)
+    assert first_unmet_pair(net, {(0, 1): 0, (0, 2): 2, (1, 3): 3}) == UnmetPair((1, 3), 2, 3)
     assert first_unmet_pair(net, {(0, 1): 0, (0, 2): 4}) is None
     # a zero requirement is met by no edges at all
     assert first_unmet_pair(net.within(()), {(0, 1): 0}) is None

@@ -20,7 +20,6 @@ from flexconn import (
     ValidationError,
     edge_connectivity,
     minimum_cost_subset,
-    q_connectivity,
     reduce_by_inflation,
     rooted_q_flow,
     solve_p_ncfgc,
@@ -32,7 +31,7 @@ from flexconn.flows import Network, integral, smallest_failing_set, undirected_n
 from flexconn.generators import GenConfig, gen_ncfgc, random_multigraph
 from flexconn.graphs import Edge
 from flexconn.lp import CutRow
-from flexconn.ncfgc import NcViolation, RootedSolveResult, _separate_rooted, arc
+from flexconn.ncfgc import NcViolation, RootedSolveResult, _both_arcs, _separate_rooted, arc
 from flexconn.oracle import exact_opt
 
 from strategies import cut_lp_values, edge_subsets, multigraphs, node_pairs
@@ -67,14 +66,14 @@ def test_instance_validation_and_caps():
 def test_q_connectivity_hand_cases():
     g = double_path()
     # a single-use middle node throttles both parallel pairs
-    assert q_connectivity(g, {0: None, 1: 1, 2: None}, 0, 2) == 1
-    assert q_connectivity(g, {0: None, 1: None, 2: None}, 0, 2) == 2
+    assert rooted_q_flow(g, {0: None, 1: 1, 2: None}, 0, 2) == 1
+    assert rooted_q_flow(g, {0: None, 1: None, 2: None}, 0, 2) == 2
     # endpoint caps are ignored
-    assert q_connectivity(g, {0: 1, 1: None, 2: 1}, 0, 2) == 2
-    assert q_connectivity(g, {1: None}, 0, 2, cutoff=1) == 1
-    assert q_connectivity(g, {1: None}, 0, 2, {0, 2}) == 1
+    assert rooted_q_flow(g, {0: 1, 1: None, 2: 1}, 0, 2) == 2
+    assert rooted_q_flow(g, {1: None}, 0, 2, cutoff=1) == 1
+    assert rooted_q_flow(g, {1: None}, 0, 2, _both_arcs({0, 2})) == 1
     with pytest.raises(InvalidQueryError):
-        q_connectivity(g, {}, 1, 1)
+        rooted_q_flow(g, {}, 1, 1)
 
     bypass = MultiGraph.build(3, [
         (0, 1, Fraction(1), True),
@@ -82,7 +81,7 @@ def test_q_connectivity_hand_cases():
         (0, 2, Fraction(1), True),
     ])
     # the direct edge dodges the single-use middle node
-    assert q_connectivity(bypass, {0: None, 1: 1, 2: None}, 0, 2) == 2
+    assert rooted_q_flow(bypass, {0: None, 1: 1, 2: None}, 0, 2) == 2
 
 
 @given(multigraphs(max_nodes=5, max_extra=3), st.data())
@@ -91,7 +90,6 @@ def test_endpoint_caps_do_not_matter(g, data):
     caps = {v: data.draw(st.sampled_from([None, 0, 1, 2])) for v in range(g.n)}
     zero = {**caps, s: 0, t: 0}
     unlimited = {**caps, s: None, t: None}
-    assert q_connectivity(g, zero, s, t) == q_connectivity(g, unlimited, s, t)
     for root, sink in ((s, t), (t, s)):
         assert rooted_q_flow(g, zero, root, sink) == rooted_q_flow(
             g, unlimited, root, sink
@@ -102,7 +100,7 @@ def test_endpoint_caps_do_not_matter(g, data):
 def test_uncapped_nodes_reduce_to_edge_connectivity(g, data):
     i, j = data.draw(node_pairs(g.n))
     caps = {v: None for v in range(g.n)}
-    assert q_connectivity(g, caps, i, j) == edge_connectivity(g, i, j)
+    assert rooted_q_flow(g, caps, i, j) == edge_connectivity(g, i, j)
 
 
 def test_verify_modes_and_hand_cases():
@@ -310,7 +308,7 @@ def interleaved_verify(inst, edge_ids, mode):
     """`verify_ncfgc` as it ran with both routes interleaved pair by pair:
     the first pair either route fails ends the loop, a pair the routes split
     on raises, and the enumeration witness wins.  The flow is measured by
-    `q_connectivity` on a network of its own per pair."""
+    `rooted_q_flow` on a network of its own per pair."""
     g = inst.graph
     chosen = g.subset(edge_ids)
     p = inst.requirement
@@ -326,7 +324,7 @@ def interleaved_verify(inst, edge_ids, mode):
         for j in range(i + 1, g.n):
             hit_q = hit_e = None
             if mode in ("qconn", "both"):
-                lam = q_connectivity(g, caps, i, j, chosen, cutoff=p)
+                lam = rooted_q_flow(g, caps, i, j, _both_arcs(chosen), cutoff=p)
                 if lam < p:
                     hit_q = NcViolation((i, j), None, lam)
             if mode in ("enumeration", "both"):
@@ -442,8 +440,8 @@ def test_inflation_preserves_q_connectivity(g, data):
     first = {v: images[0] for v, images in inflated.node_images.items()}
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            lam = q_connectivity(g, caps, i, j)
-            image = q_connectivity(reduced.graph, red_caps, first[i], first[j])
+            lam = rooted_q_flow(g, caps, i, j)
+            image = rooted_q_flow(reduced.graph, red_caps, first[i], first[j])
             assert lam == image
 
 

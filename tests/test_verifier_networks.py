@@ -99,7 +99,7 @@ def reference_verify_ncfgc(inst, edge_ids, mode):
     p = inst.requirement
     hit_q = hit_e = None
     if mode != "enumeration":
-        net = _split_network(g, inst.node_caps(), dict.fromkeys(_both_arcs(chosen), 1))
+        net = _split_network(g, inst.node_caps(), _both_arcs(chosen))
         for i, j in itertools.combinations(range(g.n), 2):
             lam = net.max_flow(2 * i + 1, 2 * j, cutoff=p)
             if lam < p:
